@@ -1,7 +1,8 @@
 // Reproduces Figure 8: the critical-difference analysis. A Friedman test is run over
 // all (dataset, measure) blocks of the Figure 5 grid, followed by Conover post-hoc
 // pairwise comparisons; methods are grouped into statistical tiers and rendered as a
-// text critical-difference diagram.
+// text critical-difference diagram. Replays the Figure 5 grid from its per-cell
+// checkpoints when present.
 
 #include <cstdio>
 
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
   const tsg::bench::BenchConfig config = tsg::bench::LoadConfig();
   const auto& methods = tsg::methods::AllMethodNames();
   const auto grid =
-      tsg::bench::LoadOrComputeGrid(config, methods, tsg::data::AllDatasets());
+      tsg::bench::RunGrid(config, methods, tsg::data::AllDatasets());
   tsg::bench::ReportFailures(grid);
   const auto& rows = grid.rows;
   const auto measures = tsg::bench::DistinctMeasures(rows);

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "ag/ops.h"
-#include "ag/tape.h"
 #include "base/rng.h"
 #include "base/stopwatch.h"
 #include "base/thread_pool.h"
@@ -35,10 +34,8 @@
 #include "linalg/matrix.h"
 #include "methods/factory.h"
 #include "nn/dense.h"
-#include "nn/module.h"
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
-#include "obs/metrics.h"
 #include "signal/fft.h"
 
 namespace {
@@ -467,132 +464,6 @@ void WriteKernelTimings() {
   }
 }
 
-/// Restores the hot-path configuration (tape arena + fused forward) on exit.
-class ScopedHotPath {
- public:
-  ScopedHotPath(bool arena, bool fusion)
-      : prev_arena_(tsg::ag::ArenaEnabled()),
-        prev_fusion_(tsg::nn::FusedForward()) {
-    tsg::ag::SetArenaEnabled(arena);
-    tsg::nn::SetFusedForward(fusion);
-  }
-  ~ScopedHotPath() {
-    tsg::ag::SetArenaEnabled(prev_arena_);
-    tsg::nn::SetFusedForward(prev_fusion_);
-  }
-
- private:
-  bool prev_arena_;
-  bool prev_fusion_;
-};
-
-/// Wall seconds and exact per-training-step seconds for one Fit measurement.
-struct FitTiming {
-  double fit_seconds = 0.0;
-  double step_seconds = 0.0;  ///< Mean over every GuardedStep of every phase.
-  int64_t steps = 0;
-};
-
-/// Times one abbreviated Fit per method with the training hot path disabled
-/// (heap autodiff nodes, unfused layers — the pre-arena behavior) and enabled
-/// (pooled tape + fused epilogues), and writes <out_dir>/micro_fit.json.
-/// `step_speedup` is the ratio of mean per-step seconds, taken from the
-/// `train.*.step_seconds` timers GuardedStep records (so dataset prep,
-/// sampling, and generation overhead inside Fit don't dilute it); step counts
-/// are identical in both configurations by construction (same options, same
-/// seeds). `step_speedup` >= 2x on at least three methods is the ISSUE
-/// acceptance number; total Fit wall time rides along for context.
-void WriteFitTimings() {
-  const tsg::bench::BenchConfig config = tsg::bench::LoadConfig();
-  const tsg::core::Dataset train(
-      "micro", tsg::data::SineBenchmark(32, 16, 3, /*seed=*/21));
-  tsg::core::FitOptions options;
-  options.epoch_scale = 0.05;
-  options.batch_size = 16;
-
-  const char* kMethods[] = {"RGAN",        "TimeGAN", "TimeVAE",
-                            "LS4",         "FourierFlow", "GT-GAN"};
-
-  auto measure = [&](const char* name, bool optimized) {
-    ScopedHotPath scoped(optimized, optimized);
-    ScopedParallelism serial(1);  // Per-step cost, not thread scaling.
-    FitTiming best;
-    best.fit_seconds = 1e300;
-    best.step_seconds = 1e300;
-    // Best-of-reps on fit and per-step time *independently*: both are min
-    // estimators of the same deterministic work, and coupling them would let
-    // one noisy rep pollute the other statistic.
-    for (int rep = 0; rep < 7; ++rep) {
-      auto method = tsg::methods::CreateMethod(name);
-      tsg::obs::MetricRegistry::Global().Reset();
-      tsg::Stopwatch watch;
-      benchmark::DoNotOptimize(method.value()->Fit(train, options));
-      const double fit_seconds = watch.ElapsedSeconds();
-      double step_sum = 0.0;
-      int64_t step_count = 0;
-      tsg::obs::MetricRegistry::Global().ForEachTimer(
-          [&](const std::string& timer, const tsg::obs::Histogram& h) {
-            const std::string suffix = ".step_seconds";
-            if (timer.size() > suffix.size() &&
-                timer.compare(timer.size() - suffix.size(), suffix.size(),
-                              suffix) == 0) {
-              step_sum += h.sum();
-              step_count += h.count();
-            }
-          });
-      best.fit_seconds = std::min(best.fit_seconds, fit_seconds);
-      const double step_mean = step_count > 0 ? step_sum / step_count : 0.0;
-      if (rep == 0 || step_mean < best.step_seconds) {
-        best.step_seconds = step_mean;
-        best.steps = step_count;
-      }
-    }
-    return best;
-  };
-
-  tsg::io::JsonWriter json;
-  json.BeginObject();
-  json.Key("backend").String(tsg::kernels::BackendName());
-  json.Key("baseline").String("arena off, fusion off (heap autodiff nodes)");
-  json.Key("optimized").String("arena on, fusion on");
-  json.Key("methods").BeginArray();
-  int at_least_2x = 0;
-  for (const char* name : kMethods) {
-    const FitTiming base = measure(name, /*optimized=*/false);
-    const FitTiming opt = measure(name, /*optimized=*/true);
-    const double step_speedup =
-        opt.step_seconds > 0.0 ? base.step_seconds / opt.step_seconds : 0.0;
-    at_least_2x += step_speedup >= 2.0 ? 1 : 0;
-    json.BeginObject();
-    json.Key("name").String(name);
-    json.Key("steps").Int(static_cast<int>(opt.steps));
-    json.Key("baseline_step_seconds").Number(base.step_seconds);
-    json.Key("optimized_step_seconds").Number(opt.step_seconds);
-    json.Key("step_speedup").Number(step_speedup);
-    json.Key("baseline_fit_seconds").Number(base.fit_seconds);
-    json.Key("optimized_fit_seconds").Number(opt.fit_seconds);
-    json.Key("fit_speedup").Number(base.fit_seconds / opt.fit_seconds);
-    json.EndObject();
-    std::fprintf(stderr,
-                 "[micro] fit %-12s step %9.1fus -> %9.1fus (%.2fx)  "
-                 "fit %7.4fs -> %7.4fs (%.2fx)\n",
-                 name, base.step_seconds * 1e6, opt.step_seconds * 1e6,
-                 step_speedup, base.fit_seconds, opt.fit_seconds,
-                 base.fit_seconds / opt.fit_seconds);
-  }
-  json.EndArray();
-  json.Key("methods_at_or_above_2x").Int(at_least_2x);
-  json.EndObject();
-
-  const std::string path = config.out_dir + "/micro_fit.json";
-  const tsg::Status s = tsg::io::WriteFileAtomic(path, json.str() + "\n");
-  if (!s.ok()) {
-    std::fprintf(stderr, "[micro] write failed: %s\n", s.ToString().c_str());
-  } else {
-    std::fprintf(stderr, "[micro] wrote %s\n", path.c_str());
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -603,7 +474,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   WriteParallelTimings();
   WriteKernelTimings();
-  WriteFitTimings();
   tsg::bench::WriteMetricsSnapshot();
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <thread>
 
@@ -154,10 +153,6 @@ std::string ConfigKey(const BenchConfig& config) {
   return os.str();
 }
 
-std::string CachePath(const BenchConfig& config) {
-  return config.out_dir + "/grid_cells_" + ConfigKey(config) + ".csv";
-}
-
 /// Keeps method/dataset names filesystem-safe for checkpoint file names.
 std::string SanitizeFileName(const std::string& s) {
   std::string out = s;
@@ -170,7 +165,7 @@ std::string SanitizeFileName(const std::string& s) {
 }
 
 /// One row per measure for a completed cell, or a single error row for a failed
-/// one. Shared by the per-cell checkpoint files and the whole-grid cache CSV.
+/// one: the per-cell checkpoint file layout.
 const std::vector<std::string>& CellCsvHeader() {
   static const auto* kHeader = new std::vector<std::string>{
       "status", "method", "dataset", "measure",
@@ -184,23 +179,8 @@ struct CellOutcome {
   CellError error;             ///< Populated when failed.
 };
 
-std::vector<std::vector<std::string>> CellToCsvRows(const CellOutcome& cell) {
-  std::vector<std::vector<std::string>> lines;
-  if (cell.failed) {
-    lines.push_back({"error", cell.error.method, cell.error.dataset, "", "", "",
-                     "", cell.error.error});
-    return lines;
-  }
-  for (const GridRow& row : cell.rows) {
-    lines.push_back({"ok", row.method, row.dataset, row.measure,
-                     FormatDouble(row.mean), FormatDouble(row.stddev),
-                     FormatDouble(row.fit_seconds), ""});
-  }
-  return lines;
-}
-
-/// Parses checkpoint/cache body rows (header already stripped). Returns false on
-/// any malformed row so a corrupt file falls back to recomputation.
+/// Parses checkpoint body rows (header already stripped). Returns false on any
+/// malformed row so a corrupt file falls back to recomputation.
 bool ParseCellCsvRows(const std::vector<std::vector<std::string>>& lines,
                       std::vector<GridRow>* rows,
                       std::vector<CellError>* failures) {
@@ -243,9 +223,14 @@ Status WriteCellCheckpoint(const BenchConfig& config, const CellOutcome& cell) {
       cell.failed ? cell.error.method : cell.rows.front().method;
   const std::string& dataset =
       cell.failed ? cell.error.dataset : cell.rows.front().dataset;
-  std::vector<std::vector<std::string>> lines;
-  lines.push_back(CellCsvHeader());
-  for (auto& line : CellToCsvRows(cell)) lines.push_back(std::move(line));
+  std::vector<std::vector<std::string>> lines = {CellCsvHeader()};
+  if (cell.failed) {
+    lines.push_back({"error", method, dataset, "", "", "", "", cell.error.error});
+  }
+  for (const GridRow& row : cell.rows) {
+    lines.push_back({"ok", method, dataset, row.measure, FormatDouble(row.mean),
+                     FormatDouble(row.stddev), FormatDouble(row.fit_seconds), ""});
+  }
   return io::WriteCsvRows(CheckpointPath(config, method, dataset), lines);
 }
 
@@ -279,50 +264,6 @@ bool LoadCellCheckpoint(const BenchConfig& config, const std::string& method,
   }
   cell->failed = false;
   cell->rows = std::move(rows);
-  return true;
-}
-
-bool ReadCache(const std::string& path, GridResult* result) {
-  if (!std::filesystem::exists(path)) return false;
-  auto records = io::ReadCsvRows(path);
-  if (!records.ok() || records.value().size() < 2) return false;
-  if (records.value()[0] != CellCsvHeader()) return false;
-  const std::vector<std::vector<std::string>> body(records.value().begin() + 1,
-                                                   records.value().end());
-  return ParseCellCsvRows(body, &result->rows, &result->failures);
-}
-
-void WriteCache(const std::string& path, const GridResult& result) {
-  std::vector<std::vector<std::string>> lines;
-  lines.push_back(CellCsvHeader());
-  for (const GridRow& row : result.rows) {
-    lines.push_back({"ok", row.method, row.dataset, row.measure,
-                     FormatDouble(row.mean), FormatDouble(row.stddev),
-                     FormatDouble(row.fit_seconds), ""});
-  }
-  for (const CellError& failure : result.failures) {
-    lines.push_back(
-        {"error", failure.method, failure.dataset, "", "", "", "", failure.error});
-  }
-  const Status s = io::WriteCsvRows(path, lines);
-  if (!s.ok()) std::fprintf(stderr, "cache write failed: %s\n", s.ToString().c_str());
-}
-
-/// The cache covers the request when every (method, dataset) cell was at least
-/// *attempted* — failed cells count, so a grid with a known-bad cell does not
-/// recompute forever.
-bool CacheCovers(const GridResult& result, const std::vector<std::string>& methods,
-                 const std::vector<data::DatasetId>& datasets) {
-  std::set<std::pair<std::string, std::string>> attempted;
-  for (const GridRow& r : result.rows) attempted.insert({r.method, r.dataset});
-  for (const CellError& f : result.failures) {
-    attempted.insert({f.method, f.dataset});
-  }
-  for (const std::string& method : methods) {
-    for (data::DatasetId id : datasets) {
-      if (attempted.count({method, data::DatasetName(id)}) == 0) return false;
-    }
-  }
   return true;
 }
 
@@ -443,8 +384,8 @@ std::vector<std::string> SplitCsvList(const std::string& csv) {
   return out;
 }
 
-/// Simulates + preprocesses datasets on first use, so a shard worker or merge
-/// supervisor only pays for the datasets of the cells it actually computes.
+/// Simulates + preprocesses datasets on first use, so a shard worker only pays
+/// for the datasets of the cells it actually claims.
 class LazyDatasets {
  public:
   LazyDatasets(const BenchConfig& config, std::vector<data::DatasetId> ids)
@@ -466,6 +407,119 @@ class LazyDatasets {
   std::vector<core::Preprocessed> prepared_;
   std::vector<bool> ready_;
 };
+
+/// One pass of the grid engine: every cell's outcome in dataset-major sweep
+/// order, and how many of them came from checkpoints or were computed.
+struct GridSweep {
+  std::vector<CellOutcome> outcomes;
+  int64_t loaded = 0;
+  int64_t computed = 0;
+  /// First failed checkpoint write, in sweep order. The outcomes are complete
+  /// either way; only a later run has to recompute the affected cells.
+  Status checkpoint_status;
+};
+
+/// The grid engine behind RunGrid and MergeGridShards. Loads each cell's
+/// checkpoint; fits and evaluates the cells without one concurrently on the
+/// global pool (TSG_THREADS-many at once), checkpointing each as it finishes,
+/// so a kill at any point loses at most the in-flight cells; then writes the
+/// summary. Replaying a checkpoint instead of computing the cell is sound
+/// because each cell seeds its Rng chain from the config alone and the shared
+/// embedder fit is deterministic: no cell's result depends on which process or
+/// thread computed any other cell. With `compute_missing` false, a cell
+/// without a valid checkpoint is NotFound and nothing is computed or written.
+StatusOr<GridSweep> SweepGrid(const BenchConfig& config,
+                              const std::vector<std::string>& methods,
+                              const std::vector<data::DatasetId>& datasets,
+                              bool compute_missing) {
+  std::filesystem::create_directories(CheckpointDir(config));
+  const size_t num_methods = methods.size();
+  const size_t num_cells = datasets.size() * num_methods;
+  GridSweep sweep;
+  sweep.outcomes.resize(num_cells);
+  std::vector<size_t> missing;
+  std::vector<bool> dataset_needed(datasets.size(), false);
+  for (size_t cell = 0; cell < num_cells; ++cell) {
+    const std::string dataset = data::DatasetName(datasets[cell / num_methods]);
+    const std::string& method = methods[cell % num_methods];
+    if (LoadCellCheckpoint(config, method, dataset, &sweep.outcomes[cell])) {
+      ++sweep.loaded;
+      continue;
+    }
+    if (!compute_missing) {
+      return Status::NotFound("no checkpoint for cell " + method + " / " +
+                              dataset + " in " + CheckpointDir(config));
+    }
+    missing.push_back(cell);
+    dataset_needed[cell / num_methods] = true;
+  }
+  if (sweep.loaded > 0) {
+    std::fprintf(stderr, "[grid] resumed %lld/%zu cells from %s\n",
+                 static_cast<long long>(sweep.loaded), num_cells,
+                 CheckpointDir(config).c_str());
+  }
+
+  if (!missing.empty()) {
+    // Simulate + preprocess each dataset that has missing cells (independent
+    // and deterministic).
+    const auto prepared = base::ParallelMap<core::Preprocessed>(
+        static_cast<int64_t>(datasets.size()), 1, [&](int64_t di) {
+          if (!dataset_needed[static_cast<size_t>(di)]) return core::Preprocessed();
+          const obs::ScopedTimer prepare_span("grid.prepare_dataset");
+          core::Preprocessed pre =
+              PrepareDataset(datasets[static_cast<size_t>(di)], config);
+          std::fprintf(stderr, "[grid] dataset %s: R_train=%lld l=%lld N=%lld\n",
+                       pre.train.name().c_str(),
+                       static_cast<long long>(pre.train.num_samples()),
+                       static_cast<long long>(pre.train.seq_len()),
+                       static_cast<long long>(pre.train.num_features()));
+          return pre;
+        });
+    // Each cell builds its own method instance, so cells never share mutable
+    // state (the harness serializes its embedder cache internally), and each
+    // writes only its own outcome slot and checkpoint file.
+    const GridHarness grid = MakeGridHarness(config);
+    std::vector<Status> written(missing.size());
+    base::ParallelFor(0, static_cast<int64_t>(missing.size()), 1,
+                      [&](int64_t chunk_begin, int64_t chunk_end) {
+      for (int64_t i = chunk_begin; i < chunk_end; ++i) {
+        const size_t cell = missing[static_cast<size_t>(i)];
+        CellOutcome& outcome = sweep.outcomes[cell];
+        outcome = ComputeCell(*grid.harness, methods[cell % num_methods],
+                              prepared[cell / num_methods]);
+        written[static_cast<size_t>(i)] = WriteCellCheckpoint(config, outcome);
+      }
+    });
+    for (const Status& s : written) {
+      if (s.ok()) continue;
+      obs::MetricRegistry::Global().GetCounter("grid.checkpoint_write_failures").Add();
+      std::fprintf(stderr, "checkpoint write failed: %s\n", s.ToString().c_str());
+      if (sweep.checkpoint_status.ok()) sweep.checkpoint_status = s;
+    }
+    sweep.computed = static_cast<int64_t>(missing.size());
+  }
+  WriteGridSummary(config, methods, datasets, sweep.outcomes);
+  return sweep;
+}
+
+/// Flattens outcomes into score rows and failure records (sweep order),
+/// counting each cell under `ok_counter` or `failed_counter`.
+GridResult CollectResult(const std::vector<CellOutcome>& outcomes,
+                         const char* ok_counter, const char* failed_counter) {
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
+  GridResult result;
+  for (const CellOutcome& outcome : outcomes) {
+    if (outcome.failed) {
+      metrics.GetCounter(failed_counter).Add();
+      result.failures.push_back(outcome.error);
+    } else {
+      metrics.GetCounter(ok_counter).Add();
+      result.rows.insert(result.rows.end(), outcome.rows.begin(),
+                         outcome.rows.end());
+    }
+  }
+  return result;
+}
 
 }  // namespace
 
@@ -492,98 +546,14 @@ GridResult RunGrid(const BenchConfig& config,
                    const std::vector<std::string>& methods,
                    const std::vector<data::DatasetId>& datasets) {
   obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
-  obs::ScopedTimer grid_span("grid.run");
-  const GridHarness grid = MakeGridHarness(config);
-  core::Harness& harness = *grid.harness;
-
-  std::filesystem::create_directories(CheckpointDir(config));
-
-  // Resume pass: load completed cells from their checkpoints. Skipping them is
-  // sound because each cell seeds its Rng chain from the config alone and the
-  // shared embedder fit is deterministic — no cell's result depends on whether
-  // another cell was computed in this process or a previous one.
-  const int64_t num_methods = static_cast<int64_t>(methods.size());
-  const int64_t num_cells = static_cast<int64_t>(datasets.size()) * num_methods;
-  std::vector<CellOutcome> outcomes(static_cast<size_t>(num_cells));
-  std::vector<bool> done(static_cast<size_t>(num_cells), false);
-  int64_t resumed = 0;
-  for (int64_t cell = 0; cell < num_cells; ++cell) {
-    const std::string dataset =
-        data::DatasetName(datasets[static_cast<size_t>(cell / num_methods)]);
-    const std::string& method = methods[static_cast<size_t>(cell % num_methods)];
-    if (LoadCellCheckpoint(config, method, dataset,
-                           &outcomes[static_cast<size_t>(cell)])) {
-      done[static_cast<size_t>(cell)] = true;
-      ++resumed;
-    }
-  }
-  if (resumed > 0) {
-    std::fprintf(stderr, "[grid] resumed %lld/%lld cells from %s\n",
-                 static_cast<long long>(resumed),
-                 static_cast<long long>(num_cells), CheckpointDir(config).c_str());
-  }
-  metrics.GetCounter("grid.cells.total").Add(num_cells);
-  metrics.GetCounter("grid.cells.resumed").Add(resumed);
-
-  // Stage 1: simulate + preprocess each dataset that still has pending cells
-  // (independent and deterministic).
-  std::vector<bool> dataset_needed(datasets.size(), false);
-  for (int64_t cell = 0; cell < num_cells; ++cell) {
-    if (!done[static_cast<size_t>(cell)]) {
-      dataset_needed[static_cast<size_t>(cell / num_methods)] = true;
-    }
-  }
-  const auto prepared = base::ParallelMap<core::Preprocessed>(
-      static_cast<int64_t>(datasets.size()), 1, [&](int64_t di) {
-        if (!dataset_needed[static_cast<size_t>(di)]) return core::Preprocessed();
-        const obs::ScopedTimer prepare_span("grid.prepare_dataset");
-        core::Preprocessed pre =
-            PrepareDataset(datasets[static_cast<size_t>(di)], config);
-        std::fprintf(stderr, "[grid] dataset %s: R_train=%lld l=%lld N=%lld\n",
-                     pre.train.name().c_str(),
-                     static_cast<long long>(pre.train.num_samples()),
-                     static_cast<long long>(pre.train.seq_len()),
-                     static_cast<long long>(pre.train.num_features()));
-        return pre;
-      });
-
-  // Stage 2: fit + evaluate every pending (method, dataset) cell concurrently.
-  // Each cell builds its own method instance and seeds its Rng chain from the
-  // config alone, so cells never share mutable state (the harness serializes its
-  // embedder cache internally) and the row order below matches the serial
-  // dataset-major sweep. A failed cell becomes an error record — the rest of the
-  // grid completes — and every finished cell checkpoints its own file atomically
-  // right away, so a kill at any point loses at most the in-flight cells.
-  base::ParallelFor(0, num_cells, 1, [&](int64_t chunk_begin, int64_t chunk_end) {
-   for (int64_t cell = chunk_begin; cell < chunk_end; ++cell) {
-    if (done[static_cast<size_t>(cell)]) continue;
-    const core::Preprocessed& pre = prepared[static_cast<size_t>(cell / num_methods)];
-    const std::string& method_name =
-        methods[static_cast<size_t>(cell % num_methods)];
-    CellOutcome& outcome = outcomes[static_cast<size_t>(cell)];
-    outcome = ComputeCell(harness, method_name, pre);
-    const Status ckpt = WriteCellCheckpoint(config, outcome);
-    if (!ckpt.ok()) {
-      metrics.GetCounter("grid.checkpoint_write_failures").Add();
-      std::fprintf(stderr, "checkpoint write failed: %s\n",
-                   ckpt.ToString().c_str());
-    }
-   }
-  });
-
-  GridResult result;
-  for (const CellOutcome& outcome : outcomes) {
-    if (outcome.failed) {
-      metrics.GetCounter("grid.cells.failed").Add();
-      result.failures.push_back(outcome.error);
-    } else {
-      metrics.GetCounter("grid.cells.ok").Add();
-      result.rows.insert(result.rows.end(), outcome.rows.begin(),
-                         outcome.rows.end());
-    }
-  }
-  WriteGridSummary(config, methods, datasets, outcomes);
-  return result;
+  const obs::ScopedTimer grid_span("grid.run");
+  // A sweep that computes its missing cells has no error return.
+  GridSweep sweep =
+      SweepGrid(config, methods, datasets, /*compute_missing=*/true).value();
+  metrics.GetCounter("grid.cells.total")
+      .Add(static_cast<int64_t>(sweep.outcomes.size()));
+  metrics.GetCounter("grid.cells.resumed").Add(sweep.loaded);
+  return CollectResult(sweep.outcomes, "grid.cells.ok", "grid.cells.failed");
 }
 
 StatusOr<int64_t> RunGridShard(const BenchConfig& config,
@@ -731,86 +701,60 @@ StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
                                      const std::vector<data::DatasetId>& datasets,
                                      const MergeOptions& options) {
   obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
-  obs::ScopedTimer merge_span("grid.shard.merge");
-  std::filesystem::create_directories(CheckpointDir(config));
+  const obs::ScopedTimer merge_span("grid.shard.merge");
   const std::string& token = io::LeaseOwnerToken();
 
-  const int64_t num_methods = static_cast<int64_t>(methods.size());
-  const int64_t num_cells = static_cast<int64_t>(datasets.size()) * num_methods;
-  std::vector<CellOutcome> outcomes(static_cast<size_t>(num_cells));
-  // Built lazily: a merge over a fully covered grid computes nothing and
-  // should not pay for harness or store setup.
-  std::unique_ptr<GridHarness> grid;
-  LazyDatasets prepared(config, datasets);
-
-  for (int64_t cell = 0; cell < num_cells; ++cell) {
-    const size_t di = static_cast<size_t>(cell / num_methods);
-    const std::string dataset = data::DatasetName(datasets[di]);
-    const std::string& method = methods[static_cast<size_t>(cell % num_methods)];
-    const std::string ckpt_path = CheckpointPath(config, method, dataset);
-    const std::string lease_path = CellLeasePath(config, method, dataset);
-    if (std::filesystem::exists(lease_path)) {
-      if (std::filesystem::exists(ckpt_path)) {
+  // Lease pass: no worker may still own a cell, and whatever a dead one left
+  // behind is cleared before the sweep reads the checkpoints.
+  for (const data::DatasetId id : datasets) {
+    const std::string dataset = data::DatasetName(id);
+    for (const std::string& method : methods) {
+      const std::string lease_path = CellLeasePath(config, method, dataset);
+      if (!std::filesystem::exists(lease_path)) continue;
+      if (std::filesystem::exists(CheckpointPath(config, method, dataset))) {
         // Owner died after checkpointing but before releasing: the work is
         // done, only the marker is orphaned.
         std::remove(lease_path.c_str());
         metrics.GetCounter("grid.shard.merge.leases_cleaned").Add();
-      } else {
-        const io::LeaseState state =
-            io::ProbeLease(lease_path, options.lease_stale_seconds);
-        if (state == io::LeaseState::kLive) {
-          return Status::FailedPrecondition(
-              "cell " + method + " / " + dataset +
-              " is still held by a live worker; merge after the workers exit");
-        }
-        if (state == io::LeaseState::kDead) {
-          StatusOr<bool> broke = io::BreakLease(lease_path, token);
-          if (!broke.ok()) return broke.status();
-          if (broke.value()) {
-            metrics.GetCounter("grid.shard.merge.leases_reclaimed").Add();
-          }
+        continue;
+      }
+      const io::LeaseState state =
+          io::ProbeLease(lease_path, options.lease_stale_seconds);
+      if (state == io::LeaseState::kLive) {
+        return Status::FailedPrecondition(
+            "cell " + method + " / " + dataset +
+            " is still held by a live worker; merge after the workers exit");
+      }
+      if (state == io::LeaseState::kDead) {
+        StatusOr<bool> broke = io::BreakLease(lease_path, token);
+        if (!broke.ok()) return broke.status();
+        if (broke.value()) {
+          metrics.GetCounter("grid.shard.merge.leases_reclaimed").Add();
         }
       }
     }
-    CellOutcome& outcome = outcomes[static_cast<size_t>(cell)];
-    if (LoadCellCheckpoint(config, method, dataset, &outcome)) {
-      metrics.GetCounter("grid.shard.merge.cells_loaded").Add();
-      continue;
-    }
-    metrics.GetCounter("grid.shard.merge.cells_missing").Add();
-    if (!options.compute_missing) {
-      return Status::NotFound("no checkpoint for cell " + method + " / " +
-                              dataset + " in " + CheckpointDir(config));
-    }
-    if (grid == nullptr) {
-      grid = std::make_unique<GridHarness>(MakeGridHarness(config));
-    }
-    metrics.GetCounter("grid.shard.merge.cells_computed").Add();
-    outcome = ComputeCell(*grid->harness, method, prepared.Get(di));
-    const Status ckpt = WriteCellCheckpoint(config, outcome);
-    if (!ckpt.ok()) {
-      metrics.GetCounter("grid.checkpoint_write_failures").Add();
-      return ckpt;
-    }
   }
 
-  GridResult result;
-  for (const CellOutcome& outcome : outcomes) {
-    if (outcome.failed) {
-      metrics.GetCounter("grid.shard.merge.cells_error").Add();
-      result.failures.push_back(outcome.error);
-    } else {
-      metrics.GetCounter("grid.shard.merge.cells_ok").Add();
-      result.rows.insert(result.rows.end(), outcome.rows.begin(),
-                         outcome.rows.end());
-    }
+  // The same engine as RunGrid, so the merged summary (timing-free, %.17g) is
+  // byte-identical to a single-process run.
+  StatusOr<GridSweep> sweep =
+      SweepGrid(config, methods, datasets, options.compute_missing);
+  if (!sweep.ok()) {
+    // Only a strict merge fails here, on its first missing cell.
+    metrics.GetCounter("grid.shard.merge.cells_missing").Add();
+    return sweep.status();
   }
-  // Same writers as RunGrid, so the merged summary (timing-free, %.17g) is
-  // byte-identical to a single-process run and the cache CSV serves the
-  // figure binaries without recomputation.
-  WriteGridSummary(config, methods, datasets, outcomes);
-  WriteCache(CachePath(config), result);
-  return result;
+  const GridSweep& swept = sweep.value();
+  if (swept.loaded > 0) {
+    metrics.GetCounter("grid.shard.merge.cells_loaded").Add(swept.loaded);
+  }
+  if (swept.computed > 0) {
+    metrics.GetCounter("grid.shard.merge.cells_missing").Add(swept.computed);
+    metrics.GetCounter("grid.shard.merge.cells_computed").Add(swept.computed);
+  }
+  TSG_RETURN_IF_ERROR(swept.checkpoint_status);
+  return CollectResult(swept.outcomes, "grid.shard.merge.cells_ok",
+                       "grid.shard.merge.cells_error");
 }
 
 StatusOr<std::vector<data::DatasetId>> ParseDatasetList(const std::string& csv) {
@@ -843,27 +787,6 @@ StatusOr<std::vector<std::string>> ParseMethodList(const std::string& csv) {
   }
   if (out.empty()) return Status::InvalidArgument("empty method list: " + csv);
   return out;
-}
-
-GridResult LoadOrComputeGrid(const BenchConfig& config,
-                             const std::vector<std::string>& methods,
-                             const std::vector<data::DatasetId>& datasets,
-                             bool force) {
-  const std::string cache_path = CachePath(config);
-  if (!force) {
-    GridResult cached;
-    if (ReadCache(cache_path, &cached) && CacheCovers(cached, methods, datasets)) {
-      obs::MetricRegistry::Global().GetCounter("grid.cache_hits").Add();
-      std::fprintf(stderr, "[grid] loaded %zu cached rows from %s\n",
-                   cached.rows.size(), cache_path.c_str());
-      return cached;
-    }
-  }
-
-  obs::MetricRegistry::Global().GetCounter("grid.cache_misses").Add();
-  GridResult result = RunGrid(config, methods, datasets);
-  WriteCache(cache_path, result);
-  return result;
 }
 
 size_t ReportFailures(const GridResult& grid) {

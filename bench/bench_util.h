@@ -102,26 +102,31 @@ core::Preprocessed PrepareDataset(data::DatasetId id, const BenchConfig& config)
 core::HarnessOptions GridHarnessOptions(const BenchConfig& config);
 
 /// Directory holding one atomically written checkpoint file per completed
-/// (method, dataset) cell, keyed by the config. A killed grid run resumes from
-/// these: completed cells are loaded instead of recomputed, and because every
-/// cell seeds its Rng chain from the config alone, the resumed run's outputs are
-/// byte-identical to an uninterrupted run.
+/// (method, dataset) cell, keyed by the config: the only store of grid cells.
+/// A killed or finished grid run resumes from these: completed cells are loaded
+/// instead of recomputed, and because every cell seeds its Rng chain from the
+/// config alone, the resumed run's outputs are byte-identical to an
+/// uninterrupted run.
 std::string CheckpointDir(const BenchConfig& config);
 
 /// Path of the deterministic JSON summary artifact written after every grid run:
 /// per-cell status, scores for completed cells, and error records for failed
-/// ones. Wall-clock timings are deliberately excluded (they live in the CSV
-/// cache) so the file is byte-identical across reruns and kill/resume cycles.
+/// ones. Wall-clock timings are deliberately excluded (they live in the per-cell
+/// checkpoints) so the file is byte-identical across reruns and kill/resume
+/// cycles.
 std::string GridSummaryPath(const BenchConfig& config);
 
-/// Computes the benchmarking grid: every (method, dataset) cell is fitted and
-/// evaluated as an independent task on the global thread pool (TSG_THREADS-many at
-/// once), and rows are assembled in the serial dataset-major order. Every cell
-/// seeds its own Rng chain from the config, so the rows are bit-identical to a
-/// single-threaded run. A failing cell (diverged fit, NaN loss, measure error)
-/// becomes a CellError while the rest of the grid completes. Completed cells are
-/// checkpointed under CheckpointDir() and skipped on the next run; the JSON
-/// summary at GridSummaryPath() is (re)written atomically at the end.
+/// Runs the benchmarking grid (methods x datasets x measure suite) and returns
+/// long-format rows plus failures. Every cell with a checkpoint under
+/// CheckpointDir() is replayed from it; the rest are fitted and evaluated as
+/// independent tasks on the global thread pool (TSG_THREADS-many at once) and
+/// checkpointed as they finish. Rows come back in the serial dataset-major
+/// order, and every cell seeds its own Rng chain from the config, so they are
+/// bit-identical to a single-threaded run. A failing cell (diverged fit, NaN
+/// loss, measure error) becomes a CellError while the rest of the grid
+/// completes. The JSON summary at GridSummaryPath() is (re)written atomically
+/// at the end. A rerun over a finished grid computes nothing, which is how the
+/// Figure 1/5/8 binaries share one grid.
 GridResult RunGrid(const BenchConfig& config,
                    const std::vector<std::string>& methods,
                    const std::vector<data::DatasetId>& datasets);
@@ -169,13 +174,13 @@ struct MergeOptions {
 };
 
 /// Supervisor pass, run after the workers exit: reclaims leftover leases
-/// (stale, or orphaned next to a finished checkpoint), loads every cell's
-/// checkpoint, computes stragglers when allowed, and writes the grid summary
-/// and cache CSV. The summary is byte-identical to a single-process RunGrid of
-/// the same config — checkpoints round-trip doubles through %.17g, so merged
-/// outcomes equal computed outcomes bit for bit. Fails with NotFound (strict
-/// mode, missing cell) or FailedPrecondition (a live worker still holds a
-/// lease).
+/// (stale, or orphaned next to a finished checkpoint), then runs RunGrid's
+/// engine — load every cell's checkpoint, compute stragglers concurrently when
+/// allowed, write the grid summary. The summary is byte-identical to a
+/// single-process RunGrid of the same config — checkpoints round-trip doubles
+/// through %.17g, so merged outcomes equal computed outcomes bit for bit. Fails
+/// with NotFound (strict mode, missing cell), FailedPrecondition (a live worker
+/// still holds a lease) or the first failed checkpoint write.
 StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
                                      const std::vector<std::string>& methods,
                                      const std::vector<data::DatasetId>& datasets,
@@ -188,16 +193,6 @@ StatusOr<std::vector<data::DatasetId>> ParseDatasetList(const std::string& csv);
 /// Parses a comma-separated method list against methods::AllMethodNames().
 /// An empty string means every registered paper method.
 StatusOr<std::vector<std::string>> ParseMethodList(const std::string& csv);
-
-/// Runs the full benchmarking grid (methods x datasets x measure suite) and returns
-/// long-format rows plus failures. Results are cached as CSV in
-/// <out_dir>/grid_cells_*.csv keyed by the config; reruns with the same config load
-/// the cache so the Figure 1/5/8 binaries do not recompute each other's work. Set
-/// `force` to recompute.
-GridResult LoadOrComputeGrid(const BenchConfig& config,
-                             const std::vector<std::string>& methods,
-                             const std::vector<data::DatasetId>& datasets,
-                             bool force = false);
 
 /// Prints any failed cells to stderr; returns the number of failures. Bench mains
 /// call this so partial grids are visible without aborting the figure.

@@ -68,8 +68,9 @@ int main() {
   tsg::core::FitOptions final_fit = tuned.best.options;
   final_fit.epoch_scale = 0.4;
   TSG_CHECK(final_method->Fit(data.train, final_fit).ok());
-  std::printf("\nRefit %s at full budget; parameters can now be saved via\n"
-              "tsg::nn::SaveParameters for deployment (see nn/serialize.h).\n",
+  std::printf("\nRefit %s at full budget; publish its Snapshot() to the artifact\n"
+              "store (store::ArtifactStore::Save, see store/artifact_store.h) to\n"
+              "serve it without retraining.\n",
               chosen.c_str());
   return 0;
 }

@@ -7,6 +7,9 @@
 #   3. The resumed grid summary must be byte-identical to a clean run's.
 #   4. Two clean runs at different TSG_THREADS must produce identical metric
 #      snapshots once the wall-clock "timings" section is stripped.
+#   5. Rerunning the finished clean grid replays all 4 cells from their
+#      checkpoints (grid.cells.resumed=4, no grid.cells.computed) and rewrites
+#      a byte-identical summary.
 #
 # Usage: scripts/ci_smoke_grid.sh [build_dir]   (default: build)
 # The work dir (under TSG_WORK_ROOT, default /tmp) is kept on failure so CI can
@@ -82,4 +85,18 @@ strip_timings "$WORK/clean1/metrics.json" "$WORK/clean1/counts.json"
 strip_timings "$WORK/clean2/metrics.json" "$WORK/clean2/counts.json"
 cmp "$WORK/clean1/counts.json" "$WORK/clean2/counts.json"
 
-echo "smoke grid OK: kill/resume byte-identical, metrics deterministic"
+echo "== 5. rerun over the finished clean grid replays every cell"
+cp "$WORK/clean1"/grid_summary_*.json "$WORK/clean1_summary.json"
+TSGBENCH_OUT="$WORK/clean1" "$BIN" --metrics_out="$WORK/clean1/replay.json"
+if ! grep -q '"grid.cells.resumed":4' "$WORK/clean1/replay.json"; then
+  echo "error: replay snapshot does not report grid.cells.resumed=4" >&2
+  grep -o '"grid[^,}]*' "$WORK/clean1/replay.json" >&2 || true
+  exit 1
+fi
+if grep -q '"grid.cells.computed"' "$WORK/clean1/replay.json"; then
+  echo "error: replay over a finished grid computed cells" >&2
+  exit 1
+fi
+cmp "$WORK/clean1_summary.json" "$WORK/clean1"/grid_summary_*.json
+
+echo "smoke grid OK: kill/resume byte-identical, metrics deterministic, replay computes nothing"

@@ -1,7 +1,5 @@
 #include "ag/tape.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -12,16 +10,6 @@ namespace tsg::ag {
 
 namespace {
 
-bool InitialArenaEnabled() {
-  const char* env = std::getenv("TSG_AG_ARENA");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-std::atomic<bool>& ArenaFlag() {
-  static std::atomic<bool> enabled{InitialArenaEnabled()};
-  return enabled;
-}
-
 Tape& ThreadTape() {
   thread_local Tape tape;
   return tape;
@@ -30,12 +18,6 @@ Tape& ThreadTape() {
 thread_local Tape* t_active = nullptr;
 
 }  // namespace
-
-void SetArenaEnabled(bool enabled) {
-  ArenaFlag().store(enabled, std::memory_order_relaxed);
-}
-
-bool ArenaEnabled() { return ArenaFlag().load(std::memory_order_relaxed); }
 
 Tape* Tape::Active() { return t_active; }
 
@@ -59,15 +41,11 @@ void Tape::CompleteStep() {
   if (steps_completed_ == 1) arena_.MarkSteadyState();
 }
 
-StepScope::StepScope() {
-  if (!ArenaEnabled()) return;
-  Tape& tape = ThreadTape();
-  if (tape.depth_++ == 0) t_active = &tape;
-  tape_ = &tape;
+StepScope::StepScope() : tape_(&ThreadTape()) {
+  if (tape_->depth_++ == 0) t_active = tape_;
 }
 
 StepScope::~StepScope() {
-  if (tape_ == nullptr) return;
   if (--tape_->depth_ == 0) {
     tape_->CompleteStep();
     tape_->Reset();

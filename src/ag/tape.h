@@ -88,9 +88,7 @@ class Tape {
 /// open one at the top of each batch-loop body — *around* every graph built in
 /// that iteration, because GAN steps reuse generator graphs across two
 /// GuardedStep calls — and the destructor resets the tape. Nested scopes are
-/// no-ops (the outermost owns the reset). Construction is disabled entirely
-/// when SetArenaEnabled(false) (or env TSG_AG_ARENA=0): ops then take the heap
-/// path, which bench_micro uses as its before/after baseline.
+/// no-ops (the outermost owns the reset).
 class StepScope {
  public:
   StepScope();
@@ -99,13 +97,8 @@ class StepScope {
   StepScope& operator=(const StepScope&) = delete;
 
  private:
-  Tape* tape_ = nullptr;  // null when arena disabled or construction skipped
+  Tape* tape_;
 };
-
-/// Process-wide switch for the pooled-tape path. Defaults to on, overridable
-/// once at startup by env TSG_AG_ARENA=0; bench_micro flips it per measurement.
-void SetArenaEnabled(bool enabled);
-bool ArenaEnabled();
 
 /// Uninitialized / zero-filled matrix from the active tape's arena, or an
 /// owning heap matrix when no scope is open. The workhorse allocator for op

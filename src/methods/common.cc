@@ -38,12 +38,12 @@ struct StepMetrics {
   obs::Counter* nonfinite_loss = nullptr;
   obs::Counter* nonfinite_grad = nullptr;
   obs::Counter* steps = nullptr;
-  obs::Counter* steady_state_allocs = nullptr;
   obs::Histogram* loss = nullptr;
   obs::Histogram* grad_norm = nullptr;
   obs::Histogram* step_seconds = nullptr;
   obs::Gauge* epoch = nullptr;
   obs::Gauge* arena_bytes_peak = nullptr;
+  obs::Gauge* steady_state_allocs = nullptr;
   obs::Gauge* nodes_per_step = nullptr;
 };
 
@@ -56,12 +56,12 @@ StepMetrics ResolveStepMetrics(const StepContext& ctx) {
   m.nonfinite_loss = &metrics.GetCounter(prefix + ".nonfinite_loss");
   m.nonfinite_grad = &metrics.GetCounter(prefix + ".nonfinite_grad");
   m.steps = &metrics.GetCounter(prefix + ".steps");
-  m.steady_state_allocs = &metrics.GetCounter("ag.allocs.steady_state");
   m.loss = &metrics.GetHistogram(prefix + ".loss");
   m.grad_norm = &metrics.GetHistogram(prefix + ".grad_norm");
   m.step_seconds = &metrics.GetTimer(prefix + ".step_seconds");
   m.epoch = &metrics.GetGauge(prefix + ".epoch");
   m.arena_bytes_peak = &metrics.GetGauge("ag.arena.bytes_peak");
+  m.steady_state_allocs = &metrics.GetGauge("ag.allocs.steady_state");
   m.nodes_per_step = &metrics.GetGauge("ag.nodes.per_step");
   return m;
 }
@@ -90,19 +90,17 @@ const StepMetrics& CachedStepMetrics(const StepContext& ctx) {
 }
 
 /// Exports the step-arena telemetry for the tape this step ran under, if any.
-/// The steady-state counter only moves when a post-warm-up step had to grow the
-/// arena — the zero-allocation contract's violation count.
+/// The steady-state gauge reads the tape's post-warm-up chunk growths — the
+/// zero-allocation contract's violation count. It is a gauge, not a counter:
+/// arena chunks persist per thread across cells, so the value depends on
+/// which thread ran which cell and must stay out of the snapshot's "counts".
 void ExportTapeStats(const StepMetrics& m) {
   const ag::Tape* tape = ag::Tape::Active();
   if (tape == nullptr) return;
-  thread_local int64_t last_steady_state = 0;
   m.arena_bytes_peak->Set(static_cast<double>(tape->arena_bytes_peak()));
+  m.steady_state_allocs->Set(
+      static_cast<double>(tape->steady_state_chunk_allocs()));
   m.nodes_per_step->Set(static_cast<double>(tape->nodes_since_reset()));
-  const int64_t steady = tape->steady_state_chunk_allocs();
-  if (steady > last_steady_state) {
-    m.steady_state_allocs->Add(steady - last_steady_state);
-  }
-  last_steady_state = steady;
 }
 
 }  // namespace

@@ -69,10 +69,7 @@ struct GtGan::Nets {
     for (const Var& z_t : step_noise) {
       for (int s = 0; s < kEulerSubsteps; ++s) {
         const Var dh = gen_field.Forward(ConcatCols(h, z_t));
-        // The Euler update rides the fusion flag like the layer forwards do:
-        // one AddScaled node on the hot path, the two-node composition when
-        // fusion is disabled (the benchmark baseline).
-        h = nn::FusedForward() ? AddScaled(h, dh, dt) : h + ScalarMul(dh, dt);
+        h = AddScaled(h, dh, dt);  // h + dt * dh in one tape node
       }
       out.push_back(gen_head.Forward(h));
     }
@@ -87,7 +84,7 @@ struct GtGan::Nets {
     for (const Var& x_t : series) {
       for (int s = 0; s < kDiscSubsteps; ++s) {
         const Var dh = disc_field.Forward(h);
-        h = nn::FusedForward() ? AddScaled(h, dh, dt) : h + ScalarMul(dh, dt);
+        h = AddScaled(h, dh, dt);
       }
       h = disc_jump.Forward(x_t, h);
     }

@@ -44,11 +44,9 @@ class Dense : public Module {
         bias_(ZeroBias(out_features)),
         activation_(activation) {}
 
+  /// One tape node: GEMM + bias + activation fused in the kernel epilogue.
   Var Forward(const Var& x) const {
-    if (FusedForward()) {
-      return ag::LinearBiasAct(x, weight_, bias_, ToKernelAct(activation_));
-    }
-    return Activate(ag::AddRowVec(ag::MatMul(x, weight_), bias_), activation_);
+    return ag::LinearBiasAct(x, weight_, bias_, ToKernelAct(activation_));
   }
 
   std::vector<Var> Parameters() const override { return {weight_, bias_}; }

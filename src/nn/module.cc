@@ -1,30 +1,8 @@
 #include "nn/module.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 namespace tsg::nn {
-
-namespace {
-
-bool InitialFusedForward() {
-  const char* env = std::getenv("TSG_AG_FUSION");
-  return env == nullptr || env[0] != '0';
-}
-
-std::atomic<bool>& FusedFlag() {
-  static std::atomic<bool> flag{InitialFusedForward()};
-  return flag;
-}
-
-}  // namespace
-
-bool FusedForward() { return FusedFlag().load(std::memory_order_relaxed); }
-
-void SetFusedForward(bool enabled) {
-  FusedFlag().store(enabled, std::memory_order_relaxed);
-}
 
 std::vector<Var> CollectParameters(std::initializer_list<const Module*> modules) {
   std::vector<Var> params;

@@ -12,16 +12,6 @@ namespace tsg::nn {
 
 using ag::Var;
 
-/// Whether layer forwards use the fused kernel-epilogue ops (one tape node per
-/// Dense layer / recurrent gate) instead of composing element-wise primitives.
-/// Defaults to on; `TSG_AG_FUSION=0` or SetFusedForward(false) reverts to the
-/// unfused composition (the before/after baseline in bench_micro). Note the two
-/// paths are numerically equivalent but not bit-identical: the fused gate sums
-/// x*Wx + h*Wh by GEMM accumulation rather than materializing both products.
-/// Either path on its own is deterministic across backends and thread counts.
-bool FusedForward();
-void SetFusedForward(bool enabled);
-
 /// Base class for trainable components. A module owns parameter Vars; Parameters()
 /// exposes them for optimizers and serialization. Forward signatures vary per layer
 /// (single matrix, sequence, state-carrying), so they are defined by each subclass.

@@ -2,12 +2,7 @@
 
 namespace tsg::nn {
 
-using ag::AddRowVec;
-using ag::MatMul;
 using ag::Mul;
-using ag::Neg;
-using ag::ScalarAdd;
-using ag::Sigmoid;
 using ag::Tanh;
 using ag::Var;
 
@@ -28,20 +23,12 @@ GruCell::GruCell(int64_t input_size, int64_t hidden_size, Rng& rng)
 Var GruCell::Forward(const Var& x, const Var& h) const {
   TSG_CHECK_EQ(x.cols(), input_size_);
   TSG_CHECK_EQ(h.cols(), hidden_size_);
-  if (FusedForward()) {
-    // Each gate is a single tape node: GEMM x2 + bias + sigmoid fused.
-    const Var r = ag::GateBiasAct(x, wxr_, h, whr_, br_, ag::Act::kSigmoid);
-    const Var z = ag::GateBiasAct(x, wxz_, h, whz_, bz_, ag::Act::kSigmoid);
-    const Var n = Tanh(ag::LinearBiasAct(x, wxn_, bxn_, ag::Act::kNone) +
-                       Mul(r, ag::LinearBiasAct(h, whn_, bhn_, ag::Act::kNone)));
-    return ag::GateBlend(z, h, n);  // z .* h + (1 - z) .* n
-  }
-  const Var r = Sigmoid(AddRowVec(MatMul(x, wxr_) + MatMul(h, whr_), br_));
-  const Var z = Sigmoid(AddRowVec(MatMul(x, wxz_) + MatMul(h, whz_), bz_));
-  const Var n = Tanh(AddRowVec(MatMul(x, wxn_), bxn_) +
-                     Mul(r, AddRowVec(MatMul(h, whn_), bhn_)));
-  const Var one_minus_z = ScalarAdd(Neg(z), 1.0);
-  return Mul(one_minus_z, n) + Mul(z, h);
+  // Each gate is a single tape node: GEMM x2 + bias + sigmoid fused.
+  const Var r = ag::GateBiasAct(x, wxr_, h, whr_, br_, ag::Act::kSigmoid);
+  const Var z = ag::GateBiasAct(x, wxz_, h, whz_, bz_, ag::Act::kSigmoid);
+  const Var n = Tanh(ag::LinearBiasAct(x, wxn_, bxn_, ag::Act::kNone) +
+                     Mul(r, ag::LinearBiasAct(h, whn_, bhn_, ag::Act::kNone)));
+  return ag::GateBlend(z, h, n);  // z .* h + (1 - z) .* n
 }
 
 std::vector<Var> GruCell::Parameters() const {
@@ -66,20 +53,11 @@ LstmCell::LstmCell(int64_t input_size, int64_t hidden_size, Rng& rng)
 
 LstmCell::State LstmCell::Forward(const Var& x, const State& state) const {
   TSG_CHECK_EQ(x.cols(), input_size_);
-  if (FusedForward()) {
-    const Var i = ag::GateBiasAct(x, wxi_, state.h, whi_, bi_, ag::Act::kSigmoid);
-    const Var f = ag::GateBiasAct(x, wxf_, state.h, whf_, bf_, ag::Act::kSigmoid);
-    const Var g = ag::GateBiasAct(x, wxg_, state.h, whg_, bg_, ag::Act::kTanh);
-    const Var o = ag::GateBiasAct(x, wxo_, state.h, who_, bo_, ag::Act::kSigmoid);
-    const Var c = ag::MulAdd(f, state.c, i, g);  // f .* c + i .* g in one node
-    const Var h = Mul(o, Tanh(c));
-    return {h, c};
-  }
-  const Var i = Sigmoid(AddRowVec(MatMul(x, wxi_) + MatMul(state.h, whi_), bi_));
-  const Var f = Sigmoid(AddRowVec(MatMul(x, wxf_) + MatMul(state.h, whf_), bf_));
-  const Var g = Tanh(AddRowVec(MatMul(x, wxg_) + MatMul(state.h, whg_), bg_));
-  const Var o = Sigmoid(AddRowVec(MatMul(x, wxo_) + MatMul(state.h, who_), bo_));
-  const Var c = Mul(f, state.c) + Mul(i, g);
+  const Var i = ag::GateBiasAct(x, wxi_, state.h, whi_, bi_, ag::Act::kSigmoid);
+  const Var f = ag::GateBiasAct(x, wxf_, state.h, whf_, bf_, ag::Act::kSigmoid);
+  const Var g = ag::GateBiasAct(x, wxg_, state.h, whg_, bg_, ag::Act::kTanh);
+  const Var o = ag::GateBiasAct(x, wxo_, state.h, who_, bo_, ag::Act::kSigmoid);
+  const Var c = ag::MulAdd(f, state.c, i, g);  // f .* c + i .* g in one node
   const Var h = Mul(o, Tanh(c));
   return {h, c};
 }

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "io/atomic_file.h"
 #include "linalg/matrix.h"
 
 namespace tsg::nn {
@@ -87,43 +86,6 @@ StatusOr<std::vector<linalg::Matrix>> ParseTensors(const std::string& content,
     }
   }
   return tensors;
-}
-
-Status SaveParameters(const std::string& path, const std::vector<ag::Var>& params) {
-  std::vector<linalg::Matrix> tensors;
-  tensors.reserve(params.size());
-  for (const ag::Var& p : params) tensors.push_back(p.value());
-  return io::WriteFileAtomic(path, SerializeTensors(tensors));
-}
-
-Status LoadParameters(const std::string& path, std::vector<ag::Var>& params) {
-  StatusOr<std::string> content = io::ReadFileToString(path);
-  if (!content.ok()) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  StatusOr<std::vector<linalg::Matrix>> parsed =
-      ParseTensors(content.value(), path);
-  TSG_RETURN_IF_ERROR(parsed.status());
-  std::vector<linalg::Matrix>& staged = parsed.value();
-  if (staged.size() != params.size()) {
-    return Status::InvalidArgument("parameter count mismatch: file has " +
-                                   std::to_string(staged.size()) +
-                                   ", model has " +
-                                   std::to_string(params.size()));
-  }
-  // Validate every shape before touching any parameter, so failures leave the
-  // model untouched.
-  for (size_t k = 0; k < staged.size(); ++k) {
-    const auto& expect = params[k].value();
-    if (staged[k].rows() != expect.rows() || staged[k].cols() != expect.cols()) {
-      return Status::InvalidArgument("shape mismatch at parameter " +
-                                     std::to_string(k));
-    }
-  }
-  for (size_t k = 0; k < staged.size(); ++k) {
-    params[k].mutable_value() = std::move(staged[k]);
-  }
-  return Status::Ok();
 }
 
 }  // namespace tsg::nn

@@ -4,20 +4,17 @@
 #include <string>
 #include <vector>
 
-#include "ag/variable.h"
 #include "base/status.h"
 #include "linalg/matrix.h"
 
 namespace tsg::nn {
 
-/// Parameter persistence: fitting a TSG method on a large dataset can dominate a
+/// Tensor persistence: fitting a TSG method on a large dataset can dominate a
 /// workflow (Figure 5's training-time row), so trained weights can be saved and
 /// restored. The format is a small text header (magic, parameter count, per-tensor
 /// shape) followed by the flat values; it round-trips bit-exactly via hex doubles.
-///
-/// The string-level pair (SerializeTensors / ParseTensors) is the substrate the
-/// artifact store embeds inside its own container format; SaveParameters /
-/// LoadParameters are the standalone-file convenience wrappers.
+/// It is the payload of the artifact store's TSGMODEL container
+/// (store/artifact_store.h), the one model file format.
 
 /// Renders `tensors` in the TSGPARAMS v1 text format. Deterministic: the same
 /// tensors always produce the same bytes.
@@ -30,17 +27,6 @@ std::string SerializeTensors(const std::vector<linalg::Matrix>& tensors);
 /// blob in error messages (a path, or an artifact key).
 StatusOr<std::vector<linalg::Matrix>> ParseTensors(const std::string& content,
                                                    const std::string& origin);
-
-/// Writes `params` to `path` atomically (temp file + rename via
-/// io::WriteFileAtomic): a crash mid-save leaves any previous version intact
-/// instead of a torn file. Parameter order defines identity: load with the same
-/// module construction order as the save.
-Status SaveParameters(const std::string& path, const std::vector<ag::Var>& params);
-
-/// Restores values into `params` in order. Fails (without partial writes) when the
-/// file is missing, corrupt, carries trailing bytes, or the shapes disagree with
-/// the given parameters.
-Status LoadParameters(const std::string& path, std::vector<ag::Var>& params);
 
 }  // namespace tsg::nn
 

@@ -108,7 +108,6 @@ class AllocTest : public ::testing::Test {
  protected:
   void SetUp() override {
     base::ThreadPool::Global().SetMaxParallelism(1);
-    ag::SetArenaEnabled(true);
   }
   void TearDown() override { base::ThreadPool::Global().SetMaxParallelism(0); }
 };

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "ag/ops.h"
+#include "base/thread_pool.h"
 #include "bench_util.h"
 #include "io/lease.h"
 #include "methods/common.h"
@@ -103,28 +104,54 @@ TEST(DistinctTest, PreservesFirstSeenOrder) {
   EXPECT_EQ(datasets[0], "d2");
 }
 
-TEST(GridCacheTest, RoundTripsThroughCsv) {
-  BenchConfig config;
-  config.out_dir = "/tmp/tsg_bench_cache_test";
-  config.scale = 0.31;  // Unique cache key for this test.
-  std::filesystem::create_directories(config.out_dir);
+/// Returns the value of a global counter (0 when it does not exist yet).
+int64_t CounterValue(const std::string& name) {
+  return obs::MetricRegistry::Global().GetCounter(name).value();
+}
 
-  // Seed the cache by computing a 1x1 grid with a minimal budget.
-  BenchConfig tiny = config;
+/// Bitwise equality of two row lists' names and scores.
+void ExpectScoresBitIdentical(const std::vector<GridRow>& a,
+                              const std::vector<GridRow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].method, b[i].method);
+    EXPECT_EQ(a[i].dataset, b[i].dataset);
+    EXPECT_EQ(a[i].measure, b[i].measure);
+    EXPECT_EQ(std::memcmp(&a[i].mean, &b[i].mean, sizeof(double)), 0) << i;
+    EXPECT_EQ(std::memcmp(&a[i].stddev, &b[i].stddev, sizeof(double)), 0) << i;
+  }
+}
+
+TEST(GridReplayTest, SecondRunReplaysCheckpointsBitForBit) {
+  BenchConfig config;
+  config.out_dir = "/tmp/tsg_bench_replay_test";
+  config.scale = 0.31;  // Unique checkpoint key for this test.
+  std::filesystem::remove_all(config.out_dir);
+  std::filesystem::create_directories(config.out_dir);
   const std::vector<std::string> methods = {"TimeVAE"};
   const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg};
-  const auto grid = LoadOrComputeGrid(tiny, methods, datasets, /*force=*/true);
+
+  const auto grid = RunGrid(config, methods, datasets);
   ASSERT_FALSE(grid.rows.empty());
   EXPECT_TRUE(grid.failures.empty());
+  const std::string summary = ReadWholeFile(GridSummaryPath(config));
 
-  // Second call must hit the cache and return identical values.
-  const auto cached = LoadOrComputeGrid(tiny, methods, datasets, /*force=*/false);
-  ASSERT_EQ(cached.rows.size(), grid.rows.size());
-  for (size_t i = 0; i < grid.rows.size(); ++i) {
-    EXPECT_EQ(cached.rows[i].method, grid.rows[i].method);
-    EXPECT_EQ(cached.rows[i].measure, grid.rows[i].measure);
-    EXPECT_NEAR(cached.rows[i].mean, grid.rows[i].mean, 1e-6);
+  // A rerun over the finished grid computes nothing: every cell, wall-clock
+  // fit time included, comes back from its checkpoint bit for bit.
+  const int64_t computed_before = CounterValue("grid.cells.computed");
+  const int64_t resumed_before = CounterValue("grid.cells.resumed");
+  const auto replayed = RunGrid(config, methods, datasets);
+  EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before);
+  EXPECT_EQ(CounterValue("grid.cells.resumed"), resumed_before + 1);
+  EXPECT_TRUE(replayed.failures.empty());
+  ExpectScoresBitIdentical(replayed.rows, grid.rows);
+  for (size_t i = 0; i < grid.rows.size() && i < replayed.rows.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&replayed.rows[i].fit_seconds, &grid.rows[i].fit_seconds,
+                          sizeof(double)),
+              0)
+        << i;
   }
+  EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), summary);
   std::filesystem::remove_all(config.out_dir);
 }
 
@@ -185,19 +212,7 @@ TEST(GridFaultToleranceTest, NanLossBecomesCellErrorAndOtherCellsMatchCleanRun) 
       << grid.failures[0].error;
 
   // Every healthy cell is bit-identical to the clean run.
-  ASSERT_EQ(grid.rows.size(), clean_grid.rows.size());
-  for (size_t i = 0; i < grid.rows.size(); ++i) {
-    EXPECT_EQ(grid.rows[i].method, clean_grid.rows[i].method);
-    EXPECT_EQ(grid.rows[i].measure, clean_grid.rows[i].measure);
-    EXPECT_EQ(std::memcmp(&grid.rows[i].mean, &clean_grid.rows[i].mean,
-                          sizeof(double)),
-              0)
-        << grid.rows[i].measure;
-    EXPECT_EQ(std::memcmp(&grid.rows[i].stddev, &clean_grid.rows[i].stddev,
-                          sizeof(double)),
-              0)
-        << grid.rows[i].measure;
-  }
+  ExpectScoresBitIdentical(grid.rows, clean_grid.rows);
 
   // The summary artifact records both cells.
   const std::string summary = ReadWholeFile(GridSummaryPath(faulty));
@@ -263,11 +278,6 @@ TEST(GridResumeTest, InterruptedGridResumesByteIdentical) {
 // ---- Sharded execution (ISSUE 8): lease-claimed workers and the supervisor
 // merge must reproduce the single-process grid byte for byte, reclaim cells
 // whose owner died, and surface error cells through the merge. ----
-
-/// Returns the value of a global counter (0 when it does not exist yet).
-int64_t CounterValue(const std::string& name) {
-  return obs::MetricRegistry::Global().GetCounter(name).value();
-}
 
 /// The lease path RunGridShard uses for (TimeVAE, DLG) cells — both names are
 /// filesystem-safe, so the mapping is the checkpoint path + ".lease".
@@ -407,7 +417,8 @@ TEST(ShardedGridTest, StrictMergeFailsOnMissingCheckpoint) {
 
 TEST(ShardedGridTest, MergeComputesMissingCellsAndMatchesCleanRun) {
   const std::vector<std::string> methods = {"TimeVAE"};
-  const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg};
+  const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg,
+                                                 data::DatasetId::kStock};
   BenchConfig clean;
   clean.scale = 0.2;
   clean.out_dir = "/tmp/tsg_merge_clean";
@@ -416,8 +427,8 @@ TEST(ShardedGridTest, MergeComputesMissingCellsAndMatchesCleanRun) {
   const auto clean_grid = RunGrid(clean, methods, datasets);
   ASSERT_TRUE(clean_grid.failures.empty());
 
-  // No worker ran at all: the supervisor computes the whole grid itself. A
-  // dangling dead lease on the cell must not stop it.
+  // No worker ran at all: the supervisor computes both cells itself, two at
+  // once on a 2-wide pool. A dangling dead lease on one cell must not stop it.
   BenchConfig merged_config = clean;
   merged_config.out_dir = "/tmp/tsg_merge_computes";
   std::filesystem::remove_all(merged_config.out_dir);
@@ -428,14 +439,19 @@ TEST(ShardedGridTest, MergeComputesMissingCellsAndMatchesCleanRun) {
 
   const int64_t reclaimed_before =
       CounterValue("grid.shard.merge.leases_reclaimed");
+  const int64_t computed_before = CounterValue("grid.shard.merge.cells_computed");
   MergeOptions options;
   options.compute_missing = true;
+  base::ThreadPool::Global().SetMaxParallelism(2);
   const auto merged = MergeGridShards(merged_config, methods, datasets, options);
+  base::ThreadPool::Global().SetMaxParallelism(0);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ASSERT_EQ(merged.value().rows.size(), clean_grid.rows.size());
   EXPECT_EQ(CounterValue("grid.shard.merge.leases_reclaimed"),
             reclaimed_before + 1);
+  EXPECT_EQ(CounterValue("grid.shard.merge.cells_computed"), computed_before + 2);
 
+  // Scores are bitwise RunGrid's; only the wall-clock fit times differ.
+  ExpectScoresBitIdentical(merged.value().rows, clean_grid.rows);
   const std::string clean_summary = ReadWholeFile(GridSummaryPath(clean));
   const std::string merged_summary = ReadWholeFile(GridSummaryPath(merged_config));
   ASSERT_FALSE(clean_summary.empty());

@@ -1,5 +1,5 @@
 // Tests for the extension features: TRTS scheme, MMD measure, PCA companion view,
-// parameter serialization, the §6.5 recommendation engine, and the auto-tuner.
+// the §6.5 recommendation engine, and the auto-tuner.
 
 #include <cmath>
 #include <filesystem>
@@ -12,8 +12,6 @@
 #include "core/visualize.h"
 #include "data/simulators.h"
 #include "methods/factory.h"
-#include "nn/dense.h"
-#include "nn/serialize.h"
 
 namespace tsg {
 namespace {
@@ -102,59 +100,6 @@ TEST(PcaViewTest, ProducedAlongsideTsne) {
   for (const char* suffix : {"_tsne.csv", "_pca.csv", "_density.csv"}) {
     std::filesystem::remove(prefix + suffix);
   }
-}
-
-// ---- Parameter serialization. ----
-
-TEST(SerializeTest, RoundTripBitExact) {
-  Rng rng(1);
-  nn::Dense layer(5, 7, rng);
-  auto params = layer.Parameters();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tsg_params.txt").string();
-  ASSERT_TRUE(nn::SaveParameters(path, params).ok());
-
-  nn::Dense other(5, 7, rng);  // Different init.
-  auto other_params = other.Parameters();
-  ASSERT_FALSE(
-      linalg::AllClose(params[0].value(), other_params[0].value(), 1e-12));
-  ASSERT_TRUE(nn::LoadParameters(path, other_params).ok());
-  EXPECT_TRUE(linalg::AllClose(params[0].value(), other_params[0].value(), 0.0));
-  EXPECT_TRUE(linalg::AllClose(params[1].value(), other_params[1].value(), 0.0));
-  std::filesystem::remove(path);
-}
-
-TEST(SerializeTest, ShapeMismatchFailsWithoutWriting) {
-  Rng rng(2);
-  nn::Dense layer(4, 4, rng);
-  auto params = layer.Parameters();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tsg_params2.txt").string();
-  ASSERT_TRUE(nn::SaveParameters(path, params).ok());
-
-  nn::Dense wrong(4, 5, rng);
-  auto wrong_params = wrong.Parameters();
-  const auto before = wrong_params[0].value();
-  EXPECT_FALSE(nn::LoadParameters(path, wrong_params).ok());
-  EXPECT_TRUE(linalg::AllClose(before, wrong_params[0].value(), 0.0));
-  std::filesystem::remove(path);
-}
-
-TEST(SerializeTest, MissingFileFails) {
-  std::vector<ag::Var> params;
-  EXPECT_FALSE(nn::LoadParameters("/nonexistent/params.txt", params).ok());
-}
-
-TEST(SerializeTest, CountMismatchFails) {
-  Rng rng(3);
-  nn::Dense layer(2, 2, rng);
-  auto params = layer.Parameters();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tsg_params3.txt").string();
-  ASSERT_TRUE(nn::SaveParameters(path, params).ok());
-  std::vector<ag::Var> fewer = {params[0]};
-  EXPECT_FALSE(nn::LoadParameters(path, fewer).ok());
-  std::filesystem::remove(path);
 }
 
 // ---- Recommendation engine. ----

@@ -5,7 +5,6 @@
 #include "ag/ops.h"
 #include "base/rng.h"
 #include "gradcheck.h"
-#include "nn/conv.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
@@ -265,44 +264,45 @@ TEST(OptimizerTest, ClipParameterValuesClamps) {
   EXPECT_NEAR(p.value()(0, 2), 0.05, 1e-12);
 }
 
-/// Runs a forward under a forced fused/unfused setting, restoring on exit.
-class ScopedFusion {
- public:
-  explicit ScopedFusion(bool enabled) : prev_(FusedForward()) {
-    SetFusedForward(enabled);
-  }
-  ~ScopedFusion() { SetFusedForward(prev_); }
+// The fused layer forwards against a reference composition of element-wise
+// primitives, rebuilt here from each layer's Parameters(). Fused epilogues
+// change GEMM+add association, so equality is numeric, not bitwise; each path
+// on its own is deterministic across backends and thread counts.
 
- private:
-  bool prev_;
-};
+/// act(x * wx + h * wh + b) with every primitive its own tape node.
+Var ComposedGate(const Var& x, const Var& wx, const Var& h, const Var& wh,
+                 const Var& b, Activation act) {
+  return Activate(ag::AddRowVec(ag::MatMul(x, wx) + ag::MatMul(h, wh), b), act);
+}
+
+/// Normal draws into every parameter, so the biases (initialized to 0 or 1)
+/// take part in the comparison too.
+std::vector<Var> RandomizedParameters(const Module& module, Rng& rng) {
+  std::vector<Var> params = module.Parameters();
+  for (Var& p : params) rng.FillNormal(p.mutable_value().data(), p.value().size());
+  return params;
+}
+
+void ExpectAllNear(const Matrix& a, const Matrix& b, double tol) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (int64_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], tol) << i;
+}
 
 TEST(FusionTest, DenseForwardMatchesUnfusedComposition) {
   Rng rng(31);
   for (Activation act : {Activation::kNone, Activation::kRelu,
                          Activation::kLeakyRelu, Activation::kSigmoid,
                          Activation::kTanh, Activation::kSoftplus}) {
+    SCOPED_TRACE(static_cast<int>(act));
     Dense layer(5, 7, rng, act);
     Matrix xm(4, 5);
     rng.FillNormal(xm.data(), xm.size());
     const Var x = Var::Constant(xm);
-    Matrix fused, unfused;
-    {
-      ScopedFusion scoped(true);
-      fused = layer.Forward(x).value();
-    }
-    {
-      ScopedFusion scoped(false);
-      unfused = layer.Forward(x).value();
-    }
-    ASSERT_EQ(fused.rows(), unfused.rows());
-    ASSERT_EQ(fused.cols(), unfused.cols());
-    // Fused epilogues change GEMM+add association, so equality is numeric,
-    // not bitwise; each path individually is deterministic.
-    for (int64_t i = 0; i < fused.size(); ++i) {
-      EXPECT_NEAR(fused.data()[i], unfused.data()[i], 1e-12)
-          << static_cast<int>(act);
-    }
+    const std::vector<Var> p = RandomizedParameters(layer, rng);  // {W, b}
+    const Var composed =
+        Activate(ag::AddRowVec(ag::MatMul(x, p[0]), p[1]), act);
+    ExpectAllNear(layer.Forward(x).value(), composed.value(), 1e-12);
   }
 }
 
@@ -312,22 +312,20 @@ TEST(FusionTest, GruForwardMatchesUnfusedComposition) {
   Matrix xm(3, 4);
   rng.FillNormal(xm.data(), xm.size());
   const Var x = Var::Constant(xm);
-  Matrix fused, unfused;
-  {
-    ScopedFusion scoped(true);
-    Var h = cell.InitialState(3);
-    h = cell.Forward(x, h);
-    fused = cell.Forward(x, h).value();
+  // {wxr, whr, br, wxz, whz, bz, wxn, whn, bxn, bhn}
+  const std::vector<Var> p = RandomizedParameters(cell, rng);
+  Var fused = cell.InitialState(3);
+  Var composed = cell.InitialState(3);
+  for (int step = 0; step < 2; ++step) {
+    fused = cell.Forward(x, fused);
+    const Var h = composed;
+    const Var r = ComposedGate(x, p[0], h, p[1], p[2], Activation::kSigmoid);
+    const Var z = ComposedGate(x, p[3], h, p[4], p[5], Activation::kSigmoid);
+    const Var n = ag::Tanh(ag::AddRowVec(ag::MatMul(x, p[6]), p[8]) +
+                           ag::Mul(r, ag::AddRowVec(ag::MatMul(h, p[7]), p[9])));
+    composed = ag::Mul(ag::ScalarAdd(ag::Neg(z), 1.0), n) + ag::Mul(z, h);
   }
-  {
-    ScopedFusion scoped(false);
-    Var h = cell.InitialState(3);
-    h = cell.Forward(x, h);
-    unfused = cell.Forward(x, h).value();
-  }
-  for (int64_t i = 0; i < fused.size(); ++i) {
-    EXPECT_NEAR(fused.data()[i], unfused.data()[i], 1e-12);
-  }
+  ExpectAllNear(fused.value(), composed.value(), 1e-12);
 }
 
 TEST(FusionTest, LstmForwardMatchesUnfusedComposition) {
@@ -336,63 +334,22 @@ TEST(FusionTest, LstmForwardMatchesUnfusedComposition) {
   Matrix xm(3, 4);
   rng.FillNormal(xm.data(), xm.size());
   const Var x = Var::Constant(xm);
-  Matrix fused_h, fused_c, unfused_h, unfused_c;
-  {
-    ScopedFusion scoped(true);
-    LstmCell::State s = cell.InitialState(3);
-    s = cell.Forward(x, s);
-    s = cell.Forward(x, s);
-    fused_h = s.h.value();
-    fused_c = s.c.value();
+  // {wxi, whi, bi, wxf, whf, bf, wxg, whg, bg, wxo, who, bo}
+  const std::vector<Var> p = RandomizedParameters(cell, rng);
+  LstmCell::State fused = cell.InitialState(3);
+  LstmCell::State composed = cell.InitialState(3);
+  for (int step = 0; step < 2; ++step) {
+    fused = cell.Forward(x, fused);
+    const Var h = composed.h;
+    const Var i = ComposedGate(x, p[0], h, p[1], p[2], Activation::kSigmoid);
+    const Var f = ComposedGate(x, p[3], h, p[4], p[5], Activation::kSigmoid);
+    const Var g = ComposedGate(x, p[6], h, p[7], p[8], Activation::kTanh);
+    const Var o = ComposedGate(x, p[9], h, p[10], p[11], Activation::kSigmoid);
+    composed.c = ag::Mul(f, composed.c) + ag::Mul(i, g);
+    composed.h = ag::Mul(o, ag::Tanh(composed.c));
   }
-  {
-    ScopedFusion scoped(false);
-    LstmCell::State s = cell.InitialState(3);
-    s = cell.Forward(x, s);
-    s = cell.Forward(x, s);
-    unfused_h = s.h.value();
-    unfused_c = s.c.value();
-  }
-  for (int64_t i = 0; i < fused_h.size(); ++i) {
-    EXPECT_NEAR(fused_h.data()[i], unfused_h.data()[i], 1e-12);
-    EXPECT_NEAR(fused_c.data()[i], unfused_c.data()[i], 1e-12);
-  }
-}
-
-TEST(FusionTest, FusedGruGradCheck) {
-  Rng rng(34);
-  ScopedFusion scoped(true);
-  GruCell cell(2, 3, rng);
-  Matrix xm(2, 2);
-  rng.FillNormal(xm.data(), xm.size());
-  const Var x = Var::Constant(xm);
-  const Var target = Var::Constant(Matrix::Constant(2, 3, 0.1));
-  ExpectGradCheck(
-      [&] {
-        Var h = cell.InitialState(2);
-        h = cell.Forward(x, h);
-        h = cell.Forward(x, h);
-        return ag::MseLoss(h, target);
-      },
-      cell.Parameters(), 1e-5, 1e-4);
-}
-
-TEST(FusionTest, FusedLstmGradCheck) {
-  Rng rng(35);
-  ScopedFusion scoped(true);
-  LstmCell cell(2, 3, rng);
-  Matrix xm(2, 2);
-  rng.FillNormal(xm.data(), xm.size());
-  const Var x = Var::Constant(xm);
-  const Var target = Var::Constant(Matrix::Constant(2, 3, 0.1));
-  ExpectGradCheck(
-      [&] {
-        LstmCell::State s = cell.InitialState(2);
-        s = cell.Forward(x, s);
-        s = cell.Forward(x, s);
-        return ag::MseLoss(s.h, target);
-      },
-      cell.Parameters(), 1e-5, 1e-4);
+  ExpectAllNear(fused.h.value(), composed.h.value(), 1e-12);
+  ExpectAllNear(fused.c.value(), composed.c.value(), 1e-12);
 }
 
 TEST(ModuleTest, CollectParametersGathersAll) {
@@ -445,97 +402,6 @@ TEST(PositionalEncodingTest, RowsAreDistinct) {
       EXPECT_GT(dist, 1e-6) << "rows " << a << " and " << b;
     }
   }
-}
-
-}  // namespace
-}  // namespace tsg::nn
-
-namespace tsg::nn {
-namespace {
-
-using ag::Var;
-using linalg::Matrix;
-using tsg::testing::ExpectGradCheck;
-
-TEST(Conv1DTest, ShapePreservedWithSamePadding) {
-  Rng rng(20);
-  Conv1D conv(3, 5, 3, rng);
-  std::vector<Var> steps(7, Var::Constant(Matrix(4, 3)));
-  const auto out = conv.Forward(steps);
-  ASSERT_EQ(out.size(), 7u);
-  EXPECT_EQ(out[0].rows(), 4);
-  EXPECT_EQ(out[0].cols(), 5);
-  EXPECT_EQ(conv.Parameters().size(), 4u);  // 3 taps + bias.
-}
-
-TEST(Conv1DTest, KernelOneIsPerStepDense) {
-  // With kernel 1 the convolution must equal a shared dense map per step.
-  Rng rng(21);
-  Conv1D conv(2, 2, 1, rng);
-  Matrix xm(3, 2);
-  rng.FillNormal(xm.data(), xm.size());
-  const Var x = Var::Constant(xm);
-  const auto out = conv.Forward({x, x});
-  EXPECT_TRUE(linalg::AllClose(out[0].value(), out[1].value(), 1e-12));
-}
-
-TEST(Conv1DTest, GradCheckThroughConvolution) {
-  Rng rng(22);
-  Conv1D conv(2, 3, 3, rng);
-  std::vector<Var> steps;
-  for (int t = 0; t < 4; ++t) {
-    Matrix m(2, 2);
-    rng.FillNormal(m.data(), m.size());
-    steps.push_back(Var::Constant(m));
-  }
-  const Var target = Var::Constant(Matrix::Constant(2, 3, 0.1));
-  ExpectGradCheck(
-      [&] {
-        const auto out = conv.Forward(steps);
-        Var loss = ag::MseLoss(out[0], target);
-        for (size_t t = 1; t < out.size(); ++t) {
-          loss = loss + ag::MseLoss(out[t], target);
-        }
-        return loss;
-      },
-      conv.Parameters(), 1e-5, 1e-5);
-}
-
-TEST(Conv1DTest, LearnsMovingAverage) {
-  // Target: centered 3-tap moving average of a univariate signal.
-  Rng rng(23);
-  Conv1D conv(1, 1, 3, rng);
-  Adam opt(conv.Parameters(), 0.05);
-  const int64_t len = 12, batch = 16;
-  double final_loss = 1e9;
-  for (int iter = 0; iter < 400; ++iter) {
-    std::vector<Matrix> xs(len, Matrix(batch, 1));
-    for (int64_t t = 0; t < len; ++t) {
-      for (int64_t b = 0; b < batch; ++b) xs[t](b, 0) = rng.Uniform(-1, 1);
-    }
-    std::vector<Var> steps;
-    for (const auto& x : xs) steps.push_back(Var::Constant(x));
-    opt.ZeroGrad();
-    const auto out = conv.Forward(steps);
-    Var loss;
-    for (int64_t t = 1; t + 1 < len; ++t) {
-      Matrix target(batch, 1);
-      for (int64_t b = 0; b < batch; ++b) {
-        target(b, 0) = (xs[t - 1](b, 0) + xs[t](b, 0) + xs[t + 1](b, 0)) / 3.0;
-      }
-      const Var term = ag::MseLoss(out[t], Var::Constant(target));
-      loss = loss.defined() ? ag::Add(loss, term) : term;
-    }
-    ag::Backward(loss);
-    opt.Step();
-    final_loss = loss.value()(0, 0);
-  }
-  EXPECT_LT(final_loss, 1e-3);
-}
-
-TEST(Conv1DDeathTest, EvenKernelRejected) {
-  Rng rng(24);
-  EXPECT_DEATH(Conv1D(1, 1, 2, rng), "odd kernels");
 }
 
 }  // namespace

@@ -285,6 +285,23 @@ TEST(RestoreValidationTest, TamperedParamShapeFailsCleanly) {
   EXPECT_FALSE(fresh.value()->Restore(snapshot.value()).ok());
 }
 
+TEST(RestoreValidationTest, ParamCountMismatchFailsCleanly) {
+  auto method = methods::CreateMethod("TimeVAE");
+  ASSERT_TRUE(method.ok());
+  ASSERT_TRUE(method.value()->Fit(TinyDataset(), QuickFit()).ok());
+  auto snapshot = method.value()->Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  // Every tensor keeps its shape, but one is missing: a snapshot of another
+  // architecture must not load by position.
+  snapshot.value().params.pop_back();
+  auto fresh = methods::CreateMethod("TimeVAE");
+  ASSERT_TRUE(fresh.ok());
+  const Status restored = fresh.value()->Restore(snapshot.value());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.ToString().find("tensors"), std::string::npos)
+      << restored.ToString();
+}
+
 TEST(RestoreValidationTest, MissingConfigKeyFailsCleanly) {
   auto method = methods::CreateMethod("RGAN");
   ASSERT_TRUE(method.ok());
@@ -391,7 +408,11 @@ class ServingCacheEvictionTest : public ::testing::Test {
     ASSERT_TRUE(method.ok());
     ASSERT_TRUE(method.value()->Fit(train_, fit_).ok());
     method_ = std::move(method.value());
-    store_ = std::make_unique<ArtifactStore>(TempStoreDir("serving_lru"));
+    // One directory per test: ctest runs this fixture's tests in parallel, and
+    // a shared directory lets one SetUp wipe another test's artifacts.
+    store_ = std::make_unique<ArtifactStore>(TempStoreDir(
+        std::string("serving_lru_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name()));
     auto snapshot = method_->Snapshot();
     ASSERT_TRUE(snapshot.ok());
     for (int i = 0; i < 3; ++i) {
@@ -505,34 +526,6 @@ TEST(SerializeStrictTest, TrailingGarbageRejected) {
   EXPECT_FALSE(nn::ParseTensors(blob + "\nTSGPARAMS v1\n", "test").ok());
   // Trailing whitespace is not corruption.
   EXPECT_TRUE(nn::ParseTensors(blob + "\n  \n", "test").ok());
-}
-
-TEST(SerializeStrictTest, LoadParametersRejectsTrailingBytesOnDisk) {
-  Rng rng(5);
-  nn::Dense layer(2, 2, rng);
-  auto params = layer.Parameters();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tsg_trailing.txt").string();
-  ASSERT_TRUE(nn::SaveParameters(path, params).ok());
-  ASSERT_TRUE(nn::LoadParameters(path, params).ok());
-  {
-    std::ofstream file(path, std::ios::app | std::ios::binary);
-    file << "garbage";
-  }
-  EXPECT_FALSE(nn::LoadParameters(path, params).ok());
-  std::filesystem::remove(path);
-}
-
-TEST(SerializeStrictTest, SaveParametersIsAtomic) {
-  Rng rng(6);
-  nn::Dense layer(2, 2, rng);
-  auto params = layer.Parameters();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tsg_atomic.txt").string();
-  ASSERT_TRUE(nn::SaveParameters(path, params).ok());
-  // The temp file from the write-then-rename protocol must not linger.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  std::filesystem::remove(path);
 }
 
 }  // namespace
