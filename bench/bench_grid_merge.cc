@@ -10,7 +10,6 @@
 // --lease_stale_seconds=<s>, --metrics_out=<path>.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,12 +24,10 @@ int main(int argc, char** argv) {
   tsg::bench::MergeOptions options;
   options.compute_missing =
       !tsg::bench::ConsumeFlag(&argc, argv, "require_complete");
-  std::string value;
   tsg::bench::ConsumeFlagValue(&argc, argv, "methods", &methods_csv);
   tsg::bench::ConsumeFlagValue(&argc, argv, "datasets", &datasets_csv);
-  if (tsg::bench::ConsumeFlagValue(&argc, argv, "lease_stale_seconds", &value)) {
-    options.lease_stale_seconds = std::atof(value.c_str());
-  }
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "lease_stale_seconds",
+                                 &options.lease_stale_seconds);
   if (!tsg::bench::RequireNoUnknownFlags(
           argc, argv,
           "bench_grid_merge [--methods=A,B] [--datasets=d1,d2] "

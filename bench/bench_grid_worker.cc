@@ -11,7 +11,6 @@
 // --metrics_out=<path>.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,16 +24,13 @@ int main(int argc, char** argv) {
   std::string datasets_csv;
   tsg::bench::ShardOptions options;
   options.worker_label = "grid-worker";
-  std::string value;
   tsg::bench::ConsumeFlagValue(&argc, argv, "methods", &methods_csv);
   tsg::bench::ConsumeFlagValue(&argc, argv, "datasets", &datasets_csv);
   tsg::bench::ConsumeFlagValue(&argc, argv, "worker_id", &options.worker_label);
-  if (tsg::bench::ConsumeFlagValue(&argc, argv, "lease_stale_seconds", &value)) {
-    options.lease_stale_seconds = std::atof(value.c_str());
-  }
-  if (tsg::bench::ConsumeFlagValue(&argc, argv, "max_wait_seconds", &value)) {
-    options.max_wait_seconds = std::atof(value.c_str());
-  }
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "lease_stale_seconds",
+                                 &options.lease_stale_seconds);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "max_wait_seconds",
+                                 &options.max_wait_seconds);
   if (!tsg::bench::RequireNoUnknownFlags(
           argc, argv,
           "bench_grid_worker [--methods=A,B] [--datasets=d1,d2] "

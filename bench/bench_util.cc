@@ -4,12 +4,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <thread>
-
-#include <cstring>
 
 #include "base/stopwatch.h"
 #include "base/thread_pool.h"
@@ -31,20 +30,8 @@ std::string g_metrics_out;
 }  // namespace
 
 void ParseBenchFlags(int* argc, char** argv) {
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    constexpr const char* kPrefix = "--metrics_out=";
-    if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      g_metrics_out = argv[i] + std::strlen(kPrefix);
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  *argc = kept;
-  argv[kept] = nullptr;
+  ConsumeFlagValue(argc, argv, "metrics_out", &g_metrics_out);
 }
-
-const std::string& MetricsOutPath() { return g_metrics_out; }
 
 bool ConsumeFlag(int* argc, char** argv, const std::string& name) {
   const std::string flag = "--" + name;
@@ -90,6 +77,16 @@ bool ConsumeFlagValue(int* argc, char** argv, const std::string& name,
   *argc = kept;
   argv[kept] = nullptr;
   return found;
+}
+
+std::vector<std::string> SplitCsvList(const std::string& csv) {
+  std::vector<std::string> out;
+  std::string item;
+  std::istringstream is(csv);
+  while (std::getline(is, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
 }
 
 void WriteMetricsSnapshot() {
@@ -191,10 +188,11 @@ bool ParseCellCsvRows(const std::vector<std::vector<std::string>>& lines,
       row.method = cells[1];
       row.dataset = cells[2];
       row.measure = cells[3];
-      char* end = nullptr;
-      row.mean = std::strtod(cells[4].c_str(), &end);
-      row.stddev = std::strtod(cells[5].c_str(), &end);
-      row.fit_seconds = std::strtod(cells[6].c_str(), &end);
+      if (!io::ParseDoubleCell(cells[4], &row.mean) ||
+          !io::ParseDoubleCell(cells[5], &row.stddev) ||
+          !io::ParseDoubleCell(cells[6], &row.fit_seconds)) {
+        return false;
+      }
       rows->push_back(std::move(row));
     } else if (cells[0] == "error") {
       failures->push_back({cells[1], cells[2], cells[7]});
@@ -373,17 +371,6 @@ CellOutcome ComputeCell(core::Harness& harness, const std::string& method_name,
   return outcome;
 }
 
-/// Splits "a,b,c" into {"a","b","c"}; empty segments are dropped.
-std::vector<std::string> SplitCsvList(const std::string& csv) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(csv);
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 /// Simulates + preprocesses datasets on first use, so a shard worker only pays
 /// for the datasets of the cells it actually claims.
 class LazyDatasets {
@@ -556,6 +543,27 @@ GridResult RunGrid(const BenchConfig& config,
   return CollectResult(sweep.outcomes, "grid.cells.ok", "grid.cells.failed");
 }
 
+StatusOr<bool> BreakDeadCellLease(const BenchConfig& config,
+                                  const std::string& method,
+                                  const std::string& dataset,
+                                  double stale_seconds) {
+  const std::string lease_path = CellLeasePath(config, method, dataset);
+  if (io::ProbeLease(lease_path, stale_seconds) != io::LeaseState::kDead) {
+    return false;
+  }
+  StatusOr<bool> broke = io::BreakLease(lease_path, io::LeaseOwnerToken());
+  if (!broke.ok() || !broke.value()) return broke;
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
+  metrics.GetCounter("grid.shard.leases.stolen").Add();
+  if (!std::filesystem::exists(CheckpointPath(config, method, dataset))) {
+    // The dead owner never finished the cell: it goes back to the pool.
+    metrics.GetCounter("grid.cells.reclaimed").Add();
+    std::fprintf(stderr, "[grid] reclaimed dead cell %s / %s\n", method.c_str(),
+                 dataset.c_str());
+  }
+  return true;
+}
+
 StatusOr<int64_t> RunGridShard(const BenchConfig& config,
                                const std::vector<std::string>& methods,
                                const std::vector<data::DatasetId>& datasets,
@@ -601,31 +609,19 @@ StatusOr<int64_t> RunGridShard(const BenchConfig& config,
       if (!acquired.value()) {
         // Held by another worker. A finished owner removes its lease only
         // after its checkpoint landed, so held + no checkpoint is either a
-        // live computation (wait) or a casualty (reclaim).
-        const io::LeaseState state =
-            io::ProbeLease(lease_path, options.lease_stale_seconds);
-        bool reacquired = false;
-        if (state == io::LeaseState::kDead) {
-          StatusOr<bool> broke = io::BreakLease(lease_path, token);
-          if (!broke.ok()) return broke.status();
-          if (broke.value()) {
-            metrics.GetCounter("grid.shard.leases.stolen").Add();
-            acquired = io::AcquireLease(lease_path, token);
-            if (!acquired.ok()) return acquired.status();
-            reacquired = acquired.value();
-          }
-        }
-        if (!reacquired) {
+        // live computation (wait) or a casualty (reclaim). The breaker can
+        // still lose the re-acquire to another worker's plain claim; that
+        // worker then computes the cell the breaker already counted.
+        StatusOr<bool> broke = BreakDeadCellLease(
+            config, method, dataset, options.lease_stale_seconds);
+        if (!broke.ok()) return broke.status();
+        if (broke.value()) acquired = io::AcquireLease(lease_path, token);
+        if (!acquired.ok()) return acquired.status();
+        if (!acquired.value()) {
           if (!std::filesystem::exists(ckpt_path)) {
             metrics.GetCounter("grid.shard.lease_conflicts").Add();
           }
           continue;
-        }
-        if (!std::filesystem::exists(ckpt_path)) {
-          // The dead owner never finished the cell; it is ours to redo.
-          metrics.GetCounter("grid.cells.reclaimed").Add();
-          std::fprintf(stderr, "[%s] reclaimed dead cell %s / %s\n", label,
-                       method.c_str(), dataset.c_str());
         }
       }
       // We hold the lease. Re-check the checkpoint: the previous owner may
@@ -757,19 +753,19 @@ StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
                        "grid.shard.merge.cells_error");
 }
 
+StatusOr<data::DatasetId> ParseDatasetName(const std::string& name) {
+  for (const data::DatasetId id : data::AllDatasets()) {
+    if (name == data::DatasetName(id)) return id;
+  }
+  return Status::InvalidArgument("unknown dataset: " + name);
+}
+
 StatusOr<std::vector<data::DatasetId>> ParseDatasetList(const std::string& csv) {
   if (csv.empty()) return data::AllDatasets();
   std::vector<data::DatasetId> out;
   for (const std::string& name : SplitCsvList(csv)) {
-    bool found = false;
-    for (const data::DatasetId id : data::AllDatasets()) {
-      if (name == data::DatasetName(id)) {
-        out.push_back(id);
-        found = true;
-        break;
-      }
-    }
-    if (!found) return Status::InvalidArgument("unknown dataset: " + name);
+    TSG_ASSIGN_OR_RETURN(const data::DatasetId id, ParseDatasetName(name));
+    out.push_back(id);
   }
   if (out.empty()) return Status::InvalidArgument("empty dataset list: " + csv);
   return out;

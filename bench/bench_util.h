@@ -1,9 +1,14 @@
 #ifndef TSG_BENCH_BENCH_UTIL_H_
 #define TSG_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "base/status.h"
@@ -58,8 +63,31 @@ bool ConsumeFlag(int* argc, char** argv, const std::string& name);
 bool ConsumeFlagValue(int* argc, char** argv, const std::string& name,
                       std::string* value);
 
-/// Path given via --metrics_out, or empty when the flag was not passed.
-const std::string& MetricsOutPath();
+/// Removes a numeric `--<name>=<value>` flag from argv into `*value`; returns
+/// false (argv and *value untouched) when the flag is absent. The whole value
+/// must parse as an in-range T (a finite one for floating point): an empty,
+/// partly numeric ("12x") or out-of-range value prints the flag and exits 2,
+/// like any other usage error.
+template <typename T>
+bool ConsumeNumericFlag(int* argc, char** argv, const std::string& name, T* value) {
+  std::string text;
+  if (!ConsumeFlagValue(argc, argv, name, &text)) return false;
+  T parsed{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
+  if (!ok) {
+    std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
+                 text.c_str());
+    std::exit(2);
+  }
+  *value = parsed;
+  return true;
+}
+
+/// Splits "a,b,c" into {"a","b","c"}; empty segments are dropped.
+std::vector<std::string> SplitCsvList(const std::string& csv);
 
 /// Writes the process-wide obs::MetricRegistry snapshot to the --metrics_out
 /// path (atomic write). No-op without the flag. Bench mains call this last so
@@ -165,6 +193,19 @@ StatusOr<int64_t> RunGridShard(const BenchConfig& config,
                                const std::vector<data::DatasetId>& datasets,
                                const ShardOptions& options);
 
+/// The reclaim step of RunGridShard's claim: when the cell's lease is dead
+/// (ProbeLease with `stale_seconds`), breaks it with this process's owner token
+/// and returns true; false when the lease is free, live, or broken first by
+/// another worker. The break is counted as grid.shard.leases.stolen and, when
+/// the cell has no checkpoint, as grid.cells.reclaimed. Counting at the break
+/// counts each dead cell exactly once — rename(2) lets one breaker win — even
+/// when another worker's plain AcquireLease then takes the freed lease before
+/// the breaker re-acquires it.
+StatusOr<bool> BreakDeadCellLease(const BenchConfig& config,
+                                  const std::string& method,
+                                  const std::string& dataset,
+                                  double stale_seconds);
+
 struct MergeOptions {
   /// When true, the supervisor computes any cell no worker completed (after
   /// reclaiming its lease). When false a missing checkpoint is an error — the
@@ -186,8 +227,11 @@ StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
                                      const std::vector<data::DatasetId>& datasets,
                                      const MergeOptions& options);
 
-/// Parses a comma-separated dataset-name list ("dlg,stock") against
-/// data::DatasetName. An empty string means data::AllDatasets().
+/// The dataset whose data::DatasetName is `name`; InvalidArgument otherwise.
+StatusOr<data::DatasetId> ParseDatasetName(const std::string& name);
+
+/// Parses a comma-separated dataset-name list ("dlg,stock") with
+/// ParseDatasetName. An empty string means data::AllDatasets().
 StatusOr<std::vector<data::DatasetId>> ParseDatasetList(const std::string& csv);
 
 /// Parses a comma-separated method list against methods::AllMethodNames().

@@ -32,7 +32,8 @@ StatusOr<const embed::SequenceEmbedder*> Harness::GetEmbedder(
     auto embedder = std::make_unique<embed::SequenceEmbedder>(
         reference.num_features(), options_.embedder, options_.seed ^ 0xE3BEDDE2);
     const int64_t cap = std::min<int64_t>(reference.num_samples(), 512);
-    embedder->Fit(reference.Head(cap).samples());
+    // A failed fit is not cached: the next call for this key fits afresh.
+    TSG_RETURN_IF_ERROR(embedder->Fit(reference.Head(cap).samples()).status());
     it = embedders_.emplace(key, std::move(embedder)).first;
   }
   return it->second.get();

@@ -83,7 +83,8 @@ class Harness {
       const std::string& embedder_key);
 
   /// Returns (fitting on first use) the context embedder for a reference dataset.
-  /// Fails when the reference is empty.
+  /// Fails when the reference is empty or the embedder fit fails (diverges); a
+  /// failed fit is not cached, so the next call for the key fits again.
   StatusOr<const embed::SequenceEmbedder*> GetEmbedder(const std::string& key,
                                                        const Dataset& reference);
 

@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ag/ops.h"
+#include "ag/tape.h"
 #include "base/check.h"
 #include "base/thread_pool.h"
 #include "distance/distance.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
+#include "nn/train.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "signal/acf.h"
@@ -20,19 +23,6 @@ namespace tsg::core {
 namespace {
 
 using ag::Var;
-
-/// Stacks row `t` of the selected samples into a (batch x N) constant.
-Var StepBatch(const std::vector<const Matrix*>& samples,
-              const std::vector<int64_t>& idx, int64_t t) {
-  const int64_t batch = static_cast<int64_t>(idx.size());
-  const int64_t n = samples[0]->cols();
-  Matrix out(batch, n);
-  for (int64_t b = 0; b < batch; ++b) {
-    const Matrix& s = *samples[static_cast<size_t>(idx[static_cast<size_t>(b)])];
-    for (int64_t j = 0; j < n; ++j) out(b, j) = s(t, j);
-  }
-  return Var::Constant(std::move(out));
-}
 
 /// Per-measure observability, declared first in every Evaluate: a trace span
 /// plus an evaluation counter and a wall-time histogram under
@@ -54,14 +44,6 @@ class MeasureSpan {
   std::string name_;
   obs::ScopedTimer span_;
 };
-
-std::vector<const Matrix*> Pointers(const Dataset& ds, int64_t cap) {
-  std::vector<const Matrix*> out;
-  const int64_t count = std::min(cap, ds.num_samples());
-  out.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) out.push_back(&ds.sample(i));
-  return out;
-}
 
 Status ValidateContext(const MeasureContext& ctx) {
   if (ctx.real == nullptr || ctx.generated == nullptr) {
@@ -105,17 +87,13 @@ StatusOr<double> DiscriminativeScore::Evaluate(const MeasureContext& ctx) const 
   const int64_t train_count = total * 4 / 5;
 
   const int64_t n = ctx.real->num_features();
-  const int64_t l = ctx.real->seq_len();
   nn::LstmStack lstm(n, options_.hidden_size, options_.num_layers, rng);
   nn::Dense head(options_.hidden_size, 1, rng);
   nn::Adam opt(nn::CollectParameters({&lstm, &head}), options_.learning_rate);
 
   auto forward = [&](const std::vector<int64_t>& idx) {
-    std::vector<Var> steps;
-    steps.reserve(static_cast<size_t>(l));
-    for (int64_t t = 0; t < l; ++t) steps.push_back(StepBatch(pool, idx, t));
     std::vector<Var> finals;
-    lstm.Forward(steps, &finals);
+    lstm.Forward(nn::SequenceBatch(pool, idx), &finals);
     return head.Forward(finals.back());
   };
 
@@ -127,16 +105,16 @@ StatusOr<double> DiscriminativeScore::Evaluate(const MeasureContext& ctx) const 
                 order[static_cast<size_t>(rng.UniformInt(i + 1))]);
     }
     for (int64_t start = 0; start < train_count; start += options_.batch_size) {
+      const ag::StepScope step_scope;
       const int64_t end = std::min(start + options_.batch_size, train_count);
       const std::vector<int64_t> idx(order.begin() + start, order.begin() + end);
       Matrix target(end - start, 1);
       for (int64_t b = 0; b < end - start; ++b) {
         target(b, 0) = labels[static_cast<size_t>(idx[static_cast<size_t>(b)])];
       }
-      opt.ZeroGrad();
-      ag::Backward(ag::BceWithLogits(forward(idx), Var::Constant(target)));
-      opt.ClipGradNorm(5.0);
-      opt.Step();
+      TSG_RETURN_IF_ERROR(nn::GuardedStep(
+          opt, ag::BceWithLogits(forward(idx), Var::Constant(target)), 5.0,
+          {"DS", "classifier", epoch}));
     }
   }
 
@@ -168,21 +146,18 @@ StatusOr<double> PredictiveScore::Evaluate(const MeasureContext& ctx) const {
   // TSTR: train on synthetic (TRTS swaps the roles of the two sets).
   const Dataset& train_source =
       options_.scheme == TstrScheme::kTstr ? *ctx.generated : *ctx.real;
-  std::vector<const Matrix*> train_pool = Pointers(train_source,
-                                                   options_.max_samples);
   nn::LstmStack lstm(n, options_.hidden_size, options_.num_layers, rng);
   nn::Dense head(options_.hidden_size, n, rng);
   nn::Adam opt(nn::CollectParameters({&lstm, &head}), options_.learning_rate);
 
-  const int64_t train_total = static_cast<int64_t>(train_pool.size());
+  const int64_t train_total =
+      std::min(options_.max_samples, train_source.num_samples());
+  std::vector<int64_t> idx;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    const std::vector<int64_t> perm = rng.Permutation(train_total);
-    for (int64_t start = 0; start < train_total; start += options_.batch_size) {
-      const int64_t end = std::min(start + options_.batch_size, train_total);
-      const std::vector<int64_t> idx(perm.begin() + start, perm.begin() + end);
-      std::vector<Var> steps;
-      for (int64_t t = 0; t < l; ++t) steps.push_back(StepBatch(train_pool, idx, t));
-      opt.ZeroGrad();
+    nn::MiniBatcher batcher(train_total, options_.batch_size, rng);
+    while (batcher.Next(&idx)) {
+      const ag::StepScope step_scope;
+      const std::vector<Var> steps = nn::SequenceBatch(train_source.samples(), idx);
       const std::vector<Var> inputs(steps.begin(), steps.end() - 1);
       const std::vector<Var> outputs = lstm.Forward(inputs);
       Var loss = ag::MseLoss(head.Forward(outputs[0]), steps[1]);
@@ -190,9 +165,9 @@ StatusOr<double> PredictiveScore::Evaluate(const MeasureContext& ctx) const {
         loss = loss + ag::MseLoss(head.Forward(outputs[static_cast<size_t>(t)]),
                                   steps[static_cast<size_t>(t + 1)]);
       }
-      ag::Backward(ag::ScalarMul(loss, 1.0 / static_cast<double>(l - 1)));
-      opt.ClipGradNorm(5.0);
-      opt.Step();
+      TSG_RETURN_IF_ERROR(nn::GuardedStep(
+          opt, ag::ScalarMul(loss, 1.0 / static_cast<double>(l - 1)), 5.0,
+          {"PS", "forecaster", epoch}));
     }
   }
 
@@ -202,15 +177,14 @@ StatusOr<double> PredictiveScore::Evaluate(const MeasureContext& ctx) const {
           ? *ctx.generated
           : ((ctx.real_test != nullptr && !ctx.real_test->empty()) ? *ctx.real_test
                                                                    : *ctx.real);
-  std::vector<const Matrix*> test_pool = Pointers(test_set, options_.max_samples);
-  std::vector<int64_t> all_idx(test_pool.size());
-  for (size_t i = 0; i < test_pool.size(); ++i) all_idx[i] = static_cast<int64_t>(i);
+  std::vector<int64_t> all_idx(
+      static_cast<size_t>(std::min(options_.max_samples, test_set.num_samples())));
+  std::iota(all_idx.begin(), all_idx.end(), int64_t{0});
+  const std::vector<Var> steps = nn::SequenceBatch(test_set.samples(), all_idx);
 
   double abs_err = 0.0;
   int64_t err_count = 0;
   if (mode_ == Mode::kNextStep) {
-    std::vector<Var> steps;
-    for (int64_t t = 0; t < l; ++t) steps.push_back(StepBatch(test_pool, all_idx, t));
     const std::vector<Var> inputs(steps.begin(), steps.end() - 1);
     const std::vector<Var> outputs = lstm.Forward(inputs);
     for (int64_t t = 0; t < l - 1; ++t) {
@@ -224,8 +198,6 @@ StatusOr<double> PredictiveScore::Evaluate(const MeasureContext& ctx) const {
   } else {
     // Free-run after a warm-up prefix of true values.
     const int64_t warm = std::max<int64_t>(1, l / 4);
-    std::vector<Var> steps;
-    for (int64_t t = 0; t < l; ++t) steps.push_back(StepBatch(test_pool, all_idx, t));
     std::vector<Var> fed;
     std::vector<Var> preds;
     Var current = steps[0];

@@ -1,10 +1,13 @@
 #include "embed/embedder.h"
 
 #include <algorithm>
+#include <string>
 
 #include "ag/ops.h"
+#include "ag/tape.h"
 #include "base/thread_pool.h"
 #include "nn/optimizer.h"
+#include "nn/train.h"
 
 namespace tsg::embed {
 
@@ -55,22 +58,6 @@ struct SequenceEmbedder::Impl {
   nn::Dense head;
 };
 
-namespace {
-
-/// Stacks the t-th row of every selected sample into a (batch x N) constant.
-Var StepBatch(const std::vector<Matrix>& samples, const std::vector<int64_t>& idx,
-              int64_t t) {
-  const int64_t batch = static_cast<int64_t>(idx.size());
-  const int64_t n = samples[0].cols();
-  Matrix out(batch, n);
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t j = 0; j < n; ++j) out(b, j) = samples[idx[b]](t, j);
-  }
-  return Var::Constant(std::move(out));
-}
-
-}  // namespace
-
 SequenceEmbedder::SequenceEmbedder(int64_t num_features, const Options& options,
                                    uint64_t seed)
     : options_(options), num_features_(num_features), rng_(seed) {
@@ -79,27 +66,32 @@ SequenceEmbedder::SequenceEmbedder(int64_t num_features, const Options& options,
 
 SequenceEmbedder::~SequenceEmbedder() = default;
 
-double SequenceEmbedder::Fit(const std::vector<Matrix>& samples) {
-  TSG_CHECK(!samples.empty());
-  TSG_CHECK_EQ(samples[0].cols(), num_features_);
+StatusOr<double> SequenceEmbedder::Fit(const std::vector<Matrix>& samples) {
+  if (samples.empty()) {
+    return Status::InvalidArgument("embedder fit needs at least one sample");
+  }
   const int64_t l = samples[0].rows();
-  const int64_t n_samples = static_cast<int64_t>(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    if (samples[i].rows() != l || samples[i].cols() != num_features_) {
+      return Status::InvalidArgument(
+          "embedder sample " + std::to_string(i) + " is " +
+          std::to_string(samples[i].rows()) + "x" +
+          std::to_string(samples[i].cols()) + ", expected " + std::to_string(l) +
+          "x" + std::to_string(num_features_));
+    }
+  }
 
   nn::Adam opt(impl_->Parameters(), options_.learning_rate);
   double last_epoch_loss = 0.0;
+  std::vector<int64_t> idx;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    const std::vector<int64_t> perm = rng_.Permutation(n_samples);
+    nn::MiniBatcher batcher(static_cast<int64_t>(samples.size()),
+                            options_.batch_size, rng_);
     double epoch_loss = 0.0;
     int64_t batches = 0;
-    for (int64_t start = 0; start < n_samples; start += options_.batch_size) {
-      const int64_t end = std::min(start + options_.batch_size, n_samples);
-      const std::vector<int64_t> idx(perm.begin() + start, perm.begin() + end);
-
-      std::vector<Var> steps;
-      steps.reserve(static_cast<size_t>(l));
-      for (int64_t t = 0; t < l; ++t) steps.push_back(StepBatch(samples, idx, t));
-
-      opt.ZeroGrad();
+    while (batcher.Next(&idx)) {
+      const ag::StepScope step_scope;
+      const std::vector<Var> steps = nn::SequenceBatch(samples, idx);
       const Var embedding = impl_->Encode(steps);
       const std::vector<Var> recon = impl_->Decode(embedding, l);
       Var loss = ag::MseLoss(recon[0], steps[0]);
@@ -108,9 +100,8 @@ double SequenceEmbedder::Fit(const std::vector<Matrix>& samples) {
                                   steps[static_cast<size_t>(t)]);
       }
       loss = ag::ScalarMul(loss, 1.0 / static_cast<double>(l));
-      ag::Backward(loss);
-      opt.ClipGradNorm(options_.grad_clip);
-      opt.Step();
+      TSG_RETURN_IF_ERROR(nn::GuardedStep(opt, loss, options_.grad_clip,
+                                          {"C-FID", "embedder", epoch}));
       epoch_loss += loss.value()(0, 0);
       ++batches;
     }
@@ -134,11 +125,7 @@ Matrix SequenceEmbedder::Embed(const std::vector<Matrix>& samples) const {
       const int64_t end = std::min(start + kBatch, n_samples);
       std::vector<int64_t> idx(static_cast<size_t>(end - start));
       for (int64_t i = start; i < end; ++i) idx[static_cast<size_t>(i - start)] = i;
-      const int64_t l = samples[static_cast<size_t>(start)].rows();
-      std::vector<Var> steps;
-      steps.reserve(static_cast<size_t>(l));
-      for (int64_t t = 0; t < l; ++t) steps.push_back(StepBatch(samples, idx, t));
-      const Var embedding = impl_->Encode(steps);
+      const Var embedding = impl_->Encode(nn::SequenceBatch(samples, idx));
       out.SetBlock(start, 0, embedding.value());
     }
   });

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/status.h"
 #include "linalg/matrix.h"
 #include "nn/dense.h"
 #include "nn/rnn.h"
@@ -37,9 +38,12 @@ class SequenceEmbedder {
   SequenceEmbedder(const SequenceEmbedder&) = delete;
   SequenceEmbedder& operator=(const SequenceEmbedder&) = delete;
 
-  /// Trains the autoencoder on `samples` (each an (l x N) matrix; l may vary).
-  /// Returns the final epoch's mean reconstruction loss.
-  double Fit(const std::vector<Matrix>& samples);
+  /// Trains the autoencoder on `samples`, which must all share one (l x N)
+  /// shape, N = num_features. Returns the final epoch's mean reconstruction
+  /// loss; InvalidArgument for an empty set or mixed shapes, and
+  /// kNumericalError naming C-FID, the embedder phase and the epoch when the
+  /// training diverges.
+  StatusOr<double> Fit(const std::vector<Matrix>& samples);
 
   /// Embeds each sample into a row of the returned (n x embed_dim) matrix.
   Matrix Embed(const std::vector<Matrix>& samples) const;

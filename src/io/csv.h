@@ -31,6 +31,12 @@ std::string EscapeCsvField(const std::string& cell);
 /// are skipped; a file with no records is an InvalidArgument error.
 StatusOr<std::vector<std::vector<std::string>>> ReadCsvRows(const std::string& path);
 
+/// Parses one cell as a double. The full cell must be consumed apart from
+/// surrounding whitespace: "", "1.5abc" and values that overflow a double are
+/// errors, unlike bare strtod. Every "%.17g" rendering of a double (subnormals,
+/// signed zero, infinities and NaN included) parses back to the same value.
+bool ParseDoubleCell(const std::string& cell, double* out);
+
 /// Reads a numeric CSV; `skip_header` drops the first record. Cells that fail to
 /// parse — including trailing garbage like "1.5abc" and empty cells — make the
 /// whole read fail, so silently corrupted data can't slip through. Ragged rows and

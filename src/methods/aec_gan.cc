@@ -158,7 +158,7 @@ Status AecGan::Fit(const core::Dataset& train, const core::FitOptions& options) 
       const int64_t batch = static_cast<int64_t>(idx.size());
       const Var ones = Var::Constant(Matrix::Constant(batch, 1, 1.0));
       const Var zeros = Var::Constant(Matrix::Constant(batch, 1, 0.0));
-      const std::vector<Var> real = SequenceBatch(train, idx);
+      const std::vector<Var> real = SequenceBatch(train.samples(), idx);
 
       // Context: real prefix perturbed slightly (adversarial-augmentation stand-in).
       std::vector<Var> context;

@@ -2,7 +2,6 @@
 #define TSG_METHODS_COMMON_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "core/dataset.h"
 #include "core/method.h"
 #include "nn/optimizer.h"
+#include "nn/train.h"
 
 namespace tsg::methods {
 
@@ -21,31 +21,10 @@ using core::Dataset;
 using core::FitOptions;
 using linalg::Matrix;
 
-/// Identifies one optimizer update for error context: which method, which
-/// training phase, and the epoch (or step) index within that phase.
-struct StepContext {
-  const char* method;
-  const char* phase;
-  int epoch;
-};
-
-/// One guarded optimizer update: checks the loss is finite, backpropagates,
-/// clips the gradient (checking the pre-clip norm is finite), and steps. A
-/// non-finite loss or gradient returns kNumericalError carrying the method,
-/// phase, epoch, and offending value, so a diverged training run surfaces as a
-/// recoverable per-cell failure instead of NaN-poisoned scores or an abort.
-/// `clip_norm <= 0` skips rescaling but still checks the gradient norm (for
-/// WGAN-style loops that clip parameter values instead of gradients).
-Status GuardedStep(std::initializer_list<nn::Optimizer*> opts, const Var& loss,
-                   double clip_norm, const StepContext& ctx);
-Status GuardedStep(nn::Optimizer& opt, const Var& loss, double clip_norm,
-                   const StepContext& ctx);
-
-/// Stacks time step `t` of the samples selected by `idx` into a (batch x N) constant.
-Var StepBatch(const Dataset& ds, const std::vector<int64_t>& idx, int64_t t);
-
-/// All `l` step batches for the selected samples.
-std::vector<Var> SequenceBatch(const Dataset& ds, const std::vector<int64_t>& idx);
+// The training-step and batching helpers live in nn; methods use them unqualified.
+using nn::GuardedStep;
+using nn::MiniBatcher;
+using nn::SequenceBatch;
 
 /// Converts per-step network outputs (each (batch x N)) back into `batch` samples of
 /// shape (l x N), clamped into the [0, 1] data range.
@@ -124,20 +103,6 @@ uint64_t HyperDigest(std::string_view spec);
 
 /// Effective epoch count: base scaled by FitOptions::epoch_scale, at least 1.
 int ResolveEpochs(int base_epochs, const FitOptions& options);
-
-/// Yields shuffled minibatch index lists over [0, count).
-class MiniBatcher {
- public:
-  MiniBatcher(int64_t count, int64_t batch_size, Rng& rng);
-
-  /// Fills `idx` with the next batch; returns false when the epoch is exhausted.
-  bool Next(std::vector<int64_t>* idx);
-
- private:
-  std::vector<int64_t> perm_;
-  int64_t batch_size_;
-  int64_t pos_ = 0;
-};
 
 }  // namespace tsg::methods
 

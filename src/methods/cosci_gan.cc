@@ -166,7 +166,7 @@ Status CosciGan::Fit(const core::Dataset& train, const core::FitOptions& options
       const int64_t batch = static_cast<int64_t>(idx.size());
       const Var ones = Var::Constant(Matrix::Constant(batch, 1, 1.0));
       const Var zeros = Var::Constant(Matrix::Constant(batch, 1, 0.0));
-      const std::vector<Var> real = SequenceBatch(train, idx);
+      const std::vector<Var> real = SequenceBatch(train.samples(), idx);
       const std::vector<Var> noise = NoiseSequence(seq_len_, batch, noise_dim_, rng);
       const std::vector<Var> fake = nets_->Generate(noise, num_features_);
       std::vector<Var> fake_detached;

@@ -154,7 +154,7 @@ Status Ls4::Fit(const core::Dataset& train, const core::FitOptions& options) {
     while (batcher.Next(&idx)) {
       const ag::StepScope step_scope;
       const int64_t batch = static_cast<int64_t>(idx.size());
-      const std::vector<Var> x = SequenceBatch(train, idx);
+      const std::vector<Var> x = SequenceBatch(train.samples(), idx);
 
       Var mu, logvar;
       nets_->Encode(x, &mu, &logvar);

@@ -99,7 +99,7 @@ Status Rgan::Fit(const core::Dataset& train, const core::FitOptions& options) {
       // graph, so the arena resets only after the generator update.
       const ag::StepScope step_scope;
       const int64_t batch = static_cast<int64_t>(idx.size());
-      const std::vector<Var> real = SequenceBatch(train, idx);
+      const std::vector<Var> real = SequenceBatch(train.samples(), idx);
       const std::vector<Var> noise = NoiseSequence(seq_len_, batch, noise_dim_, rng);
       const std::vector<Var> fake = nets_->Generate(noise);
 

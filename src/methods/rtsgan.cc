@@ -112,7 +112,7 @@ Status RtsGan::Fit(const core::Dataset& train, const core::FitOptions& options) 
     MiniBatcher batcher(train.num_samples(), options.batch_size, rng);
     while (batcher.Next(&idx)) {
       const ag::StepScope step_scope;
-      const std::vector<Var> x = SequenceBatch(train, idx);
+      const std::vector<Var> x = SequenceBatch(train.samples(), idx);
       const std::vector<Var> recon = nets_->Decode(nets_->Encode(x), seq_len_);
       Var loss = MseLoss(recon[0], x[0]);
       for (size_t t = 1; t < x.size(); ++t) loss = loss + MseLoss(recon[t], x[t]);
@@ -137,7 +137,8 @@ Status RtsGan::Fit(const core::Dataset& train, const core::FitOptions& options) 
       const ag::StepScope step_scope;
       std::vector<int64_t> sample_idx(static_cast<size_t>(batch));
       for (auto& v : sample_idx) v = rng.UniformInt(train.num_samples());
-      const Var real_latent = Detach(nets_->Encode(SequenceBatch(train, sample_idx)));
+      const Var real_latent =
+          Detach(nets_->Encode(SequenceBatch(train.samples(), sample_idx)));
       const Var fake_latent =
           Detach(nets_->latent_gen.Forward(Randn(batch, noise_dim_, rng)));
       // Critic maximizes E[c(real)] - E[c(fake)] -> minimize the negation. WGAN

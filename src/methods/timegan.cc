@@ -181,7 +181,7 @@ Status TimeGan::Fit(const core::Dataset& train, const core::FitOptions& options)
     MiniBatcher batcher(train.num_samples(), options.batch_size, rng);
     while (batcher.Next(&idx)) {
       const ag::StepScope step_scope;
-      const std::vector<Var> x = SequenceBatch(train, idx);
+      const std::vector<Var> x = SequenceBatch(train.samples(), idx);
       const Var ae_loss = SequenceMse(nets_->Recover(nets_->Embed(x)), x);
       TSG_RETURN_IF_ERROR(
           GuardedStep(ae_opt, ae_loss, 5.0, {"TimeGAN", "autoencoder", epoch}));
@@ -194,7 +194,7 @@ Status TimeGan::Fit(const core::Dataset& train, const core::FitOptions& options)
     MiniBatcher batcher(train.num_samples(), options.batch_size, rng);
     while (batcher.Next(&idx)) {
       const ag::StepScope step_scope;
-      const std::vector<Var> x = SequenceBatch(train, idx);
+      const std::vector<Var> x = SequenceBatch(train.samples(), idx);
       std::vector<Var> h = nets_->Embed(x);
       for (Var& v : h) v = Detach(v);  // Supervisor-only phase.
       const Var sup_loss = SupervisedLoss(*nets_, h);
@@ -212,7 +212,7 @@ Status TimeGan::Fit(const core::Dataset& train, const core::FitOptions& options)
       // whole iteration rather than each GuardedStep.
       const ag::StepScope step_scope;
       const int64_t batch = static_cast<int64_t>(idx.size());
-      const std::vector<Var> x = SequenceBatch(train, idx);
+      const std::vector<Var> x = SequenceBatch(train.samples(), idx);
       const Var ones = Var::Constant(Matrix::Constant(batch, 1, 1.0));
       const Var zeros = Var::Constant(Matrix::Constant(batch, 1, 0.0));
 
@@ -234,7 +234,7 @@ Status TimeGan::Fit(const core::Dataset& train, const core::FitOptions& options)
 
       // Embedder/recovery maintenance step (reconstruction + light supervised).
       {
-        const std::vector<Var> x2 = SequenceBatch(train, idx);
+        const std::vector<Var> x2 = SequenceBatch(train.samples(), idx);
         const std::vector<Var> h = nets_->Embed(x2);
         const Var recon = SequenceMse(nets_->Recover(h), x2);
         const Var sup = SupervisedLoss(*nets_, h);

@@ -11,8 +11,8 @@ namespace tsg::nn {
 
 using ag::Var;
 
-/// Base optimizer over a fixed parameter list. The training loop pattern is:
-///   opt.ZeroGrad(); loss = Forward(); ag::Backward(loss); opt.Step();
+/// Base optimizer over a fixed parameter list. Training loops update it through
+/// GuardedStep (nn/train.h): ZeroGrad, ag::Backward, ClipGradNorm, Step.
 class Optimizer {
  public:
   explicit Optimizer(std::vector<Var> params) : params_(std::move(params)) {}

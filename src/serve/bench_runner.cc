@@ -82,14 +82,10 @@ StatusOr<const core::Preprocessed*> BenchJobRunner::GetDataset(
     const core::Preprocessed* cached = it->second.get();
     return cached;
   }
-  TSG_ASSIGN_OR_RETURN(const std::vector<data::DatasetId> ids,
-                       bench::ParseDatasetList(name));
-  if (ids.size() != 1) {
-    return Status::InvalidArgument("expected one dataset, got: " + name);
-  }
+  TSG_ASSIGN_OR_RETURN(const data::DatasetId id, bench::ParseDatasetName(name));
   const obs::ScopedTimer prepare_span("serve.prepare_dataset");
   auto pre = std::make_unique<core::Preprocessed>(
-      bench::PrepareDataset(ids[0], config_));
+      bench::PrepareDataset(id, config_));
   const core::Preprocessed* raw = pre.get();
   datasets_.emplace(name, std::move(pre));
   return raw;

@@ -26,10 +26,10 @@
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "kernels/kernels.h"
-#include "methods/common.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
+#include "nn/train.h"
 
 namespace {
 
@@ -102,7 +102,7 @@ namespace {
 using ag::StepScope;
 using ag::Var;
 using linalg::Matrix;
-using methods::GuardedStep;
+using nn::GuardedStep;
 
 class AllocTest : public ::testing::Test {
  protected:

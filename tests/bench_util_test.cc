@@ -8,16 +8,20 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ag/ops.h"
 #include "base/thread_pool.h"
 #include "bench_util.h"
+#include "io/csv.h"
 #include "io/lease.h"
-#include "methods/common.h"
 #include "methods/factory.h"
 #include "nn/optimizer.h"
+#include "nn/train.h"
 #include "obs/metrics.h"
 
 namespace tsg::bench {
@@ -104,6 +108,88 @@ TEST(DistinctTest, PreservesFirstSeenOrder) {
   EXPECT_EQ(datasets[0], "d2");
 }
 
+/// A mutable, null-terminated argv the flag parsers can strip in place.
+class Argv {
+ public:
+  explicit Argv(std::vector<std::string> args) : args_(std::move(args)) {
+    args_.insert(args_.begin(), "prog");
+    for (std::string& a : args_) ptrs_.push_back(a.data());
+    ptrs_.push_back(nullptr);
+    argc = static_cast<int>(args_.size());
+  }
+  char** argv() { return ptrs_.data(); }
+  int argc = 0;
+
+ private:
+  std::vector<std::string> args_;
+  std::vector<char*> ptrs_;
+};
+
+TEST(FlagTest, NumericFlagParsesWholeValueAndStripsIt) {
+  Argv args({"--count=12", "cmd", "--seed=18446744073709551615",
+             "--ratio=-2.5e-3", "--port=8080"});
+  int64_t count = 0;
+  uint64_t seed = 0;
+  double ratio = 0.0;
+  int port = 0;
+  int absent = 7;
+  EXPECT_TRUE(ConsumeNumericFlag(&args.argc, args.argv(), "count", &count));
+  EXPECT_TRUE(ConsumeNumericFlag(&args.argc, args.argv(), "seed", &seed));
+  EXPECT_TRUE(ConsumeNumericFlag(&args.argc, args.argv(), "ratio", &ratio));
+  EXPECT_TRUE(ConsumeNumericFlag(&args.argc, args.argv(), "port", &port));
+  EXPECT_FALSE(ConsumeNumericFlag(&args.argc, args.argv(), "absent", &absent));
+  EXPECT_EQ(count, 12);
+  EXPECT_EQ(seed, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(ratio, -2.5e-3);
+  EXPECT_EQ(port, 8080);
+  EXPECT_EQ(absent, 7);
+  ASSERT_EQ(args.argc, 2);
+  EXPECT_STREQ(args.argv()[1], "cmd");
+  EXPECT_EQ(args.argv()[2], nullptr);
+}
+
+TEST(FlagDeathTest, MalformedNumericFlagExitsTwoNamingTheFlag) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--count=", "--count"},        {"--count=12x", "--count"},
+      {"--count=1.5", "--count"},     {"--port=99999999999", "--port"},
+      {"--seed=-1", "--seed"},        {"--ratio=1e999", "--ratio"},
+      {"--ratio=nan", "--ratio"},     {"--count= 3", "--count"},
+  };
+  for (const auto& [flag, name] : bad) {
+    EXPECT_EXIT(
+        {
+          Argv args({flag});
+          int64_t count = 0;
+          uint64_t seed = 0;
+          double ratio = 0.0;
+          int port = 0;
+          ConsumeNumericFlag(&args.argc, args.argv(), "count", &count);
+          ConsumeNumericFlag(&args.argc, args.argv(), "seed", &seed);
+          ConsumeNumericFlag(&args.argc, args.argv(), "ratio", &ratio);
+          ConsumeNumericFlag(&args.argc, args.argv(), "port", &port);
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(2), "invalid value for " + name)
+        << flag;
+  }
+}
+
+TEST(FlagTest, ListSplitterAndDatasetLookup) {
+  EXPECT_EQ(SplitCsvList("a,,b,"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(SplitCsvList("").empty());
+  const auto stock = ParseDatasetName("Stock");
+  ASSERT_TRUE(stock.ok());
+  EXPECT_EQ(stock.value(), data::DatasetId::kStock);
+  EXPECT_EQ(ParseDatasetName("").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseDatasetName("stock").status().code(),
+            StatusCode::kInvalidArgument);
+  const auto list = ParseDatasetList("Stock,DLG");
+  ASSERT_TRUE(list.ok());
+  EXPECT_EQ(list.value(),
+            (std::vector<data::DatasetId>{data::DatasetId::kStock,
+                                          data::DatasetId::kDlg}));
+}
+
 /// Returns the value of a global counter (0 when it does not exist yet).
 int64_t CounterValue(const std::string& name) {
   return obs::MetricRegistry::Global().GetCounter(name).value();
@@ -155,6 +241,38 @@ TEST(GridReplayTest, SecondRunReplaysCheckpointsBitForBit) {
   std::filesystem::remove_all(config.out_dir);
 }
 
+// A checkpoint with a malformed number is not replayed: exactly that cell is
+// recomputed, and the summary matches the clean run byte for byte.
+TEST(GridReplayTest, MalformedCheckpointNumberRecomputesOnlyThatCell) {
+  BenchConfig config;
+  config.out_dir = "/tmp/tsg_bench_corrupt_ckpt";
+  config.scale = 0.33;  // Unique checkpoint key for this test.
+  std::filesystem::remove_all(config.out_dir);
+  std::filesystem::create_directories(config.out_dir);
+  const std::vector<std::string> methods = {"TimeVAE"};
+  const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg,
+                                                 data::DatasetId::kStock};
+  ASSERT_TRUE(RunGrid(config, methods, datasets).failures.empty());
+  const std::string clean_summary = ReadWholeFile(GridSummaryPath(config));
+  const std::string ckpt = CheckpointDir(config) + "/TimeVAE__DLG.csv";
+
+  for (const char* bad_mean : {"0.5x", ""}) {
+    auto lines = io::ReadCsvRows(ckpt);
+    ASSERT_TRUE(lines.ok());
+    ASSERT_GE(lines.value().size(), 2u);
+    lines.value()[1][4] = bad_mean;  // Row 1, "mean" column.
+    ASSERT_TRUE(io::WriteCsvRows(ckpt, lines.value()).ok());
+
+    const int64_t computed_before = CounterValue("grid.cells.computed");
+    const int64_t resumed_before = CounterValue("grid.cells.resumed");
+    ASSERT_TRUE(RunGrid(config, methods, datasets).failures.empty());
+    EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before + 1) << bad_mean;
+    EXPECT_EQ(CounterValue("grid.cells.resumed"), resumed_before + 1) << bad_mean;
+    EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), clean_summary) << bad_mean;
+  }
+  std::filesystem::remove_all(config.out_dir);
+}
+
 // ---- Fault injection (ISSUE acceptance): a method whose training loss goes NaN
 // must surface as a per-cell error record, while every other cell of the grid
 // matches a clean run bit-for-bit. ----
@@ -171,7 +289,7 @@ class FaultyNaNMethod : public core::TsgMethod {
     linalg::Matrix poison(1, 1);
     poison(0, 0) = std::numeric_limits<double>::quiet_NaN();
     const ag::Var loss = ag::Mul(w, ag::Var::Constant(poison));
-    return methods::GuardedStep(opt, loss, 5.0, {"FaultyNaN", "train", 3});
+    return nn::GuardedStep(opt, loss, 5.0, {"FaultyNaN", "train", 3});
   }
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override {
     (void)count;
@@ -364,6 +482,35 @@ TEST(ShardedGridTest, DeadOwnersLeaseIsStolenAndCellReclaimed) {
   EXPECT_EQ(CounterValue("grid.cells.reclaimed"), reclaimed_before + 1);
   EXPECT_EQ(CounterValue("grid.shard.leases.stolen"), stolen_before + 1);
   EXPECT_FALSE(std::filesystem::exists(lease));
+
+  std::filesystem::remove_all(config.out_dir);
+}
+
+// The interleaving that made ci_sharded_grid.sh flaky: survivor A breaks the
+// dead owner's lease, survivor B's plain claim takes the freed lease before A
+// re-acquires it, and B computes the cell. The reclaim is counted at A's
+// break, exactly once.
+TEST(ShardedGridTest, ReclaimIsCountedWhenAnotherWorkerWinsTheReacquire) {
+  BenchConfig config;
+  config.scale = 0.2;
+  config.out_dir = "/tmp/tsg_shard_reclaim_race";
+  std::filesystem::remove_all(config.out_dir);
+  std::filesystem::create_directories(CheckpointDir(config));
+  const std::string lease = LeasePathFor(config, "TimeVAE", "DLG");
+  ASSERT_TRUE(io::AcquireLease(lease, DeadOwnerToken()).value());
+
+  const int64_t reclaimed_before = CounterValue("grid.cells.reclaimed");
+  const int64_t stolen_before = CounterValue("grid.shard.leases.stolen");
+  ASSERT_TRUE(BreakDeadCellLease(config, "TimeVAE", "DLG", 300.0).value());
+  // Survivor B: same host, live pid, its own nonce.
+  const std::string survivor_b = io::LeaseOwnerToken() + "-b";
+  ASSERT_TRUE(io::AcquireLease(lease, survivor_b).value());
+  EXPECT_FALSE(io::AcquireLease(lease, io::LeaseOwnerToken()).value());
+  // B's lease is live, so no third survivor breaks it or counts again.
+  EXPECT_FALSE(BreakDeadCellLease(config, "TimeVAE", "DLG", 300.0).value());
+  EXPECT_EQ(CounterValue("grid.cells.reclaimed"), reclaimed_before + 1);
+  EXPECT_EQ(CounterValue("grid.shard.leases.stolen"), stolen_before + 1);
+  EXPECT_TRUE(io::ReleaseLease(lease, survivor_b).ok());
 
   std::filesystem::remove_all(config.out_dir);
 }

@@ -12,6 +12,7 @@
 #include "core/taxonomy.h"
 #include "core/visualize.h"
 #include "data/simulators.h"
+#include "obs/metrics.h"
 
 namespace tsg::core {
 namespace {
@@ -201,7 +202,7 @@ TEST_F(IdenticalInputTest, ContextFidNearZero) {
   embed::SequenceEmbedder::Options opts;
   opts.epochs = 3;
   embed::SequenceEmbedder embedder(real_.num_features(), opts, 7);
-  embedder.Fit(real_.samples());
+  ASSERT_TRUE(embedder.Fit(real_.samples()).ok());
   ctx_.embedder = &embedder;
   EXPECT_NEAR(ContextFid().Evaluate(ctx_).value(), 0.0, 1e-9);
 }
@@ -210,6 +211,36 @@ TEST_F(IdenticalInputTest, DiscriminativeScoreIsSmall) {
   DiscriminativeScore::Options opts;
   opts.epochs = 3;
   EXPECT_LT(DiscriminativeScore(opts).Evaluate(ctx_).value(), 0.3);
+}
+
+// A diverging post-hoc model is a kNumericalError naming the measure, the
+// training phase and the epoch, never a score.
+TEST_F(IdenticalInputTest, DivergedDiscriminatorIsANumericalError) {
+  DiscriminativeScore::Options opts;
+  opts.learning_rate = 1e308;
+  const StatusOr<double> ds = DiscriminativeScore(opts).Evaluate(ctx_);
+  ASSERT_FALSE(ds.ok()) << ds.value();
+  EXPECT_EQ(ds.status().code(), StatusCode::kNumericalError);
+  EXPECT_NE(ds.status().message().find("DS: non-finite"), std::string::npos)
+      << ds.status().ToString();
+  EXPECT_NE(ds.status().message().find("in classifier at epoch"), std::string::npos)
+      << ds.status().ToString();
+}
+
+TEST_F(IdenticalInputTest, DivergedForecasterIsANumericalError) {
+  PredictiveScore::Options opts;
+  opts.learning_rate = 1e308;
+  for (const auto mode : {PredictiveScore::Mode::kNextStep,
+                          PredictiveScore::Mode::kEntire}) {
+    const StatusOr<double> ps = PredictiveScore(mode, opts).Evaluate(ctx_);
+    ASSERT_FALSE(ps.ok()) << ps.value();
+    EXPECT_EQ(ps.status().code(), StatusCode::kNumericalError);
+    EXPECT_NE(ps.status().message().find("PS: non-finite"), std::string::npos)
+        << ps.status().ToString();
+    EXPECT_NE(ps.status().message().find("in forecaster at epoch"),
+              std::string::npos)
+        << ps.status().ToString();
+  }
 }
 
 TEST(MeasureSeparationTest, ShiftedDataScoresWorse) {
@@ -358,6 +389,36 @@ TEST(HarnessTest, EmbedderIsCachedPerKey) {
   const auto b = harness.GetEmbedder("k", real);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value(), b.value());
+}
+
+TEST(HarnessTest, DivergedEmbedderFailsEvaluationAndIsNotCached) {
+  HarnessOptions options;
+  options.stochastic_repeats = 1;
+  options.embedder.epochs = 2;
+  options.embedder.learning_rate = 1e308;
+  Harness harness(options);
+  const Dataset real = SineDataset(20, 16, 2, 1);
+  const Dataset gen = SineDataset(20, 16, 2, 2);
+  const obs::Counter& steps =
+      obs::MetricRegistry::Global().GetCounter("train.C-FID.embedder.steps");
+  int64_t fit_steps[2] = {0, 0};
+  for (int64_t& fitted : fit_steps) {
+    const int64_t start = steps.value();
+    const auto result = harness.EvaluateGenerated(real, real, gen, "sine");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kNumericalError);
+    EXPECT_NE(result.status().message().find("C-FID: non-finite"),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("in embedder at epoch"),
+              std::string::npos)
+        << result.status().ToString();
+    fitted = steps.value() - start;
+  }
+  // The second call refits from scratch (the same steps up to the divergence)
+  // instead of reusing the failed embedder.
+  EXPECT_GT(fit_steps[0], 0);
+  EXPECT_EQ(fit_steps[1], fit_steps[0]);
 }
 
 // ---- Visualization. ----

@@ -31,7 +31,7 @@ TEST(EmbedderTest, EmbeddingShape) {
   options.epochs = 2;
   SequenceEmbedder embedder(3, options, 1);
   const auto data = MakeSequences(20, 12, 3, 0.5, 2);
-  embedder.Fit(data);
+  ASSERT_TRUE(embedder.Fit(data).ok());
   const Matrix emb = embedder.Embed(data);
   EXPECT_EQ(emb.rows(), 20);
   EXPECT_EQ(emb.cols(), options.embed_dim);
@@ -42,12 +42,12 @@ TEST(EmbedderTest, TrainingReducesLoss) {
   SequenceEmbedder::Options quick;
   quick.epochs = 1;
   SequenceEmbedder fast(2, quick, 7);
-  const double loss_short = fast.Fit(data);
+  const double loss_short = fast.Fit(data).value();
 
   SequenceEmbedder::Options longer = quick;
   longer.epochs = 20;
   SequenceEmbedder slow(2, longer, 7);
-  const double loss_long = slow.Fit(data);
+  const double loss_long = slow.Fit(data).value();
   EXPECT_LT(loss_long, loss_short);
 }
 
@@ -62,7 +62,7 @@ TEST(EmbedderTest, SeparatesDistinctPopulations) {
   SequenceEmbedder::Options options;
   options.epochs = 15;
   SequenceEmbedder embedder(2, options, 6);
-  embedder.Fit(all);
+  ASSERT_TRUE(embedder.Fit(all).ok());
   const Matrix ea = embedder.Embed(pop_a);
   const Matrix eb = embedder.Embed(pop_b);
   const Matrix mean_a = linalg::ColMean(ea);
@@ -79,9 +79,39 @@ TEST(EmbedderTest, DeterministicForSameSeed) {
   SequenceEmbedder::Options options;
   options.epochs = 3;
   SequenceEmbedder a(2, options, 42), b(2, options, 42);
-  a.Fit(data);
-  b.Fit(data);
+  ASSERT_TRUE(a.Fit(data).ok());
+  ASSERT_TRUE(b.Fit(data).ok());
   EXPECT_TRUE(linalg::AllClose(a.Embed(data), b.Embed(data), 1e-12));
+}
+
+TEST(EmbedderTest, RejectsEmptyAndMixedShapes) {
+  SequenceEmbedder::Options options;
+  options.epochs = 1;
+  SequenceEmbedder embedder(2, options, 1);
+  EXPECT_EQ(embedder.Fit({}).status().code(), StatusCode::kInvalidArgument);
+  for (const Matrix& odd : {Matrix(9, 2), Matrix(11, 2), Matrix(10, 3)}) {
+    std::vector<Matrix> data = MakeSequences(4, 10, 2, 0.5, 9);
+    data.push_back(odd);
+    const StatusOr<double> loss = embedder.Fit(data);
+    ASSERT_FALSE(loss.ok()) << odd.rows() << "x" << odd.cols();
+    EXPECT_EQ(loss.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loss.status().message().find("sample 4"), std::string::npos)
+        << loss.status().ToString();
+  }
+}
+
+TEST(EmbedderTest, DivergedFitIsANumericalError) {
+  SequenceEmbedder::Options options;
+  options.epochs = 2;
+  options.learning_rate = 1e308;
+  SequenceEmbedder embedder(2, options, 3);
+  const StatusOr<double> loss = embedder.Fit(MakeSequences(16, 10, 2, 0.5, 4));
+  ASSERT_FALSE(loss.ok()) << loss.value();
+  EXPECT_EQ(loss.status().code(), StatusCode::kNumericalError);
+  EXPECT_NE(loss.status().message().find("C-FID: non-finite"), std::string::npos)
+      << loss.status().ToString();
+  EXPECT_NE(loss.status().message().find("in embedder at epoch"), std::string::npos)
+      << loss.status().ToString();
 }
 
 TEST(TsneTest, OutputShapeAndFiniteness) {

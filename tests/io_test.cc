@@ -4,8 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -99,6 +102,24 @@ TEST(CsvTest, TrailingGarbageInNumericCellFails) {
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
   std::filesystem::remove(path);
+}
+
+TEST(CsvTest, DoubleCellRoundTripsEveryPrintedDoubleAndRejectsTheRest) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {0.0, -0.0, 0.1, -2.5e-3, 1.7976931348623157e308,
+                         std::numeric_limits<double>::denorm_min(), 1e-310,
+                         std::numeric_limits<double>::infinity(), -nan}) {
+    char text[40];
+    std::snprintf(text, sizeof(text), "%.17g", v);
+    double parsed = 1.0;
+    ASSERT_TRUE(ParseDoubleCell(text, &parsed)) << text;
+    EXPECT_EQ(std::memcmp(&parsed, &v, sizeof(double)), 0) << text;
+  }
+  double untouched = 4.0;
+  for (const char* bad : {"", " ", "0.5x", "x", "1e999", "-1e999", "1,5"}) {
+    EXPECT_FALSE(ParseDoubleCell(bad, &untouched)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(untouched, 4.0);
 }
 
 TEST(CsvTest, CrlfLineEndings) {

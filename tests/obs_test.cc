@@ -11,9 +11,9 @@
 #include "base/thread_pool.h"
 #include "core/dataset.h"
 #include "core/method.h"
-#include "methods/common.h"
 #include "methods/factory.h"
 #include "nn/optimizer.h"
+#include "nn/train.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -201,7 +201,7 @@ class ObsProbeMethod : public core::TsgMethod {
     ag::Var w = ag::Var::Parameter(init);
     nn::Sgd opt({w}, 0.1);
     const ag::Var loss = ag::Mul(w, ag::Var::Constant(linalg::Matrix::Identity(1)));
-    return methods::GuardedStep(opt, loss, 5.0, {"ObsProbe", "main", 12});
+    return nn::GuardedStep(opt, loss, 5.0, {"ObsProbe", "main", 12});
   }
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override {
     (void)rng;
@@ -241,7 +241,7 @@ TEST_F(ObsTest, GuardedStepCountsNonFiniteLoss) {
   poison(0, 0) = std::numeric_limits<double>::quiet_NaN();
   const ag::Var loss = ag::Mul(w, ag::Var::Constant(poison));
   const Status s =
-      methods::GuardedStep(opt, loss, 5.0, {"ObsProbe", "main", 3});
+      nn::GuardedStep(opt, loss, 5.0, {"ObsProbe", "main", 3});
   EXPECT_FALSE(s.ok());
   MetricRegistry& reg = MetricRegistry::Global();
   EXPECT_EQ(reg.GetCounter("train.ObsProbe.main.nonfinite_loss").value(), 1);

@@ -25,6 +25,7 @@
 #include "embed/embedder.h"
 #include "embed/tsne.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 
 namespace tsg {
 namespace {
@@ -224,12 +225,12 @@ TEST(ParallelDeterminismTest, EmbedderBitIdentical) {
   {
     ScopedParallelism scoped(1);
     embed::SequenceEmbedder embedder(3, options, 99);
-    embedder.Fit(samples);
+    ASSERT_TRUE(embedder.Fit(samples).ok());
     serial = embedder.Embed(samples);
   }
   ScopedParallelism scoped(4);
   embed::SequenceEmbedder embedder(3, options, 99);
-  embedder.Fit(samples);
+  ASSERT_TRUE(embedder.Fit(samples).ok());
   EXPECT_TRUE(BitIdentical(serial, embedder.Embed(samples)));
 }
 
@@ -242,19 +243,36 @@ TEST(ParallelDeterminismTest, MeasureSuiteBitIdenticalAcrossThreadCounts) {
   const core::Dataset generated("sine-gen",
                                 data::SineBenchmark(20, 12, 2, /*seed=*/33));
 
-  auto run_suite = [&](int parallelism) {
+  // Also returns the counts snapshot, which holds the train.* telemetry of the
+  // DS, PS and C-FID embedder training loops.
+  auto run_suite = [&](int parallelism, std::string* counts) {
     ScopedParallelism scoped(parallelism);
+    obs::MetricRegistry::Global().Reset();
     core::HarnessOptions options;
     options.stochastic_repeats = 2;
     options.include_ps_entire = true;
     options.embedder.epochs = 2;
     options.seed = 7;
     core::Harness harness(options);  // Fresh harness: embedder fit included.
-    return harness.EvaluateGenerated(real, test, generated, "sine").value();
+    auto scores = harness.EvaluateGenerated(real, test, generated, "sine").value();
+    *counts = obs::MetricRegistry::Global().SnapshotJson(/*include_timings=*/false);
+    return scores;
   };
 
-  const auto serial = run_suite(1);
-  const auto parallel = run_suite(4);
+  std::string serial_counts;
+  std::string parallel_counts;
+  const auto serial = run_suite(1, &serial_counts);
+  const auto parallel = run_suite(4, &parallel_counts);
+  EXPECT_EQ(serial_counts, parallel_counts);
+  for (const char* loop :
+       {"train.DS.classifier", "train.PS.forecaster", "train.C-FID.embedder"}) {
+    EXPECT_NE(serial_counts.find(std::string("\"") + loop + ".steps\""),
+              std::string::npos)
+        << loop;
+    EXPECT_NE(serial_counts.find(std::string("\"") + loop + ".loss\""),
+              std::string::npos)
+        << loop;
+  }
   ASSERT_EQ(serial.size(), parallel.size());
   ASSERT_EQ(serial.size(), 10u);  // Full paper suite incl. PS(entire).
   for (size_t i = 0; i < serial.size(); ++i) {

@@ -20,9 +20,7 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +32,8 @@ namespace {
 
 using tsg::bench::ConsumeFlag;
 using tsg::bench::ConsumeFlagValue;
+using tsg::bench::ConsumeNumericFlag;
+using tsg::bench::SplitCsvList;
 
 int UsageError(const char* message) {
   std::fprintf(stderr, "%s\n%s", message, tsg::serve::ClientUsage().c_str());
@@ -111,16 +111,6 @@ bool ReadLine(int fd, std::string* buffer, std::string* line) {
   }
 }
 
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(csv);
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 /// Prints the response and reports whether it carried "ok":true.
 bool PrintResponse(const std::string& line) {
   std::printf("%s\n", line.c_str());
@@ -137,48 +127,34 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::string socket_path;
-  std::string port_text;
+  int port = 0;
   std::string value;
   ConsumeFlagValue(&argc, argv, "socket", &socket_path);
-  ConsumeFlagValue(&argc, argv, "port", &port_text);
+  const bool has_port = ConsumeNumericFlag(&argc, argv, "port", &port);
   const bool wait = ConsumeFlag(&argc, argv, "wait");
 
   tsg::serve::Request request;
-  std::string flag_method, flag_dataset, flag_tenant;
+  std::string flag_method, flag_dataset;
   int64_t flag_job = -1;
   ConsumeFlagValue(&argc, argv, "method", &flag_method);
   ConsumeFlagValue(&argc, argv, "dataset", &flag_dataset);
-  if (ConsumeFlagValue(&argc, argv, "tenant", &flag_tenant)) {
-    request.spec.tenant = flag_tenant;
-  }
-  if (ConsumeFlagValue(&argc, argv, "priority", &value)) {
-    request.spec.priority = std::atoll(value.c_str());
-  }
-  if (ConsumeFlagValue(&argc, argv, "count", &value)) {
-    request.spec.count = std::atoll(value.c_str());
-  }
-  if (ConsumeFlagValue(&argc, argv, "gen_seed", &value)) {
-    request.spec.gen_seed = static_cast<uint64_t>(std::atoll(value.c_str()));
-  }
-  if (ConsumeFlagValue(&argc, argv, "window", &value)) {
-    request.spec.window = std::atoll(value.c_str());
-  }
-  if (ConsumeFlagValue(&argc, argv, "chunk", &value)) {
-    request.spec.chunk = std::atoll(value.c_str());
-  }
+  ConsumeFlagValue(&argc, argv, "tenant", &request.spec.tenant);
+  ConsumeNumericFlag(&argc, argv, "priority", &request.spec.priority);
+  ConsumeNumericFlag(&argc, argv, "count", &request.spec.count);
+  ConsumeNumericFlag(&argc, argv, "gen_seed", &request.spec.gen_seed);
+  ConsumeNumericFlag(&argc, argv, "window", &request.spec.window);
+  ConsumeNumericFlag(&argc, argv, "chunk", &request.spec.chunk);
   if (ConsumeFlagValue(&argc, argv, "methods", &value)) {
-    request.spec.methods = SplitCsv(value);
+    request.spec.methods = SplitCsvList(value);
   }
   if (ConsumeFlagValue(&argc, argv, "datasets", &value)) {
-    request.spec.datasets = SplitCsv(value);
+    request.spec.datasets = SplitCsvList(value);
   }
-  if (ConsumeFlagValue(&argc, argv, "job", &value)) {
-    flag_job = std::atoll(value.c_str());
-  }
+  ConsumeNumericFlag(&argc, argv, "job", &flag_job);
   if (!tsg::bench::RequireNoUnknownFlags(argc, argv, tsg::serve::ClientUsage()))
     return 2;
   if (argc != 2) return UsageError("expected exactly one command");
-  if (socket_path.empty() == port_text.empty()) {
+  if (socket_path.empty() != has_port) {
     return UsageError("pass exactly one of --socket / --port");
   }
 
@@ -232,7 +208,7 @@ int main(int argc, char** argv) {
     request.cmd = tsg::serve::Request::Cmd::kShutdown;
   }
 
-  const int fd = Connect(socket_path, std::atoi(port_text.c_str()));
+  const int fd = Connect(socket_path, port);
   if (fd < 0) return 1;
 
   std::string buffer;

@@ -1,27 +1,12 @@
-// tsgbench — command-line driver for the benchmark library.
-//
-// Subcommands:
-//   list                         list methods and datasets
-//   run       --method M --dataset D [--epoch-scale S] [--repeats K] [--seed N]
-//                                fit one method on one dataset and print the
-//                                measure suite (one Figure 5 cell)
-//   evaluate  --real a.csv --generated b.csv --seq-len L
-//                                score a generated set stored as CSV against a
-//                                real set (windows stacked row-wise, l rows per
-//                                window, N columns)
-//   recommend --dataset D [--goal general|classification|forecasting|stats|clustering]
-//                                run the §6.5 recommendation engine
-//   profile   --dataset D        print a dataset's statistical profile
-//
-// All numeric output is deterministic for a fixed --seed.
+// tsgbench_cli — command-line driver for the benchmark library. kUsage below
+// lists the subcommands and their --key=value flags; an unknown flag or a
+// malformed number is a usage error (exit 2). All numeric output is
+// deterministic for a fixed --seed.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
-#include <vector>
 
+#include "bench_util.h"
 #include "core/harness.h"
 #include "core/preprocess.h"
 #include "core/recommend.h"
@@ -34,57 +19,39 @@ namespace {
 
 using tsg::core::Dataset;
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
+constexpr const char* kUsage =
+    "tsgbench_cli <command> [flags]\n"
+    "  list        methods and datasets\n"
+    "  run         --method=M --dataset=D [--epoch-scale=S] [--repeats=K]\n"
+    "              [--seed=N] [--eval-samples=E]\n"
+    "              fit one method on one dataset and print the measure suite\n"
+    "              (one Figure 5 cell)\n"
+    "  evaluate    --real=a.csv --generated=b.csv --seq-len=L [--repeats=K]\n"
+    "              score a generated set against a real one (CSV files of\n"
+    "              windows stacked row-wise: L rows per window, N columns)\n"
+    "  recommend   --dataset=D [--goal=general|classification|forecasting|\n"
+    "              stats|clustering]   the §6.5 recommendation engine\n"
+    "  profile     --dataset=D   a dataset's statistical profile";
 
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
-  }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atoll(it->second.c_str());
-  }
+/// Every flag any subcommand reads, with its default.
+struct Flags {
+  std::string method;
+  std::string dataset;
+  std::string real;
+  std::string generated;
+  std::string goal = "general";
+  double epoch_scale = 0.3;
+  int repeats = 3;
+  uint64_t seed = 42;
+  int64_t eval_samples = 96;
+  int64_t seq_len = 0;
 };
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    args.flags[key] = argv[i + 1];
-  }
-  return args;
-}
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: tsgbench_cli <command> [flags]\n"
-      "  list\n"
-      "  run       --method M --dataset D [--epoch-scale S] [--repeats K]\n"
-      "            [--seed N] [--eval-samples E]\n"
-      "  evaluate  --real a.csv --generated b.csv --seq-len L [--repeats K]\n"
-      "  recommend --dataset D [--goal general|classification|forecasting|stats|\n"
-      "            clustering]\n"
-      "  profile   --dataset D\n");
+/// Prints `error` (if any) and the usage text; returns the usage exit code.
+int Usage(const std::string& error = "") {
+  if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
+  std::fprintf(stderr, "usage: %s\n", kUsage);
   return 2;
-}
-
-bool FindDataset(const std::string& name, tsg::data::DatasetId* id) {
-  for (tsg::data::DatasetId candidate : tsg::data::AllDatasets()) {
-    if (name == tsg::data::DatasetName(candidate)) {
-      *id = candidate;
-      return true;
-    }
-  }
-  return false;
 }
 
 tsg::core::Preprocessed Prepare(tsg::data::DatasetId id, uint64_t seed) {
@@ -111,27 +78,24 @@ int CmdList() {
   return 0;
 }
 
-int CmdRun(const Args& args) {
-  const std::string method_name = args.Get("method");
-  tsg::data::DatasetId id;
-  if (method_name.empty() || !FindDataset(args.Get("dataset"), &id)) {
-    return Usage();
-  }
-  auto method = tsg::methods::CreateMethod(method_name);
+int CmdRun(const Flags& flags) {
+  const auto id = tsg::bench::ParseDatasetName(flags.dataset);
+  if (!id.ok()) return Usage(id.status().ToString());
+  if (flags.method.empty()) return Usage("--method is required");
+  auto method = tsg::methods::CreateMethod(flags.method);
   if (!method.ok()) {
     std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
     return 1;
   }
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  const auto data = Prepare(id, seed);
+  const auto data = Prepare(id.value(), flags.seed);
 
   tsg::core::HarnessOptions options;
-  options.fit.epoch_scale = args.GetDouble("epoch-scale", 0.3);
-  options.fit.seed = seed;
-  options.stochastic_repeats = static_cast<int>(args.GetInt("repeats", 3));
-  options.max_eval_samples = args.GetInt("eval-samples", 96);
+  options.fit.epoch_scale = flags.epoch_scale;
+  options.fit.seed = flags.seed;
+  options.stochastic_repeats = flags.repeats;
+  options.max_eval_samples = flags.eval_samples;
   options.embedder.epochs = 8;
-  options.seed = seed;
+  options.seed = flags.seed;
   tsg::core::Harness harness(options);
 
   const auto run = harness.RunMethod(*method.value(), data.train, data.test);
@@ -168,17 +132,16 @@ tsg::StatusOr<Dataset> LoadWindows(const std::string& path, int64_t seq_len,
   return ds;
 }
 
-int CmdEvaluate(const Args& args) {
-  const int64_t seq_len = args.GetInt("seq-len", 0);
-  auto real = LoadWindows(args.Get("real"), seq_len, "real");
-  auto generated = LoadWindows(args.Get("generated"), seq_len, "generated");
+int CmdEvaluate(const Flags& flags) {
+  auto real = LoadWindows(flags.real, flags.seq_len, "real");
+  auto generated = LoadWindows(flags.generated, flags.seq_len, "generated");
   if (!real.ok() || !generated.ok()) {
     std::fprintf(stderr, "%s\n",
                  (!real.ok() ? real.status() : generated.status()).ToString().c_str());
     return 1;
   }
   tsg::core::HarnessOptions options;
-  options.stochastic_repeats = static_cast<int>(args.GetInt("repeats", 3));
+  options.stochastic_repeats = flags.repeats;
   options.embedder.epochs = 8;
   tsg::core::Harness harness(options);
   const auto scores = harness.EvaluateGenerated(real.value(), real.value(),
@@ -195,21 +158,20 @@ int CmdEvaluate(const Args& args) {
   return 0;
 }
 
-int CmdRecommend(const Args& args) {
-  tsg::data::DatasetId id;
-  if (!FindDataset(args.Get("dataset"), &id)) return Usage();
-  const auto data = Prepare(id, 42);
+int CmdRecommend(const Flags& flags) {
+  const auto id = tsg::bench::ParseDatasetName(flags.dataset);
+  if (!id.ok()) return Usage(id.status().ToString());
+  const auto data = Prepare(id.value(), 42);
   const auto profile = tsg::core::ProfileDataset(data.train);
 
   tsg::core::ApplicationGoal goal = tsg::core::ApplicationGoal::kGeneral;
-  const std::string goal_name = args.Get("goal", "general");
-  if (goal_name == "classification") {
+  if (flags.goal == "classification") {
     goal = tsg::core::ApplicationGoal::kClassification;
-  } else if (goal_name == "forecasting") {
+  } else if (flags.goal == "forecasting") {
     goal = tsg::core::ApplicationGoal::kForecasting;
-  } else if (goal_name == "stats") {
+  } else if (flags.goal == "stats") {
     goal = tsg::core::ApplicationGoal::kStatisticalMatch;
-  } else if (goal_name == "clustering") {
+  } else if (flags.goal == "clustering") {
     goal = tsg::core::ApplicationGoal::kClustering;
   }
 
@@ -223,14 +185,14 @@ int CmdRecommend(const Args& args) {
   return 0;
 }
 
-int CmdProfile(const Args& args) {
-  tsg::data::DatasetId id;
-  if (!FindDataset(args.Get("dataset"), &id)) return Usage();
-  const auto data = Prepare(id, 42);
+int CmdProfile(const Flags& flags) {
+  const auto id = tsg::bench::ParseDatasetName(flags.dataset);
+  if (!id.ok()) return Usage(id.status().ToString());
+  const auto data = Prepare(id.value(), 42);
   const auto profile = tsg::core::ProfileDataset(data.train);
   std::printf("dataset=%s R=%lld l=%lld N=%lld mean|ACF|=%.3f small_data=%d "
               "high_dimensional=%d long_sequence=%d\n",
-              tsg::data::DatasetName(id),
+              tsg::data::DatasetName(id.value()),
               static_cast<long long>(profile.num_samples),
               static_cast<long long>(profile.seq_len),
               static_cast<long long>(profile.num_features), profile.mean_abs_acf,
@@ -241,11 +203,24 @@ int CmdProfile(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = Parse(argc, argv);
-  if (args.command == "list") return CmdList();
-  if (args.command == "run") return CmdRun(args);
-  if (args.command == "evaluate") return CmdEvaluate(args);
-  if (args.command == "recommend") return CmdRecommend(args);
-  if (args.command == "profile") return CmdProfile(args);
+  Flags flags;
+  tsg::bench::ConsumeFlagValue(&argc, argv, "method", &flags.method);
+  tsg::bench::ConsumeFlagValue(&argc, argv, "dataset", &flags.dataset);
+  tsg::bench::ConsumeFlagValue(&argc, argv, "real", &flags.real);
+  tsg::bench::ConsumeFlagValue(&argc, argv, "generated", &flags.generated);
+  tsg::bench::ConsumeFlagValue(&argc, argv, "goal", &flags.goal);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "epoch-scale", &flags.epoch_scale);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "repeats", &flags.repeats);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "seed", &flags.seed);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "eval-samples", &flags.eval_samples);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "seq-len", &flags.seq_len);
+  if (!tsg::bench::RequireNoUnknownFlags(argc, argv, kUsage)) return 2;
+  if (argc != 2) return Usage();
+  const std::string command = argv[1];
+  if (command == "list") return CmdList();
+  if (command == "run") return CmdRun(flags);
+  if (command == "evaluate") return CmdEvaluate(flags);
+  if (command == "recommend") return CmdRecommend(flags);
+  if (command == "profile") return CmdProfile(flags);
   return Usage();
 }

@@ -20,7 +20,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_util.h"
@@ -40,24 +39,16 @@ void HandleStopSignal(int) {
 int main(int argc, char** argv) {
   tsg::bench::ParseBenchFlags(&argc, argv);
   tsg::serve::ServerOptions options;
-  std::string value;
   tsg::bench::ConsumeFlagValue(&argc, argv, "socket", &options.socket_path);
-  if (tsg::bench::ConsumeFlagValue(&argc, argv, "tcp_port", &value)) {
-    options.tcp_port = std::atoi(value.c_str());
-  }
-  if (tsg::bench::ConsumeFlagValue(&argc, argv, "idle_timeout", &value)) {
-    options.idle_timeout_seconds = std::atof(value.c_str());
-  }
-  if (tsg::bench::ConsumeFlagValue(&argc, argv, "max_inflight", &value)) {
-    options.limits.max_inflight = std::atoi(value.c_str());
-  }
-  if (tsg::bench::ConsumeFlagValue(&argc, argv, "max_inflight_per_tenant",
-                                   &value)) {
-    options.limits.max_inflight_per_tenant = std::atoi(value.c_str());
-  }
-  if (tsg::bench::ConsumeFlagValue(&argc, argv, "max_queued", &value)) {
-    options.limits.max_queued = std::atoll(value.c_str());
-  }
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "tcp_port", &options.tcp_port);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "idle_timeout",
+                                 &options.idle_timeout_seconds);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "max_inflight",
+                                 &options.limits.max_inflight);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "max_inflight_per_tenant",
+                                 &options.limits.max_inflight_per_tenant);
+  tsg::bench::ConsumeNumericFlag(&argc, argv, "max_queued",
+                                 &options.limits.max_queued);
   const std::string usage =
       "tsgd --socket=<path> [--tcp_port=<p>] [--idle_timeout=<s>] "
       "[--max_inflight=<n>] [--max_inflight_per_tenant=<n>] "
