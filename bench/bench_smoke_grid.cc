@@ -70,10 +70,6 @@ class SmokeMethod : public core::TsgMethod {
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override {
     return inner_->Generate(count, rng);
   }
-  std::vector<std::vector<linalg::Matrix>> GenerateBatch(
-      const std::vector<core::GenRequest>& requests) const override {
-    return inner_->GenerateBatch(requests);
-  }
   StatusOr<core::MethodSnapshot> Snapshot() const override {
     return inner_->Snapshot();
   }

@@ -27,6 +27,18 @@ namespace {
 
 std::string g_metrics_out;
 
+/// Reads numeric environment variable `name` into `*value` when it is set; a
+/// value base::ParseNumber rejects exits 2 naming the variable, like a
+/// malformed numeric flag.
+template <typename T>
+void ReadNumericEnv(const char* name, T* value) {
+  const char* text = std::getenv(name);
+  if (text != nullptr && !base::ParseNumber(text, value)) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", name, text);
+    std::exit(2);
+  }
+}
+
 }  // namespace
 
 void ParseBenchFlags(int* argc, char** argv) {
@@ -103,12 +115,9 @@ void WriteMetricsSnapshot() {
 
 BenchConfig LoadConfig() {
   BenchConfig config;
-  if (const char* scale = std::getenv("TSGBENCH_SCALE")) {
-    config.scale = std::max(0.05, std::atof(scale));
-  }
-  if (const char* seed = std::getenv("TSGBENCH_SEED")) {
-    config.seed = static_cast<uint64_t>(std::atoll(seed));
-  }
+  ReadNumericEnv("TSGBENCH_SCALE", &config.scale);
+  config.scale = std::max(0.05, config.scale);
+  ReadNumericEnv("TSGBENCH_SEED", &config.seed);
   if (const char* out = std::getenv("TSGBENCH_OUT")) {
     config.out_dir = out;
   }

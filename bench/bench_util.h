@@ -1,16 +1,14 @@
 #ifndef TSG_BENCH_BENCH_UTIL_H_
 #define TSG_BENCH_BENCH_UTIL_H_
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "base/parse.h"
 #include "base/status.h"
 #include "core/harness.h"
 #include "core/preprocess.h"
@@ -39,7 +37,9 @@ struct BenchConfig {
 };
 
 /// Reads TSGBENCH_SCALE / TSGBENCH_SEED / TSGBENCH_OUT / TSGBENCH_STORE_DIR and
-/// ensures out_dir exists.
+/// ensures out_dir exists. A TSGBENCH_SCALE or TSGBENCH_SEED that
+/// base::ParseNumber rejects ("7x", "abc") exits 2 naming the variable; the
+/// scale is clamped to at least 0.05.
 BenchConfig LoadConfig();
 
 /// Strips bench-harness flags from argv before any other argument parsing (call
@@ -64,25 +64,18 @@ bool ConsumeFlagValue(int* argc, char** argv, const std::string& name,
                       std::string* value);
 
 /// Removes a numeric `--<name>=<value>` flag from argv into `*value`; returns
-/// false (argv and *value untouched) when the flag is absent. The whole value
-/// must parse as an in-range T (a finite one for floating point): an empty,
-/// partly numeric ("12x") or out-of-range value prints the flag and exits 2,
-/// like any other usage error.
+/// false (argv and *value untouched) when the flag is absent. The value must
+/// pass base::ParseNumber: an empty, partly numeric ("12x") or out-of-range
+/// value prints the flag and exits 2, like any other usage error.
 template <typename T>
 bool ConsumeNumericFlag(int* argc, char** argv, const std::string& name, T* value) {
   std::string text;
   if (!ConsumeFlagValue(argc, argv, name, &text)) return false;
-  T parsed{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
-  bool ok = ec == std::errc() && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
-  if (!ok) {
+  if (!base::ParseNumber(text, value)) {
     std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
                  text.c_str());
     std::exit(2);
   }
-  *value = parsed;
   return true;
 }
 

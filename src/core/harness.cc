@@ -137,12 +137,7 @@ StatusOr<MethodRunResult> Harness::RunMethod(TsgMethod& method,
   ModelKey key;
   bool restored = false;
   if (options_.store != nullptr) {
-    key.method = result.method;
-    key.hyper_digest = method.HyperparameterDigest();
-    key.dataset_fingerprint = train.Fingerprint();
-    key.seed = options_.fit.seed;
-    key.epoch_scale = options_.fit.epoch_scale;
-    key.batch_size = options_.fit.batch_size;
+    key = ModelKey::For(method, train, options_.fit);
     StatusOr<MethodSnapshot> snapshot = options_.store->Load(key);
     if (snapshot.ok()) {
       const Status restore_status = method.Restore(snapshot.value());
@@ -192,18 +187,23 @@ StatusOr<MethodRunResult> Harness::RunMethod(TsgMethod& method,
   }
 
   const int64_t count = std::min(options_.max_eval_samples, train.num_samples());
-  Rng gen_rng(options_.seed ^ 0x6E4E12A7);
-  Stopwatch generate_watch;
-  obs::ScopedTimer generate_span("generate");
-  Dataset generated(result.method + "@" + result.dataset,
-                    method.Generate(count, gen_rng));
-  metrics.RecordTimer("harness.generate_seconds." + result.method,
-                      generate_watch.ElapsedSeconds());
-  if (generated.num_samples() != count ||
-      generated.seq_len() != train.seq_len() ||
-      generated.num_features() != train.num_features()) {
-    metrics.GetCounter("harness.errors.generate_malformed").Add();
-    return Status::Internal(cell + ": Generate returned a malformed sample set");
+  Dataset generated;
+  {
+    // Scoped so the span closes before evaluation: fit, generate and evaluate
+    // are sibling spans under harness.run_method.
+    Rng gen_rng(options_.seed ^ 0x6E4E12A7);
+    Stopwatch generate_watch;
+    obs::ScopedTimer generate_span("generate");
+    generated = Dataset(result.method + "@" + result.dataset,
+                        method.Generate(count, gen_rng));
+    metrics.RecordTimer("harness.generate_seconds." + result.method,
+                        generate_watch.ElapsedSeconds());
+    if (generated.num_samples() != count ||
+        generated.seq_len() != train.seq_len() ||
+        generated.num_features() != train.num_features()) {
+      metrics.GetCounter("harness.errors.generate_malformed").Add();
+      return Status::Internal(cell + ": Generate returned a malformed sample set");
+    }
   }
   const Dataset reference = train.Head(count);
   obs::ScopedTimer evaluate_span("evaluate");

@@ -6,11 +6,20 @@
 
 namespace tsg::core {
 
+ModelKey ModelKey::For(const TsgMethod& method, const Dataset& train,
+                       const FitOptions& fit) {
+  ModelKey key;
+  key.method = method.name();
+  key.hyper_digest = method.HyperparameterDigest();
+  key.dataset_fingerprint = train.Fingerprint();
+  key.seed = fit.seed;
+  key.epoch_scale = fit.epoch_scale;
+  key.batch_size = fit.batch_size;
+  return key;
+}
+
 std::vector<std::vector<Matrix>> TsgMethod::GenerateBatch(
     const std::vector<GenRequest>& requests) const {
-  // Reference semantics for the batched path: each request gets its own Rng
-  // stream, so the output is independent of how requests are grouped. Packed
-  // overrides must reproduce these bytes exactly.
   std::vector<std::vector<Matrix>> out;
   out.reserve(requests.size());
   for (const GenRequest& request : requests) {

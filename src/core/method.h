@@ -37,12 +37,20 @@ struct MethodSnapshot {
   std::vector<Matrix> params;
 };
 
+class TsgMethod;
+
 /// Identity of one trained model in the artifact store. Two fits agree on every
 /// field here exactly when they would produce bit-identical models, so the key
 /// is safe to use as a cache address: method + hyperparameter digest pin the
 /// code, dataset fingerprint pins the training data, and the FitOptions budget
 /// knobs pin the training schedule.
 struct ModelKey {
+  /// The key of `method` fitted on `train` under `fit`: the one derivation the
+  /// harness, the daemon's job runner and tests share, so they all address the
+  /// same artifact.
+  static ModelKey For(const TsgMethod& method, const Dataset& train,
+                      const FitOptions& fit);
+
   std::string method;
   /// TsgMethod::HyperparameterDigest() — bumps when a method's architecture or
   /// training hyperparameters change.
@@ -100,13 +108,12 @@ class TsgMethod {
   /// samples bit-identically.
   virtual std::vector<Matrix> Generate(int64_t count, Rng& rng) const = 0;
 
-  /// Serves many generation requests at once. The RNG contract is a stream
-  /// split by request: element j of the result is exactly the series
-  /// `Generate(requests[j].count, rng_j)` would produce with a fresh
-  /// `Rng rng_j(requests[j].seed)` — bit-identical regardless of how requests
-  /// are batched together. The base implementation is that per-request loop;
-  /// methods override it with a packed path (one forward pass over all
-  /// requested series per step) that must preserve the same bytes.
+  /// Serves several generation requests: element j of the result is
+  /// `Generate(requests[j].count, rng_j)` with a fresh
+  /// `Rng rng_j(requests[j].seed)`, so it does not depend on how requests are
+  /// grouped. Every method samples through this per-request loop; it stays
+  /// virtual so a wrapping method (a timing decorator, say) can intercept it,
+  /// and an override must return the same bytes.
   virtual std::vector<std::vector<Matrix>> GenerateBatch(
       const std::vector<GenRequest>& requests) const;
 

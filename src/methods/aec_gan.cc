@@ -224,26 +224,6 @@ std::vector<Matrix> AecGan::Generate(int64_t count, Rng& rng) const {
   return StepsToSamples(window);
 }
 
-std::vector<std::vector<Matrix>> AecGan::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
-  std::vector<Rng> rngs = RequestRngs(requests);
-  // Same draw order as Generate per request: one context draw, then one tail
-  // draw per unrolled step, each packed across the requests' row blocks.
-  const Var ctx_flat =
-      nets_->context_gen.Forward(PackedRandn(requests, noise_dim_, rngs));
-  std::vector<Var> context;
-  for (int64_t t = 0; t < context_len_; ++t) {
-    context.push_back(SliceCols(ctx_flat, t * num_features_, num_features_));
-  }
-  const std::vector<Var> tail = nets_->GenerateTail(
-      context, seq_len_ - context_len_,
-      [&] { return PackedRandn(requests, noise_dim_, rngs); });
-  std::vector<Var> window = context;
-  window.insert(window.end(), tail.begin(), tail.end());
-  return SplitByRequest(StepsToSamples(window), requests);
-}
-
 StatusOr<core::MethodSnapshot> AecGan::Snapshot() const {
   if (nets_ == nullptr) {
     return Status::FailedPrecondition("AEC-GAN: Fit must succeed before Snapshot");

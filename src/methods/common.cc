@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
-#include <utility>
 
 #include "base/fnv.h"
 
@@ -31,60 +30,6 @@ std::vector<Var> NoiseSequence(int64_t steps, int64_t batch, int64_t dim, Rng& r
   std::vector<Var> out;
   out.reserve(static_cast<size_t>(steps));
   for (int64_t t = 0; t < steps; ++t) out.push_back(ag::Randn(batch, dim, rng));
-  return out;
-}
-
-int64_t TotalCount(const std::vector<core::GenRequest>& requests) {
-  int64_t total = 0;
-  for (const core::GenRequest& r : requests) total += r.count;
-  return total;
-}
-
-std::vector<Rng> RequestRngs(const std::vector<core::GenRequest>& requests) {
-  std::vector<Rng> rngs;
-  rngs.reserve(requests.size());
-  for (const core::GenRequest& r : requests) rngs.emplace_back(r.seed);
-  return rngs;
-}
-
-Var PackedRandn(const std::vector<core::GenRequest>& requests, int64_t dim,
-                std::vector<Rng>& rngs, double stddev) {
-  Matrix m(TotalCount(requests), dim);
-  int64_t row = 0;
-  for (size_t j = 0; j < requests.size(); ++j) {
-    // Row-major matrix, so block j is the contiguous run the sequential path
-    // would fill — the same FillNormal call on the same stream.
-    rngs[j].FillNormal(m.data() + row * dim, requests[j].count * dim);
-    row += requests[j].count;
-  }
-  if (stddev != 1.0) m *= stddev;
-  return Var::Constant(std::move(m));
-}
-
-std::vector<Var> PackedNoiseSequence(int64_t steps,
-                                     const std::vector<core::GenRequest>& requests,
-                                     int64_t dim, std::vector<Rng>& rngs) {
-  std::vector<Var> out;
-  out.reserve(static_cast<size_t>(steps));
-  for (int64_t t = 0; t < steps; ++t) {
-    out.push_back(PackedRandn(requests, dim, rngs));
-  }
-  return out;
-}
-
-std::vector<std::vector<Matrix>> SplitByRequest(
-    std::vector<Matrix> samples, const std::vector<core::GenRequest>& requests) {
-  std::vector<std::vector<Matrix>> out;
-  out.reserve(requests.size());
-  size_t pos = 0;
-  for (const core::GenRequest& r : requests) {
-    std::vector<Matrix> block;
-    block.reserve(static_cast<size_t>(r.count));
-    for (int64_t i = 0; i < r.count; ++i) {
-      block.push_back(std::move(samples[pos++]));
-    }
-    out.push_back(std::move(block));
-  }
   return out;
 }
 

@@ -33,41 +33,6 @@ std::vector<Matrix> StepsToSamples(const std::vector<Var>& steps);
 /// A sequence of i.i.d. Gaussian noise inputs, one (batch x dim) Var per step.
 std::vector<Var> NoiseSequence(int64_t steps, int64_t batch, int64_t dim, Rng& rng);
 
-/// ---- Batched generation plumbing ----
-///
-/// The GenerateBatch contract splits the RNG stream by request: request j's
-/// series must be exactly what `Generate(requests[j].count, Rng(requests[j].seed))`
-/// produces. The packed helpers below preserve that by construction: every noise
-/// tensor stacks the requests' row blocks, and block j is always filled from
-/// rngs[j] in the same draw order as the sequential path (row-major fills of a
-/// row-major matrix, so a block fill consumes the identical normal stream).
-/// Because every network forward is row-independent (GEMM rows, biases,
-/// activations, concat/slice), the packed forward then reproduces each
-/// request's bytes while paying one kernel launch per step instead of one per
-/// request.
-
-/// Sum of all requested counts.
-int64_t TotalCount(const std::vector<core::GenRequest>& requests);
-
-/// One freshly seeded Rng per request (the stream split).
-std::vector<Rng> RequestRngs(const std::vector<core::GenRequest>& requests);
-
-/// Packed ag::Randn: a (TotalCount x dim) constant whose row block j carries the
-/// bytes of `ag::Randn(requests[j].count, dim, rngs[j], stddev)`.
-Var PackedRandn(const std::vector<core::GenRequest>& requests, int64_t dim,
-                std::vector<Rng>& rngs, double stddev = 1.0);
-
-/// Packed NoiseSequence: one (TotalCount x dim) Var per step, each packed as
-/// PackedRandn — per request the draw order matches NoiseSequence exactly.
-std::vector<Var> PackedNoiseSequence(int64_t steps,
-                                     const std::vector<core::GenRequest>& requests,
-                                     int64_t dim, std::vector<Rng>& rngs);
-
-/// Splits a packed sample list (TotalCount samples in request order) back into
-/// one list per request.
-std::vector<std::vector<Matrix>> SplitByRequest(
-    std::vector<Matrix> samples, const std::vector<core::GenRequest>& requests);
-
 /// ---- Snapshot plumbing ----
 ///
 /// Methods persist their fitted state as scalar config tokens (dims and

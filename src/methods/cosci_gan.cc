@@ -223,16 +223,6 @@ std::vector<Var> AllCosciParams(CosciGan::Nets& nets) {
 
 }  // namespace
 
-std::vector<std::vector<Matrix>> CosciGan::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
-  std::vector<Rng> rngs = RequestRngs(requests);
-  const std::vector<Var> noise =
-      PackedNoiseSequence(seq_len_, requests, noise_dim_, rngs);
-  return SplitByRequest(StepsToSamples(nets_->Generate(noise, num_features_)),
-                        requests);
-}
-
 StatusOr<core::MethodSnapshot> CosciGan::Snapshot() const {
   if (nets_ == nullptr) {
     return Status::FailedPrecondition(

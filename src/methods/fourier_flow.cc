@@ -233,20 +233,6 @@ std::vector<Matrix> FourierFlow::Generate(int64_t count, Rng& rng) const {
   return SpectraToSamples(z, seq_len_, num_features_);
 }
 
-std::vector<std::vector<Matrix>> FourierFlow::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(impl_ != nullptr) << "Fit must be called before Generate";
-  const int64_t dim = seq_len_ * num_features_;
-  std::vector<Rng> rngs = RequestRngs(requests);
-  // Each request's row block gets its own noise stream, so the packed inverse
-  // flow (row-independent) reproduces the sequential draws bit-for-bit.
-  Matrix z = PackedRandn(requests, dim, rngs).value();
-  for (auto it = impl_->layers.rbegin(); it != impl_->layers.rend(); ++it) {
-    z = (*it)->Inverse(z);
-  }
-  return SplitByRequest(SpectraToSamples(z, seq_len_, num_features_), requests);
-}
-
 StatusOr<core::MethodSnapshot> FourierFlow::Snapshot() const {
   if (impl_ == nullptr) {
     return Status::FailedPrecondition(

@@ -177,17 +177,6 @@ std::vector<Matrix> GtGan::Generate(int64_t count, Rng& rng) const {
   return StepsToSamples(nets_->Generate(Randn(count, noise_dim_, rng), noise));
 }
 
-std::vector<std::vector<Matrix>> GtGan::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
-  std::vector<Rng> rngs = RequestRngs(requests);
-  // Same draw order as Generate: the step-noise sequence first, then z0.
-  const std::vector<Var> noise =
-      PackedNoiseSequence(seq_len_, requests, noise_dim_, rngs);
-  const Var z0 = PackedRandn(requests, noise_dim_, rngs);
-  return SplitByRequest(StepsToSamples(nets_->Generate(z0, noise)), requests);
-}
-
 StatusOr<core::MethodSnapshot> GtGan::Snapshot() const {
   if (nets_ == nullptr) {
     return Status::FailedPrecondition("GT-GAN: Fit must succeed before Snapshot");

@@ -26,8 +26,6 @@ class GtGan : public core::TsgMethod {
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  std::vector<std::vector<linalg::Matrix>> GenerateBatch(
-      const std::vector<core::GenRequest>& requests) const override;
   StatusOr<core::MethodSnapshot> Snapshot() const override;
   Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;

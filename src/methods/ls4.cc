@@ -182,14 +182,6 @@ std::vector<Matrix> Ls4::Generate(int64_t count, Rng& rng) const {
   return StepsToSamples(nets_->Decode(z, seq_len_));
 }
 
-std::vector<std::vector<Matrix>> Ls4::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
-  std::vector<Rng> rngs = RequestRngs(requests);
-  const Var z = PackedRandn(requests, latent_dim_, rngs);
-  return SplitByRequest(StepsToSamples(nets_->Decode(z, seq_len_)), requests);
-}
-
 StatusOr<core::MethodSnapshot> Ls4::Snapshot() const {
   if (nets_ == nullptr) {
     return Status::FailedPrecondition("LS4: Fit must succeed before Snapshot");

@@ -129,15 +129,6 @@ std::vector<Matrix> Rgan::Generate(int64_t count, Rng& rng) const {
   return StepsToSamples(nets_->Generate(noise));
 }
 
-std::vector<std::vector<Matrix>> Rgan::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
-  std::vector<Rng> rngs = RequestRngs(requests);
-  const std::vector<Var> noise =
-      PackedNoiseSequence(seq_len_, requests, noise_dim_, rngs);
-  return SplitByRequest(StepsToSamples(nets_->Generate(noise)), requests);
-}
-
 StatusOr<core::MethodSnapshot> Rgan::Snapshot() const {
   if (nets_ == nullptr) {
     return Status::FailedPrecondition("RGAN: Fit must succeed before Snapshot");

@@ -167,15 +167,6 @@ std::vector<Matrix> RtsGan::Generate(int64_t count, Rng& rng) const {
   return StepsToSamples(nets_->Decode(latent, seq_len_));
 }
 
-std::vector<std::vector<Matrix>> RtsGan::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
-  std::vector<Rng> rngs = RequestRngs(requests);
-  const Var latent =
-      nets_->latent_gen.Forward(PackedRandn(requests, noise_dim_, rngs));
-  return SplitByRequest(StepsToSamples(nets_->Decode(latent, seq_len_)), requests);
-}
-
 StatusOr<core::MethodSnapshot> RtsGan::Snapshot() const {
   if (nets_ == nullptr) {
     return Status::FailedPrecondition("RTSGAN: Fit must succeed before Snapshot");

@@ -267,16 +267,6 @@ std::vector<Matrix> TimeGan::Generate(int64_t count, Rng& rng) const {
   return StepsToSamples(nets_->Recover(h_hat));
 }
 
-std::vector<std::vector<Matrix>> TimeGan::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
-  std::vector<Rng> rngs = RequestRngs(requests);
-  const std::vector<Var> noise =
-      PackedNoiseSequence(seq_len_, requests, noise_dim_, rngs);
-  const std::vector<Var> h_hat = nets_->GenerateLatent(noise);
-  return SplitByRequest(StepsToSamples(nets_->Recover(h_hat)), requests);
-}
-
 StatusOr<core::MethodSnapshot> TimeGan::Snapshot() const {
   if (nets_ == nullptr) {
     return Status::FailedPrecondition("TimeGAN: Fit must succeed before Snapshot");

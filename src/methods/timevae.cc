@@ -204,16 +204,6 @@ std::vector<Matrix> TimeVae::Generate(int64_t count, Rng& rng) const {
   return RowsToSamples(flat.value(), seq_len_, num_features_);
 }
 
-std::vector<std::vector<Matrix>> TimeVae::GenerateBatch(
-    const std::vector<core::GenRequest>& requests) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
-  std::vector<Rng> rngs = RequestRngs(requests);
-  const Var z = PackedRandn(requests, latent_dim_, rngs);
-  const Var flat = nets_->Decode(z);
-  return SplitByRequest(RowsToSamples(flat.value(), seq_len_, num_features_),
-                        requests);
-}
-
 StatusOr<core::MethodSnapshot> TimeVae::Snapshot() const {
   if (nets_ == nullptr) {
     return Status::FailedPrecondition("TimeVAE: Fit must succeed before Snapshot");

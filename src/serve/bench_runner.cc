@@ -95,15 +95,7 @@ StatusOr<core::ModelKey> BenchJobRunner::KeyFor(const std::string& method,
                                                 const core::Preprocessed& pre) {
   TSG_ASSIGN_OR_RETURN(const std::unique_ptr<core::TsgMethod> instance,
                        methods::CreateMethod(method));
-  const core::HarnessOptions& options = harness_->options();
-  core::ModelKey key;
-  key.method = instance->name();
-  key.hyper_digest = instance->HyperparameterDigest();
-  key.dataset_fingerprint = pre.train.Fingerprint();
-  key.seed = options.fit.seed;
-  key.epoch_scale = options.fit.epoch_scale;
-  key.batch_size = options.fit.batch_size;
-  return key;
+  return core::ModelKey::For(*instance, pre.train, harness_->options().fit);
 }
 
 StatusOr<std::string> BenchJobRunner::Run(

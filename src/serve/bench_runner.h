@@ -38,7 +38,7 @@ class JobRunner {
 ///   fit      — consult the ArtifactStore (hit: zero training), else train via
 ///              TsgMethod::Fit under bench::GridHarnessOptions and publish the
 ///              snapshot. Result: model key address + whether training ran.
-///   generate — serve from the store::ServingCache batched path; result is the
+///   generate — serve from the warm store::ServingCache model; result is the
 ///              series count and an FNV-64 digest of the sampled values, which
 ///              equals the digest of `Generate(count, Rng(gen_seed))` on the
 ///              restored model no matter which process serves it.
@@ -92,8 +92,8 @@ class BenchJobRunner : public JobRunner {
   /// The preprocessed dataset for `name`, simulated on first use.
   StatusOr<const core::Preprocessed*> GetDataset(const std::string& name);
 
-  /// The store key for (method, dataset) under this runner's config — field
-  /// for field the key core::Harness::RunMethod builds, so fit, generate,
+  /// The store key for (method, dataset) under this runner's config: the
+  /// core::ModelKey::For key core::Harness::RunMethod uses, so fit, generate,
   /// evaluate and grid cells all address the same artifact.
   StatusOr<core::ModelKey> KeyFor(const std::string& method,
                                   const core::Preprocessed& pre);

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "base/parse.h"
 #include "methods/factory.h"
 #include "obs/metrics.h"
 
@@ -32,9 +33,9 @@ int64_t SnapshotBytes(const core::MethodSnapshot& snapshot) {
 
 int64_t ServingCache::DefaultMaxBytes() {
   const char* env = std::getenv("TSGBENCH_SERVING_CACHE_BYTES");
-  if (env == nullptr) return 0;
-  const long long parsed = std::atoll(env);
-  return parsed > 0 ? static_cast<int64_t>(parsed) : 0;
+  int64_t parsed = 0;
+  if (env == nullptr || !base::ParseNumber(env, &parsed)) return 0;
+  return parsed > 0 ? parsed : 0;
 }
 
 ServingCache::ServingCache(ArtifactStore* store, int64_t max_bytes)

@@ -16,14 +16,13 @@ namespace tsg::store {
 
 /// Generation serving layer over an ArtifactStore: restores a trained model at
 /// most once per key and serves every subsequent Generate from the warm
-/// in-memory instance, using the methods' batched sampling path.
+/// in-memory instance.
 ///
 /// The first request for a key loads + verifies the artifact, rebuilds the
 /// method via methods::CreateMethod + Restore, and caches the instance; later
-/// requests reuse it directly. Because GenerateBatch's RNG contract splits the
-/// stream per request, a served batch is bit-identical to calling
-/// `Generate(count, Rng(seed))` per request — results do not depend on how
-/// requests are grouped or which process served them.
+/// requests reuse it directly. Each request samples through the method's one
+/// `Generate(count, Rng(seed))` (TsgMethod::GenerateBatch), so results do not
+/// depend on how requests are grouped or which process served them.
 ///
 /// Residency is bounded: when `max_bytes` is positive, the cache evicts
 /// least-recently-used models until the estimated resident parameter bytes fit
@@ -47,8 +46,8 @@ class ServingCache {
   explicit ServingCache(ArtifactStore* store,
                         int64_t max_bytes = DefaultMaxBytes());
 
-  /// The byte cap from TSGBENCH_SERVING_CACHE_BYTES, or 0 (unbounded) when the
-  /// variable is unset or unparseable.
+  /// The byte cap from TSGBENCH_SERVING_CACHE_BYTES, or 0 (unbounded) unless
+  /// the variable is a whole positive integer ("64M" is unbounded, not 64).
   static int64_t DefaultMaxBytes();
 
   /// The warm method for `key`: restored from the store on first use, cached

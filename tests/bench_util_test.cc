@@ -63,6 +63,25 @@ TEST(BenchConfigTest, EnvOverridesApply) {
   std::filesystem::remove_all("/tmp/tsg_bench_cfg_test2");
 }
 
+TEST(BenchConfigDeathTest, MalformedNumericEnvExitsTwoNamingTheVariable) {
+  // Parsing a prefix would silently run "7x" as seed 7 and "abc" at the 0.05
+  // scale floor, under another config's checkpoints.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"TSGBENCH_SEED", "7x"}, {"TSGBENCH_SCALE", "abc"}};
+  for (const auto& [name, value] : bad) {
+    EXPECT_EXIT(
+        {
+          setenv("TSGBENCH_OUT", "/tmp/tsg_bench_cfg_death", 1);
+          setenv(name.c_str(), value.c_str(), 1);
+          LoadConfig();
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(2), "invalid value for " + name)
+        << value;
+  }
+  std::filesystem::remove_all("/tmp/tsg_bench_cfg_death");
+}
+
 TEST(PrepareDatasetTest, CapsLongWindowDatasets) {
   BenchConfig config;
   config.out_dir = "/tmp/tsg_bench_prep_test";

@@ -13,6 +13,7 @@
 #include "core/visualize.h"
 #include "data/simulators.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace tsg::core {
 namespace {
@@ -530,6 +531,15 @@ TEST(HarnessIntegrationTest, RunMethodEndToEnd) {
     if (name == "ACD") EXPECT_LT(summary.mean, 0.1);
     if (name == "SD") EXPECT_LT(summary.mean, 0.25);
   }
+  // fit, generate and evaluate are sibling spans of the cell: evaluation never
+  // nests under generate.
+  bool evaluate_under_cell = false;
+  for (const auto& [path, count] :
+       obs::FlattenTrace(obs::MetricRegistry::Global().trace_root())) {
+    EXPECT_EQ(path.find("generate/evaluate"), std::string::npos) << path;
+    evaluate_under_cell |= path == "harness.run_method/evaluate";
+  }
+  EXPECT_TRUE(evaluate_under_cell);
 }
 
 TEST(HarnessIntegrationTest, ScoresAreSeedReproducible) {

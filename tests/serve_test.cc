@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -20,7 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include "base/fnv.h"
+#include "core/method.h"
 #include "io/json_parse.h"
+#include "methods/factory.h"
 #include "serve/bench_runner.h"
 #include "serve/job_queue.h"
 #include "serve/protocol.h"
@@ -701,6 +705,85 @@ TEST_F(ServerTest, ShutdownCommandAcksThenDrains) {
   // The socket file is gone once the server object is destroyed.
   server_.reset();
   EXPECT_FALSE(std::filesystem::exists(socket_path_));
+}
+
+// ---- The production job runner. ----
+
+/// The runner's generate digest, restated: FNV-64 over the block's series
+/// count, then each series' shape and row-major values, as 16 hex digits.
+std::string GenerateDigest(const std::vector<linalg::Matrix>& series) {
+  base::Fnv64 fnv;
+  fnv.U64(series.size());
+  for (const linalg::Matrix& s : series) {
+    fnv.I64(s.rows()).I64(s.cols());
+    fnv.Bytes(s.data(), static_cast<size_t>(s.size()) * sizeof(double));
+  }
+  char hex[20];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fnv.digest()));
+  return hex;
+}
+
+/// Runs one job on `runner` and parses its comma-led result members.
+io::JsonValue RunJob(BenchJobRunner& runner, JobKind kind,
+                     const std::string& method, const std::string& dataset,
+                     int64_t count = 0, uint64_t gen_seed = 0) {
+  JobSpec spec;
+  spec.kind = kind;
+  spec.method = method;
+  spec.dataset = dataset;
+  spec.count = count;
+  spec.gen_seed = gen_seed;
+  const StatusOr<std::string> members = runner.Run(spec, nullptr);
+  EXPECT_TRUE(members.ok()) << JobKindName(kind) << " " << method << " / "
+                            << dataset << ": " << members.status().ToString();
+  if (!members.ok()) return io::JsonValue();
+  const StatusOr<io::JsonValue> parsed =
+      io::JsonValue::Parse("{" + members.value().substr(1) + "}");
+  EXPECT_TRUE(parsed.ok()) << members.value();
+  return parsed.ok() ? parsed.value() : io::JsonValue();
+}
+
+TEST(BenchJobRunnerTest, JobsMatchGenerateAndShareArtifactsWithTheHarness) {
+  const std::string root = ::testing::TempDir() + "tsg_bench_job_runner";
+  std::filesystem::remove_all(root);
+  bench::BenchConfig config;
+  config.scale = 0.05;
+  config.out_dir = root + "/out";
+  config.store_dir = root + "/store";
+  BenchJobRunner runner(config);
+  store::ArtifactStore store(config.store_dir);
+  const core::Preprocessed pre = bench::PrepareDataset(data::DatasetId::kStock, config);
+  const core::FitOptions fit = bench::GridHarnessOptions(config).fit;
+
+  for (const std::string& name : methods::AllMethodNames()) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(RunJob(runner, JobKind::kFit, name, "Stock").GetBool("trained", false));
+
+    // Reference: a fresh instance restored from the artifact the fit job wrote.
+    StatusOr<std::unique_ptr<core::TsgMethod>> method = methods::CreateMethod(name);
+    ASSERT_TRUE(method.ok());
+    const StatusOr<core::MethodSnapshot> snapshot =
+        store.Load(core::ModelKey::For(*method.value(), pre.train, fit));
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ASSERT_TRUE(method.value()->Restore(snapshot.value()).ok());
+    for (const uint64_t gen_seed : {5u, 6u}) {
+      const io::JsonValue generated =
+          RunJob(runner, JobKind::kGenerate, name, "Stock", 5, gen_seed);
+      Rng rng(gen_seed);
+      EXPECT_EQ(generated.GetInt("count", -1), 5);
+      EXPECT_EQ(generated.GetString("digest", ""),
+                GenerateDigest(method.value()->Generate(5, rng)))
+          << "gen_seed " << gen_seed;
+    }
+
+    // The harness trains and publishes on an evaluate job's first visit to a
+    // cell; a fit job for that cell must then find the harness's artifact.
+    const io::JsonValue evaluated = RunJob(runner, JobKind::kEvaluate, name, "DLG");
+    EXPECT_GT(evaluated.GetNumber("fit_seconds", 0.0), 0.0);
+    EXPECT_FALSE(RunJob(runner, JobKind::kFit, name, "DLG").GetBool("trained", true));
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -49,18 +49,6 @@ std::string TempStoreDir(const std::string& name) {
   return dir;
 }
 
-ModelKey KeyFor(const core::TsgMethod& method, const Dataset& train,
-                const FitOptions& fit) {
-  ModelKey key;
-  key.method = method.name();
-  key.hyper_digest = method.HyperparameterDigest();
-  key.dataset_fingerprint = train.Fingerprint();
-  key.seed = fit.seed;
-  key.epoch_scale = fit.epoch_scale;
-  key.batch_size = fit.batch_size;
-  return key;
-}
-
 bool SamplesBitEqual(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -114,7 +102,7 @@ TEST_P(StoreMethodTest, SaveLoadRestoreGeneratesIdentically) {
   ASSERT_TRUE(fitted.value()->Fit(train, fit).ok());
 
   ArtifactStore store(TempStoreDir("roundtrip_" + GetParam()));
-  const ModelKey key = KeyFor(*fitted.value(), train, fit);
+  const ModelKey key = ModelKey::For(*fitted.value(), train, fit);
   auto snapshot = fitted.value()->Snapshot();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   ASSERT_TRUE(store.Save(key, snapshot.value()).ok());
@@ -366,7 +354,7 @@ TEST(ServingCacheTest, ServesBitIdenticalBatchesFromOneRestore) {
   const Dataset train = TinyDataset();
   const FitOptions fit = QuickFit();
   ASSERT_TRUE(method.value()->Fit(train, fit).ok());
-  const ModelKey key = KeyFor(*method.value(), train, fit);
+  const ModelKey key = ModelKey::For(*method.value(), train, fit);
 
   ArtifactStore store(TempStoreDir("serving"));
   auto snapshot = method.value()->Snapshot();
@@ -421,7 +409,7 @@ class ServingCacheEvictionTest : public ::testing::Test {
   }
 
   ModelKey NthKey(int i) const {
-    ModelKey key = KeyFor(*method_, train_, fit_);
+    ModelKey key = ModelKey::For(*method_, train_, fit_);
     key.seed = fit_.seed + i;  // Distinct addresses, identical payloads.
     return key;
   }
@@ -511,6 +499,16 @@ TEST(ServingCacheTest, UnboundedByDefaultWhenEnvUnset) {
   ArtifactStore store(TempStoreDir("serving_unbounded"));
   ServingCache cache(&store, /*max_bytes=*/0);
   EXPECT_EQ(cache.max_bytes(), 0);
+}
+
+TEST(ServingCacheTest, ByteCapEnvMustBeAWholePositiveInteger) {
+  // Parsing a prefix would read "64M" as a 64-byte cap, which evicts every
+  // model but the one just touched.
+  setenv("TSGBENCH_SERVING_CACHE_BYTES", "64M", 1);
+  EXPECT_EQ(ServingCache::DefaultMaxBytes(), 0);
+  setenv("TSGBENCH_SERVING_CACHE_BYTES", "1048576", 1);
+  EXPECT_EQ(ServingCache::DefaultMaxBytes(), 1048576);
+  unsetenv("TSGBENCH_SERVING_CACHE_BYTES");
 }
 
 // ---- TSGPARAMS strictness (the serialize-layer bugfixes). ----
