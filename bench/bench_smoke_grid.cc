@@ -21,6 +21,7 @@
 
 #include "base/check.h"
 #include "base/fnv.h"
+#include "base/parse.h"
 #include "bench_util.h"
 #include "core/method.h"
 #include "data/simulators.h"
@@ -34,10 +35,20 @@ namespace {
 /// checkpoints left on disk — is deterministic.
 std::atomic<int> g_fits_done{0};
 
+/// TSG_SMOKE_KILL_AFTER: a whole number >= 0 (0 or unset = never kill). Any
+/// other value exits 2 naming the variable.
 int KillAfter() {
   static const int kill_after = [] {
+    int parsed = 0;
     const char* env = std::getenv("TSG_SMOKE_KILL_AFTER");
-    return env == nullptr ? 0 : std::atoi(env);
+    if (env != nullptr && (!base::ParseNumber(env, &parsed) || parsed < 0)) {
+      std::fprintf(stderr,
+                   "invalid value for TSG_SMOKE_KILL_AFTER: '%s' "
+                   "(want a whole number >= 0)\n",
+                   env);
+      std::exit(2);
+    }
+    return parsed;
   }();
   return kill_after;
 }
@@ -111,6 +122,7 @@ int main(int argc, char** argv) {
           "bench_smoke_grid [--shard | --merge] [--metrics_out=<path>]")) {
     return 2;
   }
+  tsg::bench::KillAfter();  // Rejects a malformed kill point before any work.
   tsg::bench::RegisterSmokeMethod("SmokeVAE", "TimeVAE");
   tsg::bench::RegisterSmokeMethod("SmokeLS4", "LS4");
 

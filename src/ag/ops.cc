@@ -94,29 +94,6 @@ Var Mul(const Var& a, const Var& b) {
   });
 }
 
-Var Div(const Var& a, const Var& b) {
-  TSG_CHECK(a.value().SameShape(b.value()));
-  Matrix out = ScratchUninit(a.rows(), a.cols());
-  const Matrix& av = a.value();
-  const Matrix& bv = b.value();
-  for (int64_t i = 0; i < out.size(); ++i) out[i] = av[i] / bv[i];
-  return MakeOp(std::move(out), {a, b}, [](Node* self, const Matrix& g) {
-    Node* a = self->in[0];
-    Node* b = self->in[1];
-    if (a->requires_grad) {
-      Matrix& gr = a->EnsureGrad();
-      for (int64_t i = 0; i < g.size(); ++i) gr[i] += g[i] / b->value[i];
-    }
-    if (b->requires_grad) {
-      Matrix& gr = b->EnsureGrad();
-      for (int64_t i = 0; i < g.size(); ++i) {
-        const double bv = b->value[i];
-        gr[i] += -g[i] * a->value[i] / (bv * bv);
-      }
-    }
-  });
-}
-
 // Forward and both gradient products route through the kernel GEMMs; the
 // backward accumulates straight into the input gradient buffers (the kernels
 // are C +=), so the op allocates nothing beyond its arena output.
@@ -178,21 +155,6 @@ Var ScalarAdd(const Var& a, double s) {
   return MakeOp(std::move(out), {a}, [](Node* self, const Matrix& g) {
     AxpyInto(self->in[0], 1.0, g);
   });
-}
-
-Var PowScalar(const Var& a, double p) {
-  Matrix out = Map(a.value(), [p](double x) { return std::pow(x, p); });
-  Var v = MakeOp(std::move(out), {a}, [](Node* self, const Matrix& g) {
-    Node* a = self->in[0];
-    if (!a->requires_grad) return;
-    const double p = self->s0;
-    Matrix& gr = a->EnsureGrad();
-    for (int64_t i = 0; i < g.size(); ++i) {
-      gr[i] += g[i] * p * std::pow(a->value[i], p - 1.0);
-    }
-  });
-  v.node()->s0 = p;
-  return v;
 }
 
 Var AddRowVec(const Var& a, const Var& b) {
@@ -303,18 +265,6 @@ Var Exp(const Var& a) {
   Matrix out = Map(a.value(), [](double x) { return std::exp(x); });
   return MakeOp(std::move(out), {a}, [](Node* self, const Matrix& g) {
     MulInto(self->in[0], g, self->value);
-  });
-}
-
-Var Log(const Var& a) {
-  Matrix out = Map(a.value(), [](double x) { return std::log(x); });
-  return MakeOp(std::move(out), {a}, [](Node* self, const Matrix& g) {
-    Node* a = self->in[0];
-    if (!a->requires_grad) return;
-    Matrix& gr = a->EnsureGrad();
-    for (int64_t i = 0; i < g.size(); ++i) {
-      gr[i] += g[i] / std::max(a->value[i], 1e-12);
-    }
   });
 }
 
@@ -483,22 +433,6 @@ Var SliceCols(const Var& a, int64_t col0, int64_t ncols) {
     }
   });
   v.node()->i0 = col0;
-  return v;
-}
-
-Var SliceRows(const Var& a, int64_t row0, int64_t nrows) {
-  const Matrix& av = a.value();
-  Matrix out = ScratchUninit(nrows, a.cols());
-  std::memcpy(out.data(), av.data() + row0 * av.cols(),
-              static_cast<size_t>(nrows * av.cols()) * sizeof(double));
-  Var v = MakeOp(std::move(out), {a}, [](Node* self, const Matrix& g) {
-    Node* a = self->in[0];
-    if (!a->requires_grad) return;
-    const int64_t row0 = self->i0;
-    Matrix& gr = a->EnsureGrad();
-    kernels::Axpy(g.size(), 1.0, g.data(), gr.data() + row0 * gr.cols());
-  });
-  v.node()->i0 = row0;
   return v;
 }
 
@@ -703,37 +637,6 @@ Var MseLoss(const Var& pred, const Var& target) {
   return v;
 }
 
-Var L1Loss(const Var& pred, const Var& target) {
-  TSG_CHECK(pred.value().SameShape(target.value()));
-  const int64_t n = pred.value().size();
-  const double inv = n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
-  double loss = 0.0;
-  for (int64_t i = 0; i < n; ++i) loss += std::fabs(pred.value()[i] - target.value()[i]);
-  Matrix out = ScratchUninit(1, 1);
-  out(0, 0) = loss * inv;
-  Var v = MakeOp(std::move(out), {pred, target}, [](Node* self, const Matrix& g) {
-    Node* pred = self->in[0];
-    Node* target = self->in[1];
-    const double scale = g(0, 0) * self->s0;
-    if (pred->requires_grad) {
-      Matrix& gr = pred->EnsureGrad();
-      for (int64_t i = 0; i < gr.size(); ++i) {
-        const double d = pred->value[i] - target->value[i];
-        gr[i] += d > 0 ? scale : (d < 0 ? -scale : 0.0);
-      }
-    }
-    if (target->requires_grad) {
-      Matrix& gr = target->EnsureGrad();
-      for (int64_t i = 0; i < gr.size(); ++i) {
-        const double d = pred->value[i] - target->value[i];
-        gr[i] += d > 0 ? -scale : (d < 0 ? scale : 0.0);
-      }
-    }
-  });
-  v.node()->s0 = inv;
-  return v;
-}
-
 Var BceWithLogits(const Var& logits, const Var& targets) {
   TSG_CHECK(logits.value().SameShape(targets.value()));
   const int64_t n = logits.value().size();
@@ -758,32 +661,6 @@ Var BceWithLogits(const Var& logits, const Var& targets) {
   v.node()->s0 = inv;
   return v;
 }
-
-Var Dropout(const Var& a, double rate, Rng& rng) {
-  TSG_CHECK(rate >= 0.0 && rate < 1.0);
-  if (rate == 0.0) return a;
-  const double keep = 1.0 - rate;
-  Matrix mask = ScratchUninit(a.rows(), a.cols());
-  for (int64_t i = 0; i < mask.size(); ++i) {
-    mask[i] = rng.Uniform() < rate ? 0.0 : 1.0 / keep;
-  }
-  const Matrix& av = a.value();
-  Matrix out = ScratchUninit(a.rows(), a.cols());
-  for (int64_t i = 0; i < out.size(); ++i) out[i] = av[i] * mask[i];
-  Var v = MakeOp(std::move(out), {a}, [](Node* self, const Matrix& g) {
-    MulInto(self->in[0], g, self->aux);
-  });
-  v.node()->SetAux(std::move(mask));
-  return v;
-}
-
-Var OnesLike(const Var& a) {
-  Matrix out = ScratchUninit(a.rows(), a.cols());
-  out.Fill(1.0);
-  return Var::Constant(std::move(out));
-}
-
-Var ZerosLike(const Var& a) { return Var::Constant(ScratchZero(a.rows(), a.cols())); }
 
 Var Randn(int64_t rows, int64_t cols, Rng& rng, double stddev) {
   Matrix m = ScratchUninit(rows, cols);

@@ -22,7 +22,6 @@ using kernels::Act;
 Var Add(const Var& a, const Var& b);
 Var Sub(const Var& a, const Var& b);
 Var Mul(const Var& a, const Var& b);
-Var Div(const Var& a, const Var& b);
 /// a + alpha * b as a single tape node — the fused form of
 /// Add(a, ScalarMul(b, alpha)), one output pass and one backward instead of
 /// two of each. The workhorse of Euler ODE steps (h + dt * f).
@@ -36,8 +35,6 @@ Var Transpose(const Var& a);
 Var Neg(const Var& a);
 Var ScalarMul(const Var& a, double s);
 Var ScalarAdd(const Var& a, double s);
-/// y = x^p element-wise; requires x > 0 when p is non-integral.
-Var PowScalar(const Var& a, double p);
 
 // ---- Broadcasting ops (b is a 1 x C row vector; a is B x C). ----
 Var AddRowVec(const Var& a, const Var& b);
@@ -49,8 +46,6 @@ Var Tanh(const Var& a);
 Var Relu(const Var& a);
 Var LeakyRelu(const Var& a, double alpha = 0.2);
 Var Exp(const Var& a);
-/// Natural log; backward clamps the denominator at 1e-12 for numerical safety.
-Var Log(const Var& a);
 Var Softplus(const Var& a);
 Var Square(const Var& a);
 Var Sqrt(const Var& a);
@@ -68,7 +63,6 @@ Var ColMeanVar(const Var& a);
 Var ConcatCols(const Var& a, const Var& b);
 Var ConcatRows(const Var& a, const Var& b);
 Var SliceCols(const Var& a, int64_t col0, int64_t ncols);
-Var SliceRows(const Var& a, int64_t row0, int64_t nrows);
 
 /// Cuts the tape: returns a constant with a copy of a's value. Used when training a
 /// GAN discriminator on generator output, and in the VQ-VAE straight-through trick.
@@ -92,19 +86,10 @@ Var MulAdd(const Var& a, const Var& b, const Var& c, const Var& d);
 // ---- Losses (scalar outputs). ----
 /// Mean squared error over all elements.
 Var MseLoss(const Var& pred, const Var& target);
-/// Mean absolute error over all elements.
-Var L1Loss(const Var& pred, const Var& target);
 /// Numerically stable binary cross entropy on raw logits; targets in [0, 1].
 Var BceWithLogits(const Var& logits, const Var& targets);
 
-// ---- Regularization. ----
-/// Inverted dropout: at train time zeroes entries with probability `rate` and rescales
-/// the survivors by 1/(1-rate).
-Var Dropout(const Var& a, double rate, Rng& rng);
-
-// ---- Constructors for common constants. ----
-Var OnesLike(const Var& a);
-Var ZerosLike(const Var& a);
+// ---- Constants. ----
 /// Non-differentiable i.i.d. N(0, stddev^2) sample.
 Var Randn(int64_t rows, int64_t cols, Rng& rng, double stddev = 1.0);
 

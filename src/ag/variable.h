@@ -24,7 +24,7 @@ inline constexpr int kMaxInputs = 5;
 
 /// One entry on the autodiff tape: a value, its (lazily allocated) gradient,
 /// fixed input slots, and the op's backward function with its payload (scalars
-/// s0/s1, integers i0/i1, and an auxiliary matrix for dropout masks / stashed
+/// s0/s1, integers i0/i1, and an auxiliary matrix for stashed
 /// pre-activations). Nodes are either *pooled* — placement-constructed in the
 /// thread's tape arena while a StepScope is open, reclaimed wholesale at scope
 /// reset — or heap-owned behind a shared_ptr (parameters, and all graphs built

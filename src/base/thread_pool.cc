@@ -1,10 +1,12 @@
 #include "base/thread_pool.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 
 #include "base/check.h"
+#include "base/parse.h"
 
 namespace tsg::base {
 
@@ -12,10 +14,18 @@ namespace {
 
 thread_local bool t_in_parallel_region = false;
 
+/// TSG_THREADS when set: a whole number >= 1 (clamped to 256). Anything else
+/// exits 2 naming the variable, like a malformed TSGBENCH_SEED.
 int ConfiguredThreads() {
   if (const char* env = std::getenv("TSG_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) return std::min(parsed, 256);
+    int parsed = 0;
+    if (!ParseNumber(env, &parsed) || parsed < 1) {
+      std::fprintf(stderr,
+                   "invalid value for TSG_THREADS: '%s' (want a whole number >= 1)\n",
+                   env);
+      std::exit(2);
+    }
+    return std::min(parsed, 256);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

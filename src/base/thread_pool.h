@@ -29,7 +29,8 @@ struct ThreadPoolStats {
 
 /// Fixed-size worker pool behind ParallelFor. The process-wide instance is created
 /// lazily on first use and sized from the TSG_THREADS environment variable when set
-/// (clamped to >= 1), otherwise std::thread::hardware_concurrency(). Callers of
+/// (a whole number >= 1, clamped to 256; any other value exits 2), otherwise
+/// std::thread::hardware_concurrency(). Callers of
 /// ParallelFor participate in the loop themselves, so a pool configured for N-way
 /// parallelism holds N - 1 worker threads.
 class ThreadPool {

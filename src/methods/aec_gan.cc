@@ -1,7 +1,6 @@
 #include "methods/aec_gan.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "ag/ops.h"
 #include "methods/common.h"
@@ -11,37 +10,16 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
-using ag::AddRowVec;
-using ag::Backward;
 using ag::BceWithLogits;
 using ag::ColMeanVar;
-using ag::ColSum;
 using ag::ConcatCols;
-using ag::ConcatRows;
 using ag::Detach;
-using ag::Div;
-using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
-using ag::MatMul;
 using ag::Mean;
 using ag::MseLoss;
-using ag::Mul;
-using ag::MulRowVec;
-using ag::Neg;
 using ag::Randn;
-using ag::ScalarAdd;
 using ag::ScalarMul;
-using ag::Sigmoid;
 using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
 using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 int64_t AecGan::ContextLengthFor(int64_t l) {
   // Paper parameter settings: l_c = 4 (l=16), 25 (l=125), 28 (l=128), 56 (l=168),
@@ -79,22 +57,20 @@ struct AecGan::Nets {
 
   /// Unrolls the autoregressive generator from `context` steps (each (batch x N)),
   /// producing `gen_len` further steps refined by the error-correction module.
-  /// `noise` yields the next (batch x noise_dim) draw; abstracting the source
-  /// lets the batched path substitute packed per-request streams while keeping
-  /// the draw order identical to the sequential path.
+  /// Every step draws a fresh (batch x noise_dim) noise input from `rng`.
   std::vector<Var> GenerateTail(const std::vector<Var>& context, int64_t gen_len,
-                                const std::function<Var()>& noise) const {
+                                int64_t noise_dim, Rng& rng) const {
     const int64_t batch = context[0].rows();
     const int64_t n = context[0].cols();
     // Warm the cell on the context, then feed generated steps back as inputs.
     Var state = ar_cell.InitialState(batch);
     for (const Var& c : context) {
-      state = ar_cell.Forward(ConcatCols(c, noise()), state);
+      state = ar_cell.Forward(ConcatCols(c, Randn(batch, noise_dim, rng)), state);
     }
     std::vector<Var> raw;
     raw.push_back(ar_head.Forward(state));
     for (int64_t t = 1; t < gen_len; ++t) {
-      const Var input = ConcatCols(raw.back(), noise());
+      const Var input = ConcatCols(raw.back(), Randn(batch, noise_dim, rng));
       state = ar_cell.Forward(input, state);
       raw.push_back(ar_head.Forward(state));
     }
@@ -132,16 +108,15 @@ AecGan::~AecGan() = default;
 
 Status AecGan::Fit(const core::Dataset& train, const core::FitOptions& options) {
   if (train.empty()) return Status::InvalidArgument("AEC-GAN: empty training set");
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-  context_len_ = std::min(ContextLengthFor(seq_len_), seq_len_ - 1);
-  noise_dim_ = 8;
-  const int64_t gen_len = seq_len_ - context_len_;
-  hidden_ = std::clamp<int64_t>(2 * num_features_, 16, 36);
-
+  const int64_t l = train.seq_len();
+  const int64_t n = train.num_features();
   Rng rng(options.seed ^ 0xAEC6);
-  nets_ = std::make_unique<Nets>(num_features_, hidden_, noise_dim_, context_len_,
-                                 gen_len, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", l},
+                                 {"num_features", n},
+                                 {"context_len", std::min(ContextLengthFor(l), l - 1)},
+                                 {"noise_dim", 8},
+                                 {"hidden", std::clamp<int64_t>(2 * n, 16, 36)}},
+                                rng));
 
   nn::Adam g_opt(nn::CollectParameters({&nets_->context_gen, &nets_->ar_cell,
                                         &nets_->ar_head, &nets_->corrector}),
@@ -167,8 +142,7 @@ Status AecGan::Fit(const core::Dataset& train, const core::FitOptions& options) 
                           Randn(batch, num_features_, rng, 0.01));
       }
       const std::vector<Var> tail =
-          nets_->GenerateTail(context, seq_len_ - context_len_,
-                              [&] { return Randn(batch, noise_dim_, rng); });
+          nets_->GenerateTail(context, seq_len_ - context_len_, noise_dim_, rng);
       std::vector<Var> fake_window = context;
       fake_window.insert(fake_window.end(), tail.begin(), tail.end());
 
@@ -209,7 +183,7 @@ Status AecGan::Fit(const core::Dataset& train, const core::FitOptions& options) 
 }
 
 std::vector<Matrix> AecGan::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   // Synthesize a context with the context generator, then roll out the tail.
   const Var ctx_flat = nets_->context_gen.Forward(Randn(count, noise_dim_, rng));
   std::vector<Var> context;
@@ -217,55 +191,30 @@ std::vector<Matrix> AecGan::Generate(int64_t count, Rng& rng) const {
     context.push_back(SliceCols(ctx_flat, t * num_features_, num_features_));
   }
   const std::vector<Var> tail =
-      nets_->GenerateTail(context, seq_len_ - context_len_,
-                          [&] { return Randn(count, noise_dim_, rng); });
+      nets_->GenerateTail(context, seq_len_ - context_len_, noise_dim_, rng);
   std::vector<Var> window = context;
   window.insert(window.end(), tail.begin(), tail.end());
   return StepsToSamples(window);
 }
 
-StatusOr<core::MethodSnapshot> AecGan::Snapshot() const {
-  if (nets_ == nullptr) {
-    return Status::FailedPrecondition("AEC-GAN: Fit must succeed before Snapshot");
+Status AecGan::Build(const Dims& dims, Rng& rng) {
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"context_len", &context_len_},
+                                      {"noise_dim", &noise_dim_},
+                                      {"hidden", &hidden_}}));
+  if (context_len_ >= seq_len_) {
+    return Status::InvalidArgument("AEC-GAN: context_len must be below seq_len");
   }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "context_len", context_len_);
-  PutConfig(&snap, "noise_dim", noise_dim_);
-  PutConfig(&snap, "hidden", hidden_);
-  AppendParams(&snap, nn::CollectParameters(
-                          {&nets_->context_gen, &nets_->ar_cell, &nets_->ar_head,
-                           &nets_->corrector, &nets_->disc, &nets_->disc_head}));
-  return snap;
+  nets_ = std::make_unique<Nets>(num_features_, hidden_, noise_dim_, context_len_,
+                                 seq_len_ - context_len_, rng);
+  return Status::Ok();
 }
 
-Status AecGan::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, context_len = 0, noise_dim = 0, hidden = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "AEC-GAN", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "AEC-GAN", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "AEC-GAN", "context_len", &context_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "AEC-GAN", "noise_dim", &noise_dim));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "AEC-GAN", "hidden", &hidden));
-  if (seq_len <= 0 || n <= 0 || noise_dim <= 0 || hidden <= 0 ||
-      context_len <= 0 || context_len >= seq_len) {
-    return Status::InvalidArgument("AEC-GAN: bad dimensions in snapshot");
-  }
-  Rng rng(0);
-  auto nets = std::make_unique<Nets>(n, hidden, noise_dim, context_len,
-                                     seq_len - context_len, rng);
-  const std::vector<Var> params = nn::CollectParameters(
-      {&nets->context_gen, &nets->ar_cell, &nets->ar_head, &nets->corrector,
-       &nets->disc, &nets->disc_head});
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "AEC-GAN", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "AEC-GAN", 0, params));
-  nets_ = std::move(nets);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  context_len_ = context_len;
-  noise_dim_ = noise_dim;
-  hidden_ = hidden;
-  return Status::Ok();
+std::vector<Matrix*> AecGan::State() const {
+  return ValuesOf(nn::CollectParameters({&nets_->context_gen, &nets_->ar_cell,
+                                         &nets_->ar_head, &nets_->corrector,
+                                         &nets_->disc, &nets_->disc_head}));
 }
 
 uint64_t AecGan::HyperparameterDigest() const {

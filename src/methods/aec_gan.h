@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -16,15 +16,13 @@ namespace tsg::methods {
 /// refines the generated chunk to counteract bias amplification; a GRU discriminator
 /// judges full windows. The paper's adversarial data augmentation is approximated by
 /// perturbing real contexts with small noise during training.
-class AecGan : public core::TsgMethod {
+class AecGan : public PaperMethod {
  public:
   AecGan();
   ~AecGan() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "AEC-GAN"; }
 
@@ -34,6 +32,9 @@ class AecGan : public core::TsgMethod {
   struct Nets;
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   std::unique_ptr<Nets> nets_;
   int64_t seq_len_ = 0;
   int64_t num_features_ = 0;

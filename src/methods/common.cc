@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "base/fnv.h"
+#include "base/parse.h"
 
 namespace tsg::methods {
 
@@ -33,67 +34,85 @@ std::vector<Var> NoiseSequence(int64_t steps, int64_t batch, int64_t dim, Rng& r
   return out;
 }
 
-void PutConfig(core::MethodSnapshot* snap, const std::string& key, int64_t value) {
-  snap->config.emplace_back(key, std::to_string(value));
+StatusOr<core::MethodSnapshot> PaperMethod::Snapshot() const {
+  if (!built_) {
+    return Status::FailedPrecondition(name() + ": Fit must succeed before Snapshot");
+  }
+  core::MethodSnapshot snap;
+  for (const auto& [key, value] : dims_) {
+    snap.config.emplace_back(key, std::to_string(value));
+  }
+  for (const Matrix* tensor : State()) snap.params.push_back(*tensor);
+  return snap;
 }
 
-Status GetConfig(const core::MethodSnapshot& snap, const char* method,
-                 const std::string& key, int64_t* out) {
-  for (const auto& [k, v] : snap.config) {
-    if (k != key) continue;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0') {
-      return Status::InvalidArgument(std::string(method) + ": bad config value '" +
-                                     v + "' for " + key);
+Status PaperMethod::Restore(const core::MethodSnapshot& snapshot) {
+  built_ = false;
+  Dims dims;
+  for (const auto& [key, text] : snapshot.config) {
+    int64_t value = 0;
+    if (!base::ParseNumber(text, &value)) {
+      return Status::InvalidArgument(name() + ": bad config value '" + text +
+                                     "' for " + key);
     }
-    *out = static_cast<int64_t>(parsed);
-    return Status::Ok();
+    dims.emplace_back(key, value);
   }
-  return Status::InvalidArgument(std::string(method) + ": missing config key " +
-                                 key);
-}
-
-void AppendParams(core::MethodSnapshot* snap, const std::vector<Var>& params) {
-  for (const Var& p : params) snap->params.push_back(p.value());
-}
-
-Status AssignParams(const core::MethodSnapshot& snap, const char* method,
-                    size_t start, const std::vector<Var>& params) {
-  if (start + params.size() > snap.params.size()) {
-    return Status::InvalidArgument(
-        std::string(method) + ": snapshot has " +
-        std::to_string(snap.params.size()) + " tensors, need " +
-        std::to_string(start + params.size()));
-  }
-  for (size_t k = 0; k < params.size(); ++k) {
-    const Matrix& have = snap.params[start + k];
-    const Matrix& want = params[k].value();
-    if (have.rows() != want.rows() || have.cols() != want.cols()) {
-      return Status::InvalidArgument(
-          std::string(method) + ": tensor " + std::to_string(start + k) +
-          " shape mismatch: snapshot " + std::to_string(have.rows()) + "x" +
-          std::to_string(have.cols()) + ", model " +
-          std::to_string(want.rows()) + "x" + std::to_string(want.cols()));
-    }
-  }
-  for (size_t k = 0; k < params.size(); ++k) {
-    // Var is a shared handle; a copy writes through to the same node.
-    Var p = params[k];
-    p.mutable_value() = snap.params[start + k];
-  }
-  return Status::Ok();
-}
-
-Status CheckParamCount(const core::MethodSnapshot& snap, const char* method,
-                       size_t expected) {
-  if (snap.params.size() != expected) {
-    return Status::InvalidArgument(std::string(method) + ": snapshot has " +
-                                   std::to_string(snap.params.size()) +
+  // Placeholder init: every tensor of State() is overwritten below.
+  Rng placeholder(0);
+  TSG_RETURN_IF_ERROR(Build(dims, placeholder));
+  const std::vector<Matrix*> state = State();
+  if (snapshot.params.size() != state.size()) {
+    return Status::InvalidArgument(name() + ": snapshot has " +
+                                   std::to_string(snapshot.params.size()) +
                                    " tensors, expected " +
-                                   std::to_string(expected));
+                                   std::to_string(state.size()));
+  }
+  for (size_t k = 0; k < state.size(); ++k) {
+    const Matrix& have = snapshot.params[k];
+    if (!have.SameShape(*state[k])) {
+      return Status::InvalidArgument(
+          name() + ": tensor " + std::to_string(k) + " shape mismatch: snapshot " +
+          std::to_string(have.rows()) + "x" + std::to_string(have.cols()) +
+          ", model " + std::to_string(state[k]->rows()) + "x" +
+          std::to_string(state[k]->cols()));
+    }
+  }
+  for (size_t k = 0; k < state.size(); ++k) *state[k] = snapshot.params[k];
+  dims_ = std::move(dims);
+  built_ = true;
+  return Status::Ok();
+}
+
+Status PaperMethod::BuildFrom(Dims dims, Rng& rng) {
+  built_ = false;
+  TSG_RETURN_IF_ERROR(Build(dims, rng));
+  dims_ = std::move(dims);
+  built_ = true;
+  return Status::Ok();
+}
+
+Status PaperMethod::ReadDims(const Dims& dims, DimFields fields) const {
+  for (const auto& [field, out] : fields) {
+    const auto it = std::find_if(dims.begin(), dims.end(),
+                                 [&](const auto& dim) { return dim.first == field; });
+    if (it == dims.end()) {
+      return Status::InvalidArgument(name() + ": missing config key " + field);
+    }
+    if (it->second < 1) {
+      return Status::InvalidArgument(name() + ": non-positive " + field + " " +
+                                     std::to_string(it->second));
+    }
+    *out = it->second;
   }
   return Status::Ok();
+}
+
+std::vector<Matrix*> ValuesOf(const std::vector<Var>& params) {
+  std::vector<Matrix*> values;
+  values.reserve(params.size());
+  // Var is a shared handle; a copy's mutable_value() is the parameter's own.
+  for (Var p : params) values.push_back(&p.mutable_value());
+  return values;
 }
 
 uint64_t HyperDigest(std::string_view spec) {

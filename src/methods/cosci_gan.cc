@@ -10,37 +10,11 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
-using ag::AddRowVec;
-using ag::Backward;
 using ag::BceWithLogits;
-using ag::ColMeanVar;
-using ag::ColSum;
 using ag::ConcatCols;
-using ag::ConcatRows;
 using ag::Detach;
-using ag::Div;
-using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
-using ag::MatMul;
-using ag::Mean;
-using ag::MseLoss;
-using ag::Mul;
-using ag::MulRowVec;
-using ag::Neg;
-using ag::Randn;
-using ag::ScalarAdd;
 using ag::ScalarMul;
-using ag::Sigmoid;
 using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
-using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 namespace {
 constexpr double kGamma = 5.0;     // Paper setting: central discriminator weight.
@@ -126,14 +100,12 @@ CosciGan::~CosciGan() = default;
 
 Status CosciGan::Fit(const core::Dataset& train, const core::FitOptions& options) {
   if (train.empty()) return Status::InvalidArgument("COSCI-GAN: empty training set");
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-  noise_dim_ = 8;
-  hidden_ = 16;
-
   Rng rng(options.seed ^ 0xC05C1);
-  nets_ = std::make_unique<Nets>(num_features_, noise_dim_, hidden_,
-                                 seq_len_ * num_features_, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", train.num_features()},
+                                 {"noise_dim", 8},
+                                 {"hidden", 16}},
+                                rng));
 
   std::vector<Var> gen_params, disc_params;
   for (auto& pair : nets_->pairs) {
@@ -201,62 +173,32 @@ Status CosciGan::Fit(const core::Dataset& train, const core::FitOptions& options
 }
 
 std::vector<Matrix> CosciGan::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   const std::vector<Var> noise = NoiseSequence(seq_len_, count, noise_dim_, rng);
   return StepsToSamples(nets_->Generate(noise, num_features_));
 }
 
-namespace {
+Status CosciGan::Build(const Dims& dims, Rng& rng) {
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"noise_dim", &noise_dim_},
+                                      {"hidden", &hidden_}}));
+  nets_ = std::make_unique<Nets>(num_features_, noise_dim_, hidden_,
+                                 seq_len_ * num_features_, rng);
+  return Status::Ok();
+}
 
-/// Every tensor in the model: channel pairs in channel order, central last.
-std::vector<Var> AllCosciParams(CosciGan::Nets& nets) {
+/// Channel pairs in channel order, the central discriminator last.
+std::vector<Matrix*> CosciGan::State() const {
   std::vector<Var> params;
-  for (auto& pair : nets.pairs) {
+  for (const auto& pair : nets_->pairs) {
     for (const Var& p : nn::CollectParameters(
              {&pair->gen, &pair->gen_head, &pair->disc, &pair->disc_head})) {
       params.push_back(p);
     }
   }
-  for (const Var& p : nets.central.Parameters()) params.push_back(p);
-  return params;
-}
-
-}  // namespace
-
-StatusOr<core::MethodSnapshot> CosciGan::Snapshot() const {
-  if (nets_ == nullptr) {
-    return Status::FailedPrecondition(
-        "COSCI-GAN: Fit must succeed before Snapshot");
-  }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "noise_dim", noise_dim_);
-  PutConfig(&snap, "hidden", hidden_);
-  AppendParams(&snap, AllCosciParams(*nets_));
-  return snap;
-}
-
-Status CosciGan::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, noise_dim = 0, hidden = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "COSCI-GAN", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "COSCI-GAN", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "COSCI-GAN", "noise_dim", &noise_dim));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "COSCI-GAN", "hidden", &hidden));
-  if (seq_len <= 0 || n <= 0 || noise_dim <= 0 || hidden <= 0) {
-    return Status::InvalidArgument("COSCI-GAN: non-positive dimension in snapshot");
-  }
-  Rng rng(0);
-  auto nets = std::make_unique<Nets>(n, noise_dim, hidden, seq_len * n, rng);
-  const std::vector<Var> params = AllCosciParams(*nets);
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "COSCI-GAN", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "COSCI-GAN", 0, params));
-  nets_ = std::move(nets);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  noise_dim_ = noise_dim;
-  hidden_ = hidden;
-  return Status::Ok();
+  for (const Var& p : nets_->central.Parameters()) params.push_back(p);
+  return ValuesOf(params);
 }
 
 uint64_t CosciGan::HyperparameterDigest() const {

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -14,21 +14,21 @@ namespace tsg::methods {
 /// shared noise source so channel correlations are preserved, plus an MLP central
 /// discriminator over the full multivariate window. The paper's gamma = 5 weights the
 /// central discriminator's feedback into each channel generator's loss.
-class CosciGan : public core::TsgMethod {
+class CosciGan : public PaperMethod {
  public:
   CosciGan();
   ~CosciGan() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "COSCI-GAN"; }
 
-  struct Nets;
-
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
+  struct Nets;
   std::unique_ptr<Nets> nets_;
   int64_t seq_len_ = 0;
   int64_t num_features_ = 0;

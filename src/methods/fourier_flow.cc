@@ -11,37 +11,14 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
-using ag::AddRowVec;
-using ag::Backward;
-using ag::BceWithLogits;
-using ag::ColMeanVar;
-using ag::ColSum;
 using ag::ConcatCols;
-using ag::ConcatRows;
-using ag::Detach;
-using ag::Div;
 using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
 using ag::MatMul;
 using ag::Mean;
-using ag::MseLoss;
 using ag::Mul;
-using ag::MulRowVec;
-using ag::Neg;
-using ag::Randn;
-using ag::ScalarAdd;
 using ag::ScalarMul;
-using ag::Sigmoid;
 using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
 using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 namespace {
 
@@ -134,17 +111,14 @@ Status FourierFlow::Fit(const core::Dataset& train, const core::FitOptions& opti
   if (train.empty()) {
     return Status::InvalidArgument("FourierFlow: empty training set");
   }
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-  const int64_t dim = seq_len_ * num_features_;
-  if (dim < 2) return Status::InvalidArgument("FourierFlow needs l*N >= 2");
-
   // Paper: 3 flows for the Stock datasets, 5 for the rest.
   const bool is_stock = train.name().rfind("Stock", 0) == 0;
-  const int num_flows = is_stock ? 3 : 5;
-
   Rng rng(options.seed ^ 0xF10F);
-  impl_ = std::make_unique<Impl>(dim, num_flows, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", train.num_features()},
+                                 {"num_flows", is_stock ? 3 : 5}},
+                                rng));
+  const int64_t dim = seq_len_ * num_features_;
 
   // Precompute the spectral representation of every sample: per dimension the
   // orthonormal packed real DFT, concatenated feature-major.
@@ -223,7 +197,7 @@ std::vector<Matrix> SpectraToSamples(const Matrix& z, int64_t l, int64_t n) {
 }  // namespace
 
 std::vector<Matrix> FourierFlow::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(impl_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   const int64_t dim = seq_len_ * num_features_;
   Matrix z(count, dim);
   rng.FillNormal(z.data(), z.size());
@@ -233,45 +207,26 @@ std::vector<Matrix> FourierFlow::Generate(int64_t count, Rng& rng) const {
   return SpectraToSamples(z, seq_len_, num_features_);
 }
 
-StatusOr<core::MethodSnapshot> FourierFlow::Snapshot() const {
-  if (impl_ == nullptr) {
-    return Status::FailedPrecondition(
-        "FourierFlow: Fit must succeed before Snapshot");
+Status FourierFlow::Build(const Dims& dims, Rng& rng) {
+  int64_t num_flows = 0;
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"num_flows", &num_flows}}));
+  if (seq_len_ * num_features_ < 2) {
+    return Status::InvalidArgument("FourierFlow needs l*N >= 2");
   }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "num_flows", static_cast<int64_t>(impl_->layers.size()));
+  if (num_flows > 64) return Status::InvalidArgument("FourierFlow: too many flows");
+  impl_ = std::make_unique<Impl>(seq_len_ * num_features_,
+                                 static_cast<int>(num_flows), rng);
+  return Status::Ok();
+}
+
+std::vector<Matrix*> FourierFlow::State() const {
   std::vector<Var> params;
   for (const auto& layer : impl_->layers) {
     for (const Var& p : layer->Parameters()) params.push_back(p);
   }
-  AppendParams(&snap, params);
-  return snap;
-}
-
-Status FourierFlow::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, num_flows = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "FourierFlow", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "FourierFlow", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "FourierFlow", "num_flows", &num_flows));
-  if (seq_len <= 0 || n <= 0 || seq_len * n < 2 || num_flows <= 0 ||
-      num_flows > 64) {
-    return Status::InvalidArgument("FourierFlow: invalid snapshot config");
-  }
-  Rng rng(0);
-  auto impl = std::make_unique<Impl>(seq_len * n, static_cast<int>(num_flows),
-                                     rng);
-  std::vector<Var> params;
-  for (const auto& layer : impl->layers) {
-    for (const Var& p : layer->Parameters()) params.push_back(p);
-  }
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "FourierFlow", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "FourierFlow", 0, params));
-  impl_ = std::move(impl);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  return Status::Ok();
+  return ValuesOf(params);
 }
 
 uint64_t FourierFlow::HyperparameterDigest() const {

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -15,21 +15,22 @@ namespace tsg::methods {
 /// affine spectral coupling layers (hidden size 50; 3 flows for Stock/StockLong, 5
 /// otherwise — the paper's settings) is trained by exact maximum likelihood against
 /// a standard-normal base. Sampling inverts the flow and the DFT.
-class FourierFlow : public core::TsgMethod {
+class FourierFlow : public PaperMethod {
  public:
   FourierFlow();
   ~FourierFlow() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "FourierFlow"; }
 
   struct Impl;
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   std::unique_ptr<Impl> impl_;
   int64_t seq_len_ = 0;
   int64_t num_features_ = 0;

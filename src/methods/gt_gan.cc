@@ -10,38 +10,14 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
 using ag::AddScaled;
-using ag::AddRowVec;
-using ag::Backward;
 using ag::BceWithLogits;
 using ag::ColMeanVar;
-using ag::ColSum;
 using ag::ConcatCols;
-using ag::ConcatRows;
 using ag::Detach;
-using ag::Div;
-using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
-using ag::MatMul;
-using ag::Mean;
 using ag::MseLoss;
-using ag::Mul;
-using ag::MulRowVec;
-using ag::Neg;
 using ag::Randn;
-using ag::ScalarAdd;
 using ag::ScalarMul;
-using ag::Sigmoid;
-using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
-using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 namespace {
 constexpr int kEulerSubsteps = 4;  // Generator ODE sub-steps per observation.
@@ -105,13 +81,13 @@ GtGan::~GtGan() = default;
 
 Status GtGan::Fit(const core::Dataset& train, const core::FitOptions& options) {
   if (train.empty()) return Status::InvalidArgument("GT-GAN: empty training set");
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-  noise_dim_ = 8;
-  hidden_ = std::clamp<int64_t>(2 * num_features_, 16, 32);
-
+  const int64_t n = train.num_features();
   Rng rng(options.seed ^ 0x67AD);
-  nets_ = std::make_unique<Nets>(num_features_, hidden_, noise_dim_, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", n},
+                                 {"noise_dim", 8},
+                                 {"hidden", std::clamp<int64_t>(2 * n, 16, 32)}},
+                                rng));
 
   nn::Adam g_opt(nn::CollectParameters({&nets_->gen_init, &nets_->gen_field,
                                         &nets_->gen_head}),
@@ -172,49 +148,24 @@ Status GtGan::Fit(const core::Dataset& train, const core::FitOptions& options) {
 }
 
 std::vector<Matrix> GtGan::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   const std::vector<Var> noise = NoiseSequence(seq_len_, count, noise_dim_, rng);
   return StepsToSamples(nets_->Generate(Randn(count, noise_dim_, rng), noise));
 }
 
-StatusOr<core::MethodSnapshot> GtGan::Snapshot() const {
-  if (nets_ == nullptr) {
-    return Status::FailedPrecondition("GT-GAN: Fit must succeed before Snapshot");
-  }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "noise_dim", noise_dim_);
-  PutConfig(&snap, "hidden", hidden_);
-  AppendParams(&snap, nn::CollectParameters(
-                          {&nets_->gen_init, &nets_->gen_field, &nets_->gen_head,
-                           &nets_->disc_field, &nets_->disc_jump,
-                           &nets_->disc_head}));
-  return snap;
+Status GtGan::Build(const Dims& dims, Rng& rng) {
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"noise_dim", &noise_dim_},
+                                      {"hidden", &hidden_}}));
+  nets_ = std::make_unique<Nets>(num_features_, hidden_, noise_dim_, rng);
+  return Status::Ok();
 }
 
-Status GtGan::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, noise_dim = 0, hidden = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "GT-GAN", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "GT-GAN", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "GT-GAN", "noise_dim", &noise_dim));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "GT-GAN", "hidden", &hidden));
-  if (seq_len <= 0 || n <= 0 || noise_dim <= 0 || hidden <= 0) {
-    return Status::InvalidArgument("GT-GAN: non-positive dimension in snapshot");
-  }
-  Rng rng(0);
-  auto nets = std::make_unique<Nets>(n, hidden, noise_dim, rng);
-  const std::vector<Var> params = nn::CollectParameters(
-      {&nets->gen_init, &nets->gen_field, &nets->gen_head, &nets->disc_field,
-       &nets->disc_jump, &nets->disc_head});
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "GT-GAN", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "GT-GAN", 0, params));
-  nets_ = std::move(nets);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  noise_dim_ = noise_dim;
-  hidden_ = hidden;
-  return Status::Ok();
+std::vector<Matrix*> GtGan::State() const {
+  return ValuesOf(nn::CollectParameters({&nets_->gen_init, &nets_->gen_field,
+                                         &nets_->gen_head, &nets_->disc_field,
+                                         &nets_->disc_jump, &nets_->disc_head}));
 }
 
 uint64_t GtGan::HyperparameterDigest() const {

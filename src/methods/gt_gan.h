@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -19,21 +19,22 @@ namespace tsg::methods {
 /// paper's MLE pretraining for P_MLE = 2 epochs (realized as moment matching, since
 /// the implicit generator has no closed-form likelihood) followed by adversarial
 /// training. The paper's regular-time-series mode is used.
-class GtGan : public core::TsgMethod {
+class GtGan : public PaperMethod {
  public:
   GtGan();
   ~GtGan() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "GT-GAN"; }
 
   struct Nets;
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   std::unique_ptr<Nets> nets_;
   int64_t seq_len_ = 0;
   int64_t num_features_ = 0;

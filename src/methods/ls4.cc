@@ -9,40 +9,20 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
-using ag::AddRowVec;
-using ag::Backward;
-using ag::BceWithLogits;
-using ag::ColMeanVar;
-using ag::ColSum;
-using ag::ConcatCols;
-using ag::ConcatRows;
-using ag::Detach;
-using ag::Div;
 using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
-using ag::MatMul;
 using ag::Mean;
 using ag::MseLoss;
 using ag::Mul;
 using ag::MulRowVec;
-using ag::Neg;
 using ag::Randn;
 using ag::ScalarAdd;
 using ag::ScalarMul;
 using ag::Sigmoid;
-using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
 using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 namespace {
 
+constexpr int64_t kLatentDim = 5;  // Paper setting.
 constexpr int64_t kStateDim = 16;
 constexpr double kKlWeight = 0.05;
 
@@ -137,11 +117,11 @@ Ls4::~Ls4() = default;
 
 Status Ls4::Fit(const core::Dataset& train, const core::FitOptions& options) {
   if (train.empty()) return Status::InvalidArgument("LS4: empty training set");
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-
   Rng rng(options.seed ^ 0x1540);
-  nets_ = std::make_unique<Nets>(num_features_, latent_dim_, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", train.num_features()},
+                                 {"latent_dim", kLatentDim}},
+                                rng));
   nn::Adam opt(nn::CollectParameters({&nets_->enc1, &nets_->enc2, &nets_->to_mu,
                                       &nets_->to_logvar, &nets_->dec_input,
                                       &nets_->dec1, &nets_->dec2, &nets_->head}),
@@ -177,46 +157,23 @@ Status Ls4::Fit(const core::Dataset& train, const core::FitOptions& options) {
 }
 
 std::vector<Matrix> Ls4::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   const Var z = Randn(count, latent_dim_, rng);
   return StepsToSamples(nets_->Decode(z, seq_len_));
 }
 
-StatusOr<core::MethodSnapshot> Ls4::Snapshot() const {
-  if (nets_ == nullptr) {
-    return Status::FailedPrecondition("LS4: Fit must succeed before Snapshot");
-  }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "latent_dim", latent_dim_);
-  AppendParams(&snap, nn::CollectParameters(
-                          {&nets_->enc1, &nets_->enc2, &nets_->to_mu,
-                           &nets_->to_logvar, &nets_->dec_input, &nets_->dec1,
-                           &nets_->dec2, &nets_->head}));
-  return snap;
+Status Ls4::Build(const Dims& dims, Rng& rng) {
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"latent_dim", &latent_dim_}}));
+  nets_ = std::make_unique<Nets>(num_features_, latent_dim_, rng);
+  return Status::Ok();
 }
 
-Status Ls4::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, latent = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "LS4", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "LS4", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "LS4", "latent_dim", &latent));
-  if (seq_len <= 0 || n <= 0 || latent <= 0) {
-    return Status::InvalidArgument("LS4: non-positive dimension in snapshot");
-  }
-  Rng rng(0);
-  auto nets = std::make_unique<Nets>(n, latent, rng);
-  const std::vector<Var> params = nn::CollectParameters(
-      {&nets->enc1, &nets->enc2, &nets->to_mu, &nets->to_logvar,
-       &nets->dec_input, &nets->dec1, &nets->dec2, &nets->head});
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "LS4", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "LS4", 0, params));
-  nets_ = std::move(nets);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  latent_dim_ = latent;
-  return Status::Ok();
+std::vector<Matrix*> Ls4::State() const {
+  return ValuesOf(nn::CollectParameters(
+      {&nets_->enc1, &nets_->enc2, &nets_->to_mu, &nets_->to_logvar,
+       &nets_->dec_input, &nets_->dec1, &nets_->dec2, &nets_->head}));
 }
 
 uint64_t Ls4::HyperparameterDigest() const {

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -15,25 +15,26 @@ namespace tsg::methods {
 /// stochastic latent of dimension 5 (the paper's setting) trained on the VAE
 /// objective. Diagonal recurrences make both training and sampling cheap, which is
 /// what gives LS4 its standout training efficiency in the paper's Figure 5.
-class Ls4 : public core::TsgMethod {
+class Ls4 : public PaperMethod {
  public:
   Ls4();
   ~Ls4() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "LS4"; }
 
   struct Nets;
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   std::unique_ptr<Nets> nets_;
   int64_t seq_len_ = 0;
   int64_t num_features_ = 0;
-  int64_t latent_dim_ = 5;  // Paper setting.
+  int64_t latent_dim_ = 0;
 };
 
 }  // namespace tsg::methods

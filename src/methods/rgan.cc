@@ -10,37 +10,9 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
-using ag::AddRowVec;
-using ag::Backward;
 using ag::BceWithLogits;
-using ag::ColMeanVar;
-using ag::ColSum;
-using ag::ConcatCols;
-using ag::ConcatRows;
 using ag::Detach;
-using ag::Div;
-using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
-using ag::MatMul;
-using ag::Mean;
-using ag::MseLoss;
-using ag::Mul;
-using ag::MulRowVec;
-using ag::Neg;
-using ag::Randn;
-using ag::ScalarAdd;
 using ag::ScalarMul;
-using ag::Sigmoid;
-using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
-using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 struct Rgan::Nets {
   Nets(int64_t noise_dim, int64_t n, int64_t hidden, Rng& rng)
@@ -80,13 +52,13 @@ Rgan::~Rgan() = default;
 
 Status Rgan::Fit(const core::Dataset& train, const core::FitOptions& options) {
   if (train.empty()) return Status::InvalidArgument("RGAN: empty training set");
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-  noise_dim_ = std::clamp<int64_t>(num_features_, 4, 16);
-  hidden_ = std::clamp<int64_t>(4 * num_features_, 8, 48);
-
+  const int64_t n = train.num_features();
   Rng rng(options.seed ^ 0x46A1);
-  nets_ = std::make_unique<Nets>(noise_dim_, num_features_, hidden_, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", n},
+                                 {"noise_dim", std::clamp<int64_t>(n, 4, 16)},
+                                 {"hidden", std::clamp<int64_t>(4 * n, 8, 48)}},
+                                rng));
   nn::Adam g_opt(nn::CollectParameters({&nets_->gen_rnn, &nets_->gen_out}), 1e-3);
   nn::Adam d_opt(nn::CollectParameters({&nets_->disc_rnn, &nets_->disc_out}), 1e-3);
 
@@ -124,47 +96,23 @@ Status Rgan::Fit(const core::Dataset& train, const core::FitOptions& options) {
 }
 
 std::vector<Matrix> Rgan::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   const std::vector<Var> noise = NoiseSequence(seq_len_, count, noise_dim_, rng);
   return StepsToSamples(nets_->Generate(noise));
 }
 
-StatusOr<core::MethodSnapshot> Rgan::Snapshot() const {
-  if (nets_ == nullptr) {
-    return Status::FailedPrecondition("RGAN: Fit must succeed before Snapshot");
-  }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "noise_dim", noise_dim_);
-  PutConfig(&snap, "hidden", hidden_);
-  AppendParams(&snap, nn::CollectParameters({&nets_->gen_rnn, &nets_->gen_out,
-                                             &nets_->disc_rnn, &nets_->disc_out}));
-  return snap;
+Status Rgan::Build(const Dims& dims, Rng& rng) {
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"noise_dim", &noise_dim_},
+                                      {"hidden", &hidden_}}));
+  nets_ = std::make_unique<Nets>(noise_dim_, num_features_, hidden_, rng);
+  return Status::Ok();
 }
 
-Status Rgan::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, noise_dim = 0, hidden = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RGAN", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RGAN", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RGAN", "noise_dim", &noise_dim));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RGAN", "hidden", &hidden));
-  if (seq_len <= 0 || n <= 0 || noise_dim <= 0 || hidden <= 0) {
-    return Status::InvalidArgument("RGAN: non-positive dimension in snapshot");
-  }
-  // Placeholder init; every parameter is overwritten from the snapshot below.
-  Rng rng(0);
-  auto nets = std::make_unique<Nets>(noise_dim, n, hidden, rng);
-  const std::vector<Var> params = nn::CollectParameters(
-      {&nets->gen_rnn, &nets->gen_out, &nets->disc_rnn, &nets->disc_out});
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "RGAN", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "RGAN", 0, params));
-  nets_ = std::move(nets);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  noise_dim_ = noise_dim;
-  hidden_ = hidden;
-  return Status::Ok();
+std::vector<Matrix*> Rgan::State() const {
+  return ValuesOf(nn::CollectParameters(
+      {&nets_->gen_rnn, &nets_->gen_out, &nets_->disc_rnn, &nets_->disc_out}));
 }
 
 uint64_t Rgan::HyperparameterDigest() const {

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -14,19 +14,20 @@ namespace tsg::methods {
 /// time step. Trained with the standard alternating BCE objectives. Following the
 /// paper's parameter settings, the number of hidden units is 4N (clamped to a
 /// practical range for CPU training).
-class Rgan : public core::TsgMethod {
+class Rgan : public PaperMethod {
  public:
   Rgan();
   ~Rgan() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "RGAN"; }
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   struct Nets;
   std::unique_ptr<Nets> nets_;
   int64_t seq_len_ = 0;

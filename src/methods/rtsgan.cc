@@ -10,37 +10,13 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
 using ag::AddRowVec;
-using ag::Backward;
-using ag::BceWithLogits;
-using ag::ColMeanVar;
-using ag::ColSum;
-using ag::ConcatCols;
-using ag::ConcatRows;
 using ag::Detach;
-using ag::Div;
-using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
-using ag::MatMul;
 using ag::Mean;
 using ag::MseLoss;
-using ag::Mul;
-using ag::MulRowVec;
 using ag::Neg;
 using ag::Randn;
-using ag::ScalarAdd;
 using ag::ScalarMul;
-using ag::Sigmoid;
-using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
-using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 struct RtsGan::Nets {
   Nets(int64_t n, int64_t hidden, int64_t latent, int64_t noise, Rng& rng)
@@ -91,15 +67,15 @@ RtsGan::~RtsGan() = default;
 
 Status RtsGan::Fit(const core::Dataset& train, const core::FitOptions& options) {
   if (train.empty()) return Status::InvalidArgument("RTSGAN: empty training set");
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-  latent_dim_ = std::clamp<int64_t>(2 * num_features_, 8, 24);
-  noise_dim_ = latent_dim_;
-  hidden_ = std::clamp<int64_t>(2 * num_features_, 12, 36);
-
+  const int64_t n = train.num_features();
+  const int64_t latent_dim = std::clamp<int64_t>(2 * n, 8, 24);
   Rng rng(options.seed ^ 0x2757);
-  nets_ =
-      std::make_unique<Nets>(num_features_, hidden_, latent_dim_, noise_dim_, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", n},
+                                 {"latent_dim", latent_dim},
+                                 {"noise_dim", latent_dim},
+                                 {"hidden", std::clamp<int64_t>(2 * n, 12, 36)}},
+                                rng));
 
   // ---- Stage 1: autoencoder. ----
   nn::Adam ae_opt(nn::CollectParameters({&nets_->encoder, &nets_->to_latent,
@@ -162,52 +138,26 @@ Status RtsGan::Fit(const core::Dataset& train, const core::FitOptions& options) 
 }
 
 std::vector<Matrix> RtsGan::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   const Var latent = nets_->latent_gen.Forward(Randn(count, noise_dim_, rng));
   return StepsToSamples(nets_->Decode(latent, seq_len_));
 }
 
-StatusOr<core::MethodSnapshot> RtsGan::Snapshot() const {
-  if (nets_ == nullptr) {
-    return Status::FailedPrecondition("RTSGAN: Fit must succeed before Snapshot");
-  }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "latent_dim", latent_dim_);
-  PutConfig(&snap, "noise_dim", noise_dim_);
-  PutConfig(&snap, "hidden", hidden_);
-  AppendParams(&snap, nn::CollectParameters(
-                          {&nets_->encoder, &nets_->to_latent, &nets_->from_latent,
-                           &nets_->decoder, &nets_->dec_head, &nets_->latent_gen,
-                           &nets_->critic}));
-  return snap;
+Status RtsGan::Build(const Dims& dims, Rng& rng) {
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"latent_dim", &latent_dim_},
+                                      {"noise_dim", &noise_dim_},
+                                      {"hidden", &hidden_}}));
+  nets_ =
+      std::make_unique<Nets>(num_features_, hidden_, latent_dim_, noise_dim_, rng);
+  return Status::Ok();
 }
 
-Status RtsGan::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, latent = 0, noise = 0, hidden = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RTSGAN", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RTSGAN", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RTSGAN", "latent_dim", &latent));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RTSGAN", "noise_dim", &noise));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "RTSGAN", "hidden", &hidden));
-  if (seq_len <= 0 || n <= 0 || latent <= 0 || noise <= 0 || hidden <= 0) {
-    return Status::InvalidArgument("RTSGAN: non-positive dimension in snapshot");
-  }
-  Rng rng(0);
-  auto nets = std::make_unique<Nets>(n, hidden, latent, noise, rng);
-  const std::vector<Var> params = nn::CollectParameters(
-      {&nets->encoder, &nets->to_latent, &nets->from_latent, &nets->decoder,
-       &nets->dec_head, &nets->latent_gen, &nets->critic});
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "RTSGAN", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "RTSGAN", 0, params));
-  nets_ = std::move(nets);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  latent_dim_ = latent;
-  noise_dim_ = noise;
-  hidden_ = hidden;
-  return Status::Ok();
+std::vector<Matrix*> RtsGan::State() const {
+  return ValuesOf(nn::CollectParameters(
+      {&nets_->encoder, &nets_->to_latent, &nets_->from_latent, &nets_->decoder,
+       &nets_->dec_head, &nets_->latent_gen, &nets_->critic}));
 }
 
 uint64_t RtsGan::HyperparameterDigest() const {

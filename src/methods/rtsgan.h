@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -14,19 +14,20 @@ namespace tsg::methods {
 /// critic, the paper's "complete time series generation" mode with Adam beta1=0.9,
 /// beta2=0.999) is trained in that latent space; generation samples the latent GAN
 /// and decodes.
-class RtsGan : public core::TsgMethod {
+class RtsGan : public PaperMethod {
  public:
   RtsGan();
   ~RtsGan() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "RTSGAN"; }
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   struct Nets;
   std::unique_ptr<Nets> nets_;
   int64_t seq_len_ = 0;

@@ -12,36 +12,18 @@
 namespace tsg::methods {
 
 using ag::Abs;
-using ag::Add;
-using ag::AddRowVec;
-using ag::Backward;
 using ag::BceWithLogits;
 using ag::ColMeanVar;
-using ag::ColSum;
-using ag::ConcatCols;
 using ag::ConcatRows;
 using ag::Detach;
-using ag::Div;
-using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
 using ag::MatMul;
 using ag::Mean;
 using ag::MseLoss;
-using ag::Mul;
-using ag::MulRowVec;
-using ag::Neg;
-using ag::Randn;
 using ag::ScalarAdd;
 using ag::ScalarMul;
 using ag::Sigmoid;
-using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
 using ag::Sqrt;
 using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 struct TimeGan::Nets {
   Nets(int64_t n, int64_t hidden, int64_t noise_dim, Rng& rng)
@@ -149,16 +131,13 @@ TimeGan::~TimeGan() = default;
 
 Status TimeGan::Fit(const core::Dataset& train, const core::FitOptions& options) {
   if (train.empty()) return Status::InvalidArgument("TimeGAN: empty training set");
-  if (train.seq_len() < 2) {
-    return Status::InvalidArgument("TimeGAN requires sequences of length >= 2");
-  }
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-  noise_dim_ = std::clamp<int64_t>(num_features_, 4, 16);
-  hidden_ = std::clamp<int64_t>(2 * num_features_, 12, 36);
-
+  const int64_t n = train.num_features();
   Rng rng(options.seed ^ 0x716A);
-  nets_ = std::make_unique<Nets>(num_features_, hidden_, noise_dim_, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", n},
+                                 {"noise_dim", std::clamp<int64_t>(n, 4, 16)},
+                                 {"hidden", std::clamp<int64_t>(2 * n, 12, 36)}},
+                                rng));
 
   auto ae_params = nn::CollectParameters({&nets_->embedder, &nets_->recovery_head});
   auto sup_params = nn::CollectParameters({&nets_->supervisor, &nets_->sup_head});
@@ -261,52 +240,29 @@ Status TimeGan::Fit(const core::Dataset& train, const core::FitOptions& options)
 }
 
 std::vector<Matrix> TimeGan::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   const std::vector<Var> noise = NoiseSequence(seq_len_, count, noise_dim_, rng);
   const std::vector<Var> h_hat = nets_->GenerateLatent(noise);
   return StepsToSamples(nets_->Recover(h_hat));
 }
 
-StatusOr<core::MethodSnapshot> TimeGan::Snapshot() const {
-  if (nets_ == nullptr) {
-    return Status::FailedPrecondition("TimeGAN: Fit must succeed before Snapshot");
+Status TimeGan::Build(const Dims& dims, Rng& rng) {
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"noise_dim", &noise_dim_},
+                                      {"hidden", &hidden_}}));
+  if (seq_len_ < 2) {
+    return Status::InvalidArgument("TimeGAN requires sequences of length >= 2");
   }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "noise_dim", noise_dim_);
-  PutConfig(&snap, "hidden", hidden_);
-  AppendParams(&snap,
-               nn::CollectParameters(
-                   {&nets_->embedder, &nets_->recovery_head, &nets_->generator,
-                    &nets_->gen_head, &nets_->supervisor, &nets_->sup_head,
-                    &nets_->discriminator, &nets_->disc_head}));
-  return snap;
+  nets_ = std::make_unique<Nets>(num_features_, hidden_, noise_dim_, rng);
+  return Status::Ok();
 }
 
-Status TimeGan::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, noise_dim = 0, hidden = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeGAN", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeGAN", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeGAN", "noise_dim", &noise_dim));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeGAN", "hidden", &hidden));
-  if (seq_len <= 0 || n <= 0 || noise_dim <= 0 || hidden <= 0) {
-    return Status::InvalidArgument("TimeGAN: non-positive dimension in snapshot");
-  }
-  Rng rng(0);
-  auto nets = std::make_unique<Nets>(n, hidden, noise_dim, rng);
-  const std::vector<Var> params = nn::CollectParameters(
-      {&nets->embedder, &nets->recovery_head, &nets->generator, &nets->gen_head,
-       &nets->supervisor, &nets->sup_head, &nets->discriminator,
-       &nets->disc_head});
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "TimeGAN", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "TimeGAN", 0, params));
-  nets_ = std::move(nets);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  noise_dim_ = noise_dim;
-  hidden_ = hidden;
-  return Status::Ok();
+std::vector<Matrix*> TimeGan::State() const {
+  return ValuesOf(nn::CollectParameters(
+      {&nets_->embedder, &nets_->recovery_head, &nets_->generator, &nets_->gen_head,
+       &nets_->supervisor, &nets_->sup_head, &nets_->discriminator,
+       &nets_->disc_head}));
 }
 
 uint64_t TimeGan::HyperparameterDigest() const {

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -16,15 +16,13 @@ namespace tsg::methods {
 /// next-step dynamics, (3) joint adversarial training with the supervised and moment
 /// losses. GRU stacks follow the paper's suggested architecture (depth reduced to 2
 /// for CPU budgets).
-class TimeGan : public core::TsgMethod {
+class TimeGan : public PaperMethod {
  public:
   TimeGan();
   ~TimeGan() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "TimeGAN"; }
 
@@ -32,6 +30,9 @@ class TimeGan : public core::TsgMethod {
   struct Nets;
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   std::unique_ptr<Nets> nets_;
   int64_t seq_len_ = 0;
   int64_t num_features_ = 0;

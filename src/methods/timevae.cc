@@ -11,40 +11,20 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
-using ag::AddRowVec;
-using ag::Backward;
-using ag::BceWithLogits;
-using ag::ColMeanVar;
-using ag::ColSum;
-using ag::ConcatCols;
-using ag::ConcatRows;
-using ag::Detach;
-using ag::Div;
 using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
 using ag::MatMul;
 using ag::Mean;
 using ag::MseLoss;
 using ag::Mul;
-using ag::MulRowVec;
-using ag::Neg;
 using ag::Randn;
 using ag::ScalarAdd;
 using ag::ScalarMul;
 using ag::Sigmoid;
-using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
 using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 namespace {
 
+constexpr int64_t kLatentDim = 8;   // Paper setting.
 constexpr int kTrendDegree = 2;     // Polynomial trend basis degree.
 constexpr int kSeasonHarmonics = 2; // Fourier seasonal harmonics.
 constexpr double kKlWeight = 0.05;
@@ -134,11 +114,11 @@ TimeVae::~TimeVae() = default;
 
 Status TimeVae::Fit(const core::Dataset& train, const core::FitOptions& options) {
   if (train.empty()) return Status::InvalidArgument("TimeVAE: empty training set");
-  seq_len_ = train.seq_len();
-  num_features_ = train.num_features();
-
   Rng rng(options.seed ^ 0x71AE);
-  nets_ = std::make_unique<Nets>(seq_len_, num_features_, latent_dim_, rng);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", train.num_features()},
+                                 {"latent_dim", kLatentDim}},
+                                rng));
   nn::Adam opt(nn::CollectParameters({&nets_->encoder, &nets_->to_mu,
                                       &nets_->to_logvar, &nets_->trend_coeff,
                                       &nets_->season_coeff, &nets_->residual}),
@@ -198,49 +178,26 @@ std::vector<Matrix> RowsToSamples(const Matrix& flat, int64_t l, int64_t n) {
 }  // namespace
 
 std::vector<Matrix> TimeVae::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(nets_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   const Var z = Randn(count, latent_dim_, rng);
   const Var flat = nets_->Decode(z);
   return RowsToSamples(flat.value(), seq_len_, num_features_);
 }
 
-StatusOr<core::MethodSnapshot> TimeVae::Snapshot() const {
-  if (nets_ == nullptr) {
-    return Status::FailedPrecondition("TimeVAE: Fit must succeed before Snapshot");
-  }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", seq_len_);
-  PutConfig(&snap, "num_features", num_features_);
-  PutConfig(&snap, "latent_dim", latent_dim_);
-  AppendParams(&snap, nn::CollectParameters(
-                          {&nets_->encoder, &nets_->to_mu, &nets_->to_logvar,
-                           &nets_->trend_coeff, &nets_->season_coeff,
-                           &nets_->residual}));
-  return snap;
+Status TimeVae::Build(const Dims& dims, Rng& rng) {
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &seq_len_},
+                                      {"num_features", &num_features_},
+                                      {"latent_dim", &latent_dim_}}));
+  // The trend/season mixing matrices are fixed functions of (l, n), built here;
+  // only the trainable tensors are state.
+  nets_ = std::make_unique<Nets>(seq_len_, num_features_, latent_dim_, rng);
+  return Status::Ok();
 }
 
-Status TimeVae::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, latent = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeVAE", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeVAE", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeVAE", "latent_dim", &latent));
-  if (seq_len <= 0 || n <= 0 || latent <= 0) {
-    return Status::InvalidArgument("TimeVAE: non-positive dimension in snapshot");
-  }
-  // The trend/season mixing matrices are deterministic functions of (l, n), so
-  // the constructor rebuilds them; only trainable tensors come from the snapshot.
-  Rng rng(0);
-  auto nets = std::make_unique<Nets>(seq_len, n, latent, rng);
-  const std::vector<Var> params = nn::CollectParameters(
-      {&nets->encoder, &nets->to_mu, &nets->to_logvar, &nets->trend_coeff,
-       &nets->season_coeff, &nets->residual});
-  TSG_RETURN_IF_ERROR(CheckParamCount(snapshot, "TimeVAE", params.size()));
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "TimeVAE", 0, params));
-  nets_ = std::move(nets);
-  seq_len_ = seq_len;
-  num_features_ = n;
-  latent_dim_ = latent;
-  return Status::Ok();
+std::vector<Matrix*> TimeVae::State() const {
+  return ValuesOf(nn::CollectParameters(
+      {&nets_->encoder, &nets_->to_mu, &nets_->to_logvar, &nets_->trend_coeff,
+       &nets_->season_coeff, &nets_->residual}));
 }
 
 uint64_t TimeVae::HyperparameterDigest() const {

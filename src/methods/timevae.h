@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -17,25 +17,26 @@ namespace tsg::methods {
 /// standard-normal latents. (The paper's convolutional residual block is realized as
 /// a dense residual network — the trend/seasonality decomposition, which drives the
 /// method's behaviour, is kept exactly.)
-class TimeVae : public core::TsgMethod {
+class TimeVae : public PaperMethod {
  public:
   TimeVae();
   ~TimeVae() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "TimeVAE"; }
 
   struct Nets;
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   std::unique_ptr<Nets> nets_;
   int64_t seq_len_ = 0;
   int64_t num_features_ = 0;
-  int64_t latent_dim_ = 8;  // Paper setting.
+  int64_t latent_dim_ = 0;
 };
 
 }  // namespace tsg::methods

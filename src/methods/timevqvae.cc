@@ -11,37 +11,9 @@
 
 namespace tsg::methods {
 
-using ag::Abs;
-using ag::Add;
-using ag::AddRowVec;
-using ag::Backward;
-using ag::BceWithLogits;
-using ag::ColMeanVar;
-using ag::ColSum;
-using ag::ConcatCols;
-using ag::ConcatRows;
 using ag::Detach;
-using ag::Div;
-using ag::Exp;
-using ag::L1Loss;
-using ag::Log;
-using ag::MatMul;
-using ag::Mean;
 using ag::MseLoss;
-using ag::Mul;
-using ag::MulRowVec;
-using ag::Neg;
-using ag::Randn;
-using ag::ScalarAdd;
 using ag::ScalarMul;
-using ag::Sigmoid;
-using ag::SliceCols;
-using ag::SliceRows;
-using ag::Softplus;
-using ag::Sqrt;
-using ag::Square;
-using ag::Sum;
-using ag::Tanh;
 
 namespace {
 
@@ -129,7 +101,7 @@ struct BandVqVae {
       : encoder({band_dim, 64, kEmbedDim}, rng, nn::Activation::kRelu),
         decoder({kEmbedDim, 64, band_dim}, rng, nn::Activation::kRelu),
         codebook(kCodebookSize, kSubDim),
-        ema_counts(static_cast<size_t>(kCodebookSize), 1.0),
+        ema_counts(Matrix::Constant(kCodebookSize, 1, 1.0)),
         ema_sums(kCodebookSize, kSubDim) {
     for (int64_t i = 0; i < codebook.size(); ++i) codebook[i] = rng.Normal() * 0.1;
     ema_sums = codebook;
@@ -185,13 +157,11 @@ struct BandVqVae {
       }
     }
     for (int64_t k = 0; k < kCodebookSize; ++k) {
-      ema_counts[static_cast<size_t>(k)] =
-          kEmaDecay * ema_counts[static_cast<size_t>(k)] +
-          (1.0 - kEmaDecay) * counts[static_cast<size_t>(k)];
+      ema_counts[k] =
+          kEmaDecay * ema_counts[k] + (1.0 - kEmaDecay) * counts[static_cast<size_t>(k)];
       for (int64_t c = 0; c < kSubDim; ++c) {
         ema_sums(k, c) = kEmaDecay * ema_sums(k, c) + (1.0 - kEmaDecay) * sums(k, c);
-        codebook(k, c) =
-            ema_sums(k, c) / std::max(ema_counts[static_cast<size_t>(k)], 1e-5);
+        codebook(k, c) = ema_sums(k, c) / std::max(ema_counts[k], 1e-5);
       }
     }
   }
@@ -210,7 +180,7 @@ struct BandVqVae {
   nn::Mlp encoder;
   nn::Mlp decoder;
   Matrix codebook;
-  std::vector<double> ema_counts;
+  Matrix ema_counts;  // (K x 1).
   Matrix ema_sums;
 };
 
@@ -218,13 +188,13 @@ struct BandVqVae {
 /// fit by counting with Laplace smoothing.
 struct BigramPrior {
   BigramPrior()
-      : initial(static_cast<size_t>(kCodebookSize), 1.0),
+      : initial(Matrix::Constant(kCodebookSize, 1, 1.0)),
         transitions(2 * kSubCodes - 1, Matrix(kCodebookSize, kCodebookSize)) {
     for (auto& t : transitions) t.Fill(1.0);
   }
 
   void Observe(const std::vector<int64_t>& seq) {
-    initial[static_cast<size_t>(seq[0])] += 1.0;
+    initial[seq[0]] += 1.0;
     for (size_t p = 0; p + 1 < seq.size(); ++p) {
       transitions[p](seq[p], seq[p + 1]) += 1.0;
     }
@@ -251,7 +221,7 @@ struct BigramPrior {
     return kCodebookSize - 1;
   }
 
-  std::vector<double> initial;
+  Matrix initial;  // (K x 1).
   std::vector<Matrix> transitions;
 };
 
@@ -280,17 +250,15 @@ Status TimeVqVae::Fit(const core::Dataset& train, const core::FitOptions& option
   }
   Rng rng(options.seed ^ 0x70BE);
 
-  // Establish the band layout from one probe STFT.
-  BandLayout layout;
-  layout.seq_len = train.seq_len();
-  layout.features = train.num_features();
-  {
-    std::vector<double> probe(static_cast<size_t>(layout.seq_len), 0.0);
-    const signal::Stft stft = signal::ComputeStft(probe, kNfft, kHop);
-    layout.frames = stft.num_frames();
-    layout.bins = stft.num_bins();
-  }
-  impl_ = std::make_unique<Impl>(layout, rng);
+  // The band layout comes from one probe STFT.
+  const signal::Stft probe = signal::ComputeStft(
+      std::vector<double>(static_cast<size_t>(train.seq_len()), 0.0), kNfft, kHop);
+  TSG_RETURN_IF_ERROR(BuildFrom({{"seq_len", train.seq_len()},
+                                 {"num_features", train.num_features()},
+                                 {"frames", probe.num_frames()},
+                                 {"bins", probe.num_bins()}},
+                                rng));
+  const BandLayout& layout = impl_->layout;
 
   // Precompute band vectors for every training sample.
   const int64_t count = train.num_samples();
@@ -362,119 +330,31 @@ Status TimeVqVae::Fit(const core::Dataset& train, const core::FitOptions& option
   return Status::Ok();
 }
 
-namespace {
-
-/// Serializes a BandVqVae's non-gradient state (codebook + EMA statistics).
-void AppendBandState(core::MethodSnapshot* snap, const BandVqVae& band) {
-  snap->params.push_back(band.codebook);
-  Matrix counts(kCodebookSize, 1);
-  for (int64_t k = 0; k < kCodebookSize; ++k) {
-    counts(k, 0) = band.ema_counts[static_cast<size_t>(k)];
-  }
-  snap->params.push_back(std::move(counts));
-  snap->params.push_back(band.ema_sums);
-}
-
-/// Reads back what AppendBandState wrote; shapes are pre-validated by the caller.
-void RestoreBandState(const core::MethodSnapshot& snap, size_t pos,
-                      BandVqVae* band) {
-  band->codebook = snap.params[pos];
-  for (int64_t k = 0; k < kCodebookSize; ++k) {
-    band->ema_counts[static_cast<size_t>(k)] = snap.params[pos + 1](k, 0);
-  }
-  band->ema_sums = snap.params[pos + 2];
-}
-
-Status CheckShape(const Matrix& m, int64_t rows, int64_t cols,
-                  const char* what) {
-  if (m.rows() != rows || m.cols() != cols) {
-    return Status::InvalidArgument(
-        std::string("TimeVQVAE: bad shape for ") + what + ": expected " +
-        std::to_string(rows) + "x" + std::to_string(cols) + ", got " +
-        std::to_string(m.rows()) + "x" + std::to_string(m.cols()));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<core::MethodSnapshot> TimeVqVae::Snapshot() const {
-  if (impl_ == nullptr) {
-    return Status::FailedPrecondition(
-        "TimeVQVAE: Fit must succeed before Snapshot");
-  }
-  core::MethodSnapshot snap;
-  PutConfig(&snap, "seq_len", impl_->layout.seq_len);
-  PutConfig(&snap, "num_features", impl_->layout.features);
-  PutConfig(&snap, "frames", impl_->layout.frames);
-  PutConfig(&snap, "bins", impl_->layout.bins);
-  AppendParams(&snap, nn::CollectParameters(
-                          {&impl_->low.encoder, &impl_->low.decoder,
-                           &impl_->high.encoder, &impl_->high.decoder}));
-  // Non-gradient state follows the Var parameters: per-band codebook + EMA
-  // statistics, then the bigram prior (initial weights + transition counts).
-  AppendBandState(&snap, impl_->low);
-  AppendBandState(&snap, impl_->high);
-  Matrix initial(kCodebookSize, 1);
-  for (int64_t k = 0; k < kCodebookSize; ++k) {
-    initial(k, 0) = impl_->prior.initial[static_cast<size_t>(k)];
-  }
-  snap.params.push_back(std::move(initial));
-  for (const Matrix& t : impl_->prior.transitions) snap.params.push_back(t);
-  return snap;
-}
-
-Status TimeVqVae::Restore(const core::MethodSnapshot& snapshot) {
-  int64_t seq_len = 0, n = 0, frames = 0, bins = 0;
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeVQVAE", "seq_len", &seq_len));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeVQVAE", "num_features", &n));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeVQVAE", "frames", &frames));
-  TSG_RETURN_IF_ERROR(GetConfig(snapshot, "TimeVQVAE", "bins", &bins));
-  if (seq_len < kNfft || n <= 0 || frames <= 0 || bins <= 0) {
-    return Status::InvalidArgument("TimeVQVAE: invalid layout in snapshot");
-  }
+Status TimeVqVae::Build(const Dims& dims, Rng& rng) {
   BandLayout layout;
-  layout.seq_len = seq_len;
-  layout.features = n;
-  layout.frames = frames;
-  layout.bins = bins;
-  if (layout.BandDim(false) <= 0) {
-    return Status::InvalidArgument("TimeVQVAE: invalid layout in snapshot");
+  TSG_RETURN_IF_ERROR(ReadDims(dims, {{"seq_len", &layout.seq_len},
+                                      {"num_features", &layout.features},
+                                      {"frames", &layout.frames},
+                                      {"bins", &layout.bins}}));
+  if (layout.seq_len < kNfft || layout.bins <= kLowBins) {
+    return Status::InvalidArgument("TimeVQVAE: invalid band layout");
   }
-  Rng rng(0);
-  auto impl = std::make_unique<Impl>(layout, rng);
-  const std::vector<Var> params = nn::CollectParameters(
-      {&impl->low.encoder, &impl->low.decoder, &impl->high.encoder,
-       &impl->high.decoder});
-  const size_t extras = 2 * 3 + 1 + (2 * kSubCodes - 1);
-  TSG_RETURN_IF_ERROR(
-      CheckParamCount(snapshot, "TimeVQVAE", params.size() + extras));
-  size_t pos = params.size();
-  for (size_t band = 0; band < 2; ++band) {
-    TSG_RETURN_IF_ERROR(CheckShape(snapshot.params[pos + band * 3],
-                                   kCodebookSize, kSubDim, "codebook"));
-    TSG_RETURN_IF_ERROR(CheckShape(snapshot.params[pos + band * 3 + 1],
-                                   kCodebookSize, 1, "ema_counts"));
-    TSG_RETURN_IF_ERROR(CheckShape(snapshot.params[pos + band * 3 + 2],
-                                   kCodebookSize, kSubDim, "ema_sums"));
-  }
-  TSG_RETURN_IF_ERROR(
-      CheckShape(snapshot.params[pos + 6], kCodebookSize, 1, "prior initial"));
-  for (size_t t = 0; t < static_cast<size_t>(2 * kSubCodes - 1); ++t) {
-    TSG_RETURN_IF_ERROR(CheckShape(snapshot.params[pos + 7 + t], kCodebookSize,
-                                   kCodebookSize, "prior transitions"));
-  }
-  TSG_RETURN_IF_ERROR(AssignParams(snapshot, "TimeVQVAE", 0, params));
-  RestoreBandState(snapshot, pos, &impl->low);
-  RestoreBandState(snapshot, pos + 3, &impl->high);
-  for (int64_t k = 0; k < kCodebookSize; ++k) {
-    impl->prior.initial[static_cast<size_t>(k)] = snapshot.params[pos + 6](k, 0);
-  }
-  for (size_t t = 0; t < impl->prior.transitions.size(); ++t) {
-    impl->prior.transitions[t] = snapshot.params[pos + 7 + t];
-  }
-  impl_ = std::move(impl);
+  impl_ = std::make_unique<Impl>(layout, rng);
   return Status::Ok();
+}
+
+/// The Var parameters, then the non-gradient state: per band the codebook and
+/// EMA statistics, then the bigram prior (initial weights, transition counts).
+std::vector<Matrix*> TimeVqVae::State() const {
+  std::vector<Matrix*> state = ValuesOf(
+      nn::CollectParameters({&impl_->low.encoder, &impl_->low.decoder,
+                             &impl_->high.encoder, &impl_->high.decoder}));
+  for (BandVqVae* band : {&impl_->low, &impl_->high}) {
+    state.insert(state.end(), {&band->codebook, &band->ema_counts, &band->ema_sums});
+  }
+  state.push_back(&impl_->prior.initial);
+  for (Matrix& t : impl_->prior.transitions) state.push_back(&t);
+  return state;
 }
 
 uint64_t TimeVqVae::HyperparameterDigest() const {
@@ -484,7 +364,7 @@ uint64_t TimeVqVae::HyperparameterDigest() const {
 }
 
 std::vector<Matrix> TimeVqVae::Generate(int64_t count, Rng& rng) const {
-  TSG_CHECK(impl_ != nullptr) << "Fit must be called before Generate";
+  TSG_CHECK(built()) << "Fit must be called before Generate";
   std::vector<Matrix> samples;
   samples.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/method.h"
+#include "methods/common.h"
 
 namespace tsg::methods {
 
@@ -16,21 +16,22 @@ namespace tsg::methods {
 /// gradients, product quantization over 4 sub-codes per band). Stage 2: a bigram
 /// prior over the 8 code positions is fit by counting; sampling draws codes from the
 /// prior, decodes both bands, and inverse-STFTs back to the time domain.
-class TimeVqVae : public core::TsgMethod {
+class TimeVqVae : public PaperMethod {
  public:
   TimeVqVae();
   ~TimeVqVae() override;
 
   Status Fit(const core::Dataset& train, const core::FitOptions& options) override;
   std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override;
-  StatusOr<core::MethodSnapshot> Snapshot() const override;
-  Status Restore(const core::MethodSnapshot& snapshot) override;
   uint64_t HyperparameterDigest() const override;
   std::string name() const override { return "TimeVQVAE"; }
 
   struct Impl;
 
  private:
+  Status Build(const Dims& dims, Rng& rng) override;
+  std::vector<linalg::Matrix*> State() const override;
+
   std::unique_ptr<Impl> impl_;
 };
 

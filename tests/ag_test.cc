@@ -88,7 +88,7 @@ struct OpCase {
   const char* name;
   // Builds a scalar loss from two parameter matrices (some ops ignore the second).
   std::function<Var(const Var&, const Var&)> build;
-  // Some ops need positive inputs (Log, Sqrt, PowScalar).
+  // Some ops need positive inputs (Sqrt).
   bool positive_inputs = false;
 };
 
@@ -119,21 +119,14 @@ INSTANTIATE_TEST_SUITE_P(
         OpCase{"Add", [](const Var& a, const Var& b) { return Sum(Add(a, b)); }},
         OpCase{"Sub", [](const Var& a, const Var& b) { return Sum(Sub(a, b)); }},
         OpCase{"Mul", [](const Var& a, const Var& b) { return Sum(Mul(a, b)); }},
-        OpCase{"Div", [](const Var& a, const Var& b) { return Sum(Div(a, b)); },
-               /*positive_inputs=*/true},
         OpCase{"Neg", [](const Var& a, const Var&) { return Sum(Neg(a)); }},
         OpCase{"ScalarMul",
                [](const Var& a, const Var&) { return Sum(ScalarMul(a, -1.7)); }},
         OpCase{"ScalarAdd",
                [](const Var& a, const Var&) { return Sum(ScalarAdd(a, 2.5)); }},
-        OpCase{"PowScalar",
-               [](const Var& a, const Var&) { return Sum(PowScalar(a, 1.7)); },
-               /*positive_inputs=*/true},
         OpCase{"Sigmoid", [](const Var& a, const Var&) { return Sum(Sigmoid(a)); }},
         OpCase{"Tanh", [](const Var& a, const Var&) { return Sum(Tanh(a)); }},
         OpCase{"Exp", [](const Var& a, const Var&) { return Sum(Exp(a)); }},
-        OpCase{"Log", [](const Var& a, const Var&) { return Sum(Log(a)); },
-               /*positive_inputs=*/true},
         OpCase{"Softplus", [](const Var& a, const Var&) { return Sum(Softplus(a)); }},
         OpCase{"Square", [](const Var& a, const Var&) { return Sum(Square(a)); }},
         OpCase{"Sqrt", [](const Var& a, const Var&) { return Sum(Sqrt(a)); },
@@ -157,13 +150,8 @@ INSTANTIATE_TEST_SUITE_P(
                [](const Var& a, const Var&) {
                  return Sum(Square(SliceCols(a, 1, 2)));
                }},
-        OpCase{"SliceRows",
-               [](const Var& a, const Var&) {
-                 return Sum(Square(SliceRows(a, 0, 2)));
-               }},
         OpCase{"MseLoss",
                [](const Var& a, const Var& b) { return MseLoss(a, b); }},
-        OpCase{"L1Loss", [](const Var& a, const Var& b) { return L1Loss(a, b); }},
         OpCase{"MatMulPath",
                [](const Var& a, const Var& b) {
                  return Sum(Square(MatMul(a, Transpose(b))));
@@ -231,32 +219,6 @@ TEST(OpGradManualTest, DeepComposition) {
       {w1, b1, w2});
 }
 
-TEST(OpValueTest, DropoutZeroRateIsIdentity) {
-  Rng rng(12);
-  const Var a = Var::Parameter(Matrix({{1, 2}, {3, 4}}));
-  const Var d = Dropout(a, 0.0, rng);
-  EXPECT_TRUE(linalg::AllClose(d.value(), a.value()));
-}
-
-TEST(OpValueTest, DropoutPreservesExpectation) {
-  Rng rng(13);
-  const Var a = Var::Constant(Matrix::Constant(100, 100, 1.0));
-  const Var d = Dropout(a, 0.3, rng);
-  EXPECT_NEAR(d.value().Mean(), 1.0, 0.05);
-}
-
-TEST(OpValueTest, DropoutGradMatchesMask) {
-  Rng rng(14);
-  Var a = Var::Parameter(Matrix::Constant(10, 10, 2.0));
-  a.ZeroGrad();
-  const Var d = Dropout(a, 0.5, rng);
-  Backward(Sum(d));
-  for (int64_t i = 0; i < a.value().size(); ++i) {
-    const double expected = d.value()[i] == 0.0 ? 0.0 : 2.0;  // 1/(1-0.5).
-    EXPECT_NEAR(a.grad()[i], expected, 1e-12);
-  }
-}
-
 TEST(OpValueTest, RandnShapeAndMoments) {
   Rng rng(15);
   const Var z = Randn(200, 50, rng, 2.0);
@@ -266,14 +228,6 @@ TEST(OpValueTest, RandnShapeAndMoments) {
   for (int64_t i = 0; i < z.value().size(); ++i) var += z.value()[i] * z.value()[i];
   var /= static_cast<double>(z.value().size());
   EXPECT_NEAR(var, 4.0, 0.2);
-}
-
-TEST(OpValueTest, OnesZerosLike) {
-  const Var a = Var::Constant(Matrix(2, 3));
-  EXPECT_DOUBLE_EQ(OnesLike(a).value()(1, 2), 1.0);
-  EXPECT_DOUBLE_EQ(ZerosLike(a).value()(1, 2), 0.0);
-  EXPECT_EQ(OnesLike(a).rows(), 2);
-  EXPECT_EQ(OnesLike(a).cols(), 3);
 }
 
 TEST(OpValueTest, OperatorSugarMatchesFunctions) {
@@ -339,7 +293,7 @@ TEST(EdgeCaseTest, MeanOfEmptyMatrixIsZero) {
 TEST(EdgeCaseTest, ScalarChainOnOneByOne) {
   Var x = Var::Parameter(Matrix({{0.5}}));
   x.ZeroGrad();
-  Backward(Log(Exp(x)));  // Identity: gradient 1.
+  Backward(Sqrt(Square(x)));  // Identity for x > 0: gradient 1.
   EXPECT_NEAR(x.grad()(0, 0), 1.0, 1e-9);
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/stopwatch.h"
+#include "base/thread_pool.h"
 
 namespace tsg {
 namespace {
@@ -156,6 +158,22 @@ TEST(CheckDeathTest, FailedCheckAborts) {
 
 TEST(CheckDeathTest, ComparisonMacroReportsValues) {
   EXPECT_DEATH({ TSG_CHECK_EQ(3, 4); }, "3 vs 4");
+}
+
+TEST(ThreadPoolEnvDeathTest, MalformedThreadCountExitsTwo) {
+  // The pool is a process singleton sized once from TSG_THREADS, so each case
+  // runs in a freshly started child that sets the variable before the pool
+  // exists.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"2x", "0"}) {
+    EXPECT_EXIT(
+        {
+          setenv("TSG_THREADS", bad, /*overwrite=*/1);
+          base::ThreadPool::Global();
+        },
+        ::testing::ExitedWithCode(2), "invalid value for TSG_THREADS")
+        << bad;
+  }
 }
 
 TEST(CheckTest, PassingCheckIsSilent) {

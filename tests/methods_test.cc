@@ -183,12 +183,12 @@ TEST(GuardedStepTest, NanLossReturnsNumericalErrorWithContext) {
 }
 
 TEST(GuardedStepTest, InfiniteGradientReturnsNumericalError) {
-  // x^0.5 at x=0 has an infinite derivative: the loss value (0) is finite but
-  // the gradient norm is not — the guard must catch it before Step poisons the
-  // params.
+  // Two chained 1e308 scalings at w=0 keep the loss value at 0, but the
+  // gradient (1e308 * 1e308) overflows to inf — the guard must catch it before
+  // Step poisons the params.
   ag::Var w = ag::Var::Parameter(linalg::Matrix(1, 1));
   nn::Sgd opt({w}, 0.1);
-  const ag::Var loss = ag::PowScalar(w, 0.5);
+  const ag::Var loss = ag::ScalarMul(ag::ScalarMul(w, 1e308), 1e308);
   const Status s = GuardedStep(opt, loss, 5.0, {"Test", "train", 1});
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kNumericalError);

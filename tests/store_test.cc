@@ -2,6 +2,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "base/fnv.h"
+#include "base/status.h"
 #include "core/dataset.h"
 #include "core/harness.h"
 #include "core/method.h"
@@ -296,10 +299,74 @@ TEST(RestoreValidationTest, MissingConfigKeyFailsCleanly) {
   ASSERT_TRUE(method.value()->Fit(TinyDataset(), QuickFit()).ok());
   auto snapshot = method.value()->Snapshot();
   ASSERT_TRUE(snapshot.ok());
-  snapshot.value().config.clear();
-  auto fresh = methods::CreateMethod("RGAN");
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_FALSE(fresh.value()->Restore(snapshot.value()).ok());
+  MethodSnapshot missing = snapshot.value();
+  missing.config.clear();
+  MethodSnapshot malformed = snapshot.value();
+  malformed.config[0].second = "12x";
+  const std::vector<std::pair<MethodSnapshot, std::string>> cases = {
+      {missing, "missing config key"}, {malformed, "bad config value"}};
+  for (const auto& [bad, error] : cases) {
+    auto fresh = methods::CreateMethod("RGAN");
+    ASSERT_TRUE(fresh.ok());
+    const Status restored = fresh.value()->Restore(bad);
+    ASSERT_FALSE(restored.ok()) << error;
+    EXPECT_NE(restored.ToString().find(error), std::string::npos)
+        << restored.ToString();
+  }
+}
+
+TEST(RestoreValidationTest, FailedRestoreLeavesTheMethodUnfitted) {
+  auto method = methods::CreateMethod("RGAN");
+  ASSERT_TRUE(method.ok());
+  ASSERT_TRUE(method.value()->Fit(TinyDataset(), QuickFit()).ok());
+  auto snapshot = method.value()->Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  snapshot.value().params.pop_back();
+  // Restore replaces the current fit, so once it fails neither the old fit nor
+  // a half-restored one may pass for a model.
+  ASSERT_FALSE(method.value()->Restore(snapshot.value()).ok());
+  const auto after = method.value()->Snapshot();
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kFailedPrecondition)
+      << after.status().ToString();
+}
+
+// ---- Snapshot layout: the on-disk contract of every stored model. ----
+
+/// A snapshot's layout as text: the config `key value` lines in order, then
+/// every tensor's `rows`x`cols` in order.
+std::string SnapshotLayout(const MethodSnapshot& snap) {
+  std::string layout;
+  for (const auto& [key, value] : snap.config) layout += key + " " + value + "\n";
+  for (const Matrix& m : snap.params) {
+    layout += std::to_string(m.rows()) + "x" + std::to_string(m.cols()) + "\n";
+  }
+  return layout;
+}
+
+TEST(SnapshotLayoutTest, EveryMethodKeepsItsRecordedLayout) {
+  // FNV-64 of each method's SnapshotLayout when fitted on the dataset below,
+  // recorded from the layout the artifacts already on disk use. A renamed,
+  // reordered or reshaped entry would orphan every one of them, so a change
+  // here must come with a new HyperparameterDigest.
+  const std::map<std::string, uint64_t> kRecorded = {
+      {"RGAN", 0x5df67cee2fd654c2ull},      {"TimeGAN", 0xdacb70c265483a57ull},
+      {"RTSGAN", 0x6f588bae8d2c4b62ull},    {"COSCI-GAN", 0xac93bbaa092cde32ull},
+      {"AEC-GAN", 0x3bf0340a89afe103ull},   {"TimeVAE", 0x506818a9d2e1a749ull},
+      {"TimeVQVAE", 0x1c96abab0900e92full}, {"FourierFlow", 0x0e3b2c637bf74860ull},
+      {"GT-GAN", 0x5004d912e0fd9cb4ull},    {"LS4", 0x622e02e432049388ull},
+  };
+  const Dataset train("layout", data::SineBenchmark(24, 16, 2, /*seed=*/3));
+  for (const std::string& name : methods::AllMethodNames()) {
+    auto method = methods::CreateMethod(name);
+    ASSERT_TRUE(method.ok()) << name;
+    ASSERT_TRUE(method.value()->Fit(train, QuickFit()).ok()) << name;
+    const auto snapshot = method.value()->Snapshot();
+    ASSERT_TRUE(snapshot.ok()) << name;
+    const std::string layout = SnapshotLayout(snapshot.value());
+    EXPECT_EQ(base::Fnv64().String(layout).digest(), kRecorded.at(name))
+        << name << " snapshot layout:\n" << layout;
+  }
 }
 
 // ---- Harness integration: warm cell skips Fit and scores identically. ----
