@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "base/status.h"
 #include "bench_util.h"
@@ -83,8 +84,10 @@ class BenchJobRunner : public JobRunner {
                                       const std::function<bool()>& should_stop);
 
   /// Trains and publishes the model for `key` unless the store already holds
-  /// it — the shared fit-if-missing path behind fit and stream_eval. Returns
-  /// whether training ran; on training, adds the elapsed time to *fit_seconds.
+  /// it — the shared fit-if-missing path behind fit and stream_eval. A model
+  /// the serving cache holds counts as present while its artifact file exists;
+  /// otherwise the artifact is loaded and verified. Returns whether training
+  /// ran; on training, adds the elapsed time to *fit_seconds.
   StatusOr<bool> EnsureFitted(const std::string& method,
                               const core::Preprocessed& pre,
                               const core::ModelKey& key, double* fit_seconds);
@@ -94,8 +97,10 @@ class BenchJobRunner : public JobRunner {
 
   /// The store key for (method, dataset) under this runner's config: the
   /// core::ModelKey::For key core::Harness::RunMethod uses, so fit, generate,
-  /// evaluate and grid cells all address the same artifact.
+  /// evaluate and grid cells all address the same artifact. `pre` is the
+  /// dataset's GetDataset entry; the key is derived on first use and cached.
   StatusOr<core::ModelKey> KeyFor(const std::string& method,
+                                  const std::string& dataset,
                                   const core::Preprocessed& pre);
 
   const bench::BenchConfig config_;
@@ -104,6 +109,8 @@ class BenchJobRunner : public JobRunner {
   std::unique_ptr<core::Harness> harness_;
   std::mutex datasets_mu_;
   std::map<std::string, std::unique_ptr<core::Preprocessed>> datasets_;
+  /// KeyFor's cache, by (method, dataset name).
+  std::map<std::pair<std::string, std::string>, core::ModelKey> keys_;
 };
 
 }  // namespace tsg::serve

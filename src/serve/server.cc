@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "base/thread_pool.h"
 #include "io/json.h"
@@ -133,16 +134,15 @@ void Server::RequestStop() {
   }
 }
 
-void Server::NotifyJobFinished(int64_t job_id) {
-  {
-    std::lock_guard<std::mutex> lock(finished_mu_);
-    finished_jobs_.push_back(job_id);
-  }
-  jobs_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+void Server::NotifyJobFinished(bool done) {
+  if (done) jobs_done_.fetch_add(1, std::memory_order_relaxed);
   if (wake_write_fd_ >= 0) {
     const char byte = 'j';
     (void)!write(wake_write_fd_, &byte, 1);
   }
+  // Last: once no job is in flight a draining Serve may return and the server
+  // be destroyed, so nothing may touch `this` (or the pipe) after this.
+  jobs_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void Server::PumpQueue() {
@@ -154,7 +154,7 @@ void Server::PumpQueue() {
       const StatusOr<std::string> result =
           runner_->Run(spec, [this, id] { return queue_.ShouldStop(id); });
       queue_.Complete(id, result);
-      NotifyJobFinished(id);
+      NotifyJobFinished(result.ok());
     });
   }
 }
@@ -211,12 +211,9 @@ void Server::HandleLine(Session& session, const std::string& line) {
     case Request::Cmd::kStatus: {
       if (request.job >= 0) {
         const auto job = queue_.Get(request.job);
-        if (!job.has_value()) {
-          Respond(session, ErrorResponse(Status::NotFound(
-                               "no job " + std::to_string(request.job))));
-          return;
-        }
-        Respond(session, JobResponse(*job));
+        Respond(session, job.has_value()
+                             ? JobResponse(*job)
+                             : ErrorResponse(queue_.NotFound(request.job)));
         return;
       }
       io::JsonWriter json;
@@ -242,8 +239,7 @@ void Server::HandleLine(Session& session, const std::string& line) {
     case Request::Cmd::kResult: {
       const auto job = queue_.Get(request.job);
       if (!job.has_value()) {
-        Respond(session, ErrorResponse(Status::NotFound(
-                             "no job " + std::to_string(request.job))));
+        Respond(session, ErrorResponse(queue_.NotFound(request.job)));
         return;
       }
       if (IsTerminal(job->state)) {
@@ -365,28 +361,23 @@ void Server::FlushSession(Session& session) {
 }
 
 void Server::SweepCompletions() {
-  std::vector<int64_t> finished;
-  {
-    std::lock_guard<std::mutex> lock(finished_mu_);
-    finished.swap(finished_jobs_);
-  }
-  for (const int64_t id : finished) {
-    const auto job = queue_.Get(id);
-    if (job.has_value() && job->state == JobState::kDone) ++jobs_done_;
-  }
-  // Answer every subscription whose job reached a terminal state. Scanning the
-  // sessions (rather than only the mailbox) also resolves jobs that drained
-  // straight from kQueued, which never pass through NotifyJobFinished.
+  // Answer every subscription whose job reached a terminal state, including
+  // jobs that drained straight from kQueued. A record can also be gone by the
+  // time the sweep looks: a drain may retire more queued jobs at once than the
+  // queue retains. Its waiter gets the expiry error instead of waiting forever.
   for (auto& [fd, session] : sessions_) {
     for (auto it = session.waiting_jobs.begin();
          it != session.waiting_jobs.end();) {
       const auto job = queue_.Get(*it);
-      if (job.has_value() && IsTerminal(job->state)) {
+      if (!job.has_value()) {
+        Respond(session, ErrorResponse(queue_.NotFound(*it)));
+      } else if (IsTerminal(job->state)) {
         Respond(session, JobResponse(*job));
-        it = session.waiting_jobs.erase(it);
       } else {
         ++it;
+        continue;
       }
+      it = session.waiting_jobs.erase(it);
     }
   }
 }
@@ -411,9 +402,7 @@ void Server::CloseIdleSessions() {
 }
 
 bool Server::DrainFinished() {
-  if (jobs_in_flight_.load(std::memory_order_acquire) > 0) return false;
-  std::lock_guard<std::mutex> lock(finished_mu_);
-  return finished_jobs_.empty();
+  return jobs_in_flight_.load(std::memory_order_acquire) == 0;
 }
 
 int64_t Server::Serve() {
@@ -517,9 +506,10 @@ int64_t Server::Serve() {
 
   for (auto& [fd, session] : sessions_) close(fd);
   sessions_.clear();
+  const int64_t jobs_done = jobs_done_.load(std::memory_order_relaxed);
   std::fprintf(stderr, "[tsgd] drained; %lld job(s) completed\n",
-               static_cast<long long>(jobs_done_));
-  return jobs_done_;
+               static_cast<long long>(jobs_done));
+  return jobs_done;
 }
 
 }  // namespace tsg::serve

@@ -5,10 +5,8 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "base/status.h"
 #include "serve/bench_runner.h"
@@ -39,7 +37,7 @@ struct ServerOptions {
 ///
 /// The loop owns all session state (per-session read/write buffers, result
 /// subscriptions, idle clocks) single-threadedly; worker threads touch only the
-/// JobQueue and the completion mailbox, so no session data is ever locked.
+/// JobQueue and two atomic job counters, so no session data is ever locked.
 /// Responses are queued on the session's write buffer and flushed as POLLOUT
 /// allows — a slow reader never blocks the loop or other sessions.
 ///
@@ -66,10 +64,6 @@ class Server {
   /// Initiates shutdown. Async-signal-safe (atomic store + pipe write): tsgd's
   /// SIGTERM/SIGINT handlers call this directly.
   void RequestStop();
-
-  /// Worker-thread hook: records a completed job and wakes the loop. Public
-  /// for tests; normally called by the completion lambda Serve schedules.
-  void NotifyJobFinished(int64_t job_id);
 
   /// The bound TCP port (after Start, when tcp_port was requested; else 0).
   int tcp_port() const { return bound_tcp_port_; }
@@ -100,6 +94,9 @@ class Server {
 
   /// Starts every runnable job on the pool (each wrapped to Complete + notify).
   void PumpQueue();
+  /// Worker-thread hook: records a finished job (`done` when it ran to kDone)
+  /// and wakes the loop.
+  void NotifyJobFinished(bool done);
   /// Delivers terminal responses to subscribed sessions for finished jobs.
   void SweepCompletions();
   void CloseIdleSessions();
@@ -115,10 +112,7 @@ class Server {
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
   std::atomic<bool> stop_requested_{false};
-  int64_t jobs_done_ = 0;
-
-  std::mutex finished_mu_;
-  std::vector<int64_t> finished_jobs_;
+  std::atomic<int64_t> jobs_done_{0};
   std::atomic<int> jobs_in_flight_{0};
 
   std::map<int, Session> sessions_;

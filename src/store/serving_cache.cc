@@ -111,6 +111,12 @@ StatusOr<std::vector<std::vector<linalg::Matrix>>> ServingCache::Generate(
   return result;
 }
 
+bool ServingCache::Holds(const core::ModelKey& key) const {
+  const std::string address = store_->PathFor(key);
+  std::lock_guard<std::mutex> lock(mu_);
+  return methods_.count(address) > 0;
+}
+
 size_t ServingCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return methods_.size();

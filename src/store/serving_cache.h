@@ -65,6 +65,10 @@ class ServingCache {
       const core::ModelKey& key,
       const std::vector<core::GenRequest>& requests);
 
+  /// True when the model for `key` is resident: restored from a verified
+  /// artifact and not evicted since. Does not count as a use for LRU.
+  bool Holds(const core::ModelKey& key) const;
+
   /// Number of resident models (for tests and capacity checks).
   size_t size() const;
 

@@ -1,6 +1,7 @@
 // Tests for the tsgd daemon substrate (DESIGN.md §11): the line-protocol
-// codec, the JobQueue scheduling policy, and the Server poll loop exercised
-// over a real Unix-domain socket with a scripted JobRunner.
+// codec, the JobQueue scheduling policy and its bounded retention, and the
+// Server poll loop exercised over a real Unix-domain socket with a scripted
+// JobRunner.
 
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -14,7 +15,10 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,8 +27,10 @@
 
 #include "base/fnv.h"
 #include "core/method.h"
+#include "io/atomic_file.h"
 #include "io/json_parse.h"
 #include "methods/factory.h"
+#include "obs/metrics.h"
 #include "serve/bench_runner.h"
 #include "serve/job_queue.h"
 #include "serve/protocol.h"
@@ -360,6 +366,194 @@ TEST(JobQueueTest, DrainFailsQueuedAndStopsRunning) {
 
   queue.Complete(running, Status::FailedPrecondition("stopped at checkpoint"));
   EXPECT_EQ(queue.Get(running)->state, JobState::kDrained);
+}
+
+/// The scheduling policy as a full scan, the way the queue first implemented
+/// it: every job in one map, and a pop that walks all queued jobs, counting
+/// each one's tenant's running jobs with another walk. Kept as the reference
+/// the indexed JobQueue must match; it never evicts.
+class ScanQueue {
+ public:
+  explicit ScanQueue(JobQueue::Limits limits) : limits_(limits) {}
+
+  bool Submit(const JobSpec& spec) {
+    if (draining_ || queued_count() >= limits_.max_queued) return false;
+    JobRecord& job = jobs_[next_id_];
+    job.id = next_id_++;
+    job.spec = spec;
+    return true;
+  }
+
+  std::optional<int64_t> PopRunnable() {
+    if (draining_ || running_count() >= limits_.max_inflight) return std::nullopt;
+    JobRecord* best = nullptr;
+    int best_tenant_running = 0;
+    for (auto& [id, job] : jobs_) {
+      if (job.state != JobState::kQueued) continue;
+      const int tenant_running = RunningForTenant(job.spec.tenant);
+      if (tenant_running >= limits_.max_inflight_per_tenant) continue;
+      if (best == nullptr || job.spec.priority > best->spec.priority ||
+          (job.spec.priority == best->spec.priority &&
+           tenant_running < best_tenant_running)) {
+        best = &job;
+        best_tenant_running = tenant_running;
+      }
+    }
+    if (best == nullptr) return std::nullopt;
+    best->state = JobState::kRunning;
+    return best->id;
+  }
+
+  void Complete(int64_t id, bool ok) {
+    auto it = jobs_.find(id);
+    if (it == jobs_.end() || it->second.state != JobState::kRunning) return;
+    it->second.state = ok ? JobState::kDone
+                          : (it->second.cancel_requested ? JobState::kCancelled
+                                                         : JobState::kFailed);
+  }
+
+  bool Cancel(int64_t id) {
+    auto it = jobs_.find(id);
+    if (it == jobs_.end() || IsTerminal(it->second.state)) return false;
+    it->second.cancel_requested = true;
+    if (it->second.state == JobState::kQueued) {
+      it->second.state = JobState::kCancelled;
+    }
+    return true;
+  }
+
+  void StartDrain() {
+    draining_ = true;
+    for (auto& [id, job] : jobs_) {
+      if (job.state == JobState::kQueued) job.state = JobState::kDrained;
+    }
+  }
+
+  int running_count() const {
+    int n = 0;
+    for (const auto& [id, job] : jobs_) n += job.state == JobState::kRunning;
+    return n;
+  }
+
+  int64_t queued_count() const {
+    int64_t n = 0;
+    for (const auto& [id, job] : jobs_) n += job.state == JobState::kQueued;
+    return n;
+  }
+
+ private:
+  int RunningForTenant(const std::string& tenant) const {
+    int n = 0;
+    for (const auto& [id, job] : jobs_) {
+      n += job.state == JobState::kRunning && job.spec.tenant == tenant;
+    }
+    return n;
+  }
+
+  const JobQueue::Limits limits_;
+  int64_t next_id_ = 1;
+  bool draining_ = false;
+  std::map<int64_t, JobRecord> jobs_;
+};
+
+TEST(JobQueueTest, IndexedQueueSchedulesLikeTheReferenceScan) {
+  int64_t pops = 0;
+  int64_t evicting = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
+    const JobQueue::Limits limits{/*max_inflight=*/1 + pick(4),
+                                  /*max_inflight_per_tenant=*/1 + pick(3),
+                                  /*max_queued=*/1 + pick(24)};
+    JobQueue queue(limits);
+    ScanQueue reference(limits);
+    const int tenants = 1 + pick(4);
+    const int priorities = 1 + pick(3);
+    // Every 100th sequence finishes more jobs than the queue retains.
+    const int steps = seed % 100 == 0 ? 8000 : 400;
+    std::vector<int64_t> running;
+    int64_t issued = 0;
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const int op = pick(1000);
+      if (op < 350) {
+        const std::string tenant = "t" + std::to_string(pick(tenants));
+        const JobSpec spec = Spec(tenant, pick(priorities) - 1);
+        const StatusOr<int64_t> id = queue.Submit(spec);
+        ASSERT_EQ(id.ok(), reference.Submit(spec));
+        if (id.ok()) {
+          ASSERT_EQ(id.value(), ++issued);
+        }
+      } else if (op < 600) {
+        const std::optional<JobRecord> popped = queue.PopRunnable();
+        const std::optional<int64_t> want = reference.PopRunnable();
+        ASSERT_EQ(popped.has_value(), want.has_value());
+        if (popped.has_value()) {
+          ASSERT_EQ(popped->id, *want);
+          running.push_back(*want);
+          ++pops;
+        }
+      } else if (op < 900) {
+        if (running.empty()) continue;
+        const size_t at = static_cast<size_t>(pick(static_cast<int>(running.size())));
+        const int64_t id = running[at];
+        running.erase(running.begin() + static_cast<std::ptrdiff_t>(at));
+        const bool ok = pick(3) != 0;
+        queue.Complete(id, ok ? StatusOr<std::string>(std::string(""))
+                              : StatusOr<std::string>(Status::Internal("x")));
+        reference.Complete(id, ok);
+      } else if (op < 998 || step * 4 < steps * 3) {
+        const int64_t id = 1 + pick(static_cast<int>(issued) + 2);
+        ASSERT_EQ(queue.Cancel(id).ok(), reference.Cancel(id));
+      } else {  // Drains happen only in a sequence's last quarter.
+        queue.StartDrain();
+        reference.StartDrain();
+      }
+      ASSERT_EQ(queue.queued_count(), reference.queued_count());
+      ASSERT_EQ(queue.running_count(), reference.running_count());
+    }
+    evicting += static_cast<int64_t>(queue.Snapshot().size()) < issued;
+  }
+  EXPECT_GT(pops, 20000);
+  EXPECT_EQ(evicting, 3);  // The long sequences ran past the bound.
+}
+
+TEST(JobQueueTest, RetainsOnlyTheLatestFinishedJobs) {
+  JobQueue queue({/*max_inflight=*/2, /*max_inflight_per_tenant=*/1, 64});
+  const int64_t running = queue.Submit(Spec("long")).value();
+  ASSERT_EQ(queue.PopRunnable()->id, running);
+  // Priority -1 puts this job behind every other one, so it stays queued.
+  const int64_t queued = queue.Submit(Spec("idle", -1)).value();
+  std::vector<int64_t> finished;
+  for (int i = 0; i < 1024 + 10; ++i) {
+    const int64_t id = queue.Submit(Spec("t")).value();
+    ASSERT_EQ(queue.PopRunnable()->id, id);
+    queue.Complete(id, std::string(""));
+    finished.push_back(id);
+  }
+
+  const std::vector<JobRecord> records = queue.Snapshot();
+  ASSERT_EQ(records.size(), 1024u + 2);  // 1024 terminal + the two live jobs.
+  EXPECT_EQ(records[0].id, running);
+  EXPECT_EQ(records[1].id, queued);
+  EXPECT_EQ(records[2].id, finished[10]);
+  EXPECT_EQ(queue.Get(running)->state, JobState::kRunning);
+  EXPECT_EQ(queue.Get(queued)->state, JobState::kQueued);
+  EXPECT_EQ(queue.Get(finished[10])->state, JobState::kDone);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_FALSE(queue.Get(finished[i]).has_value()) << i;
+    const Status expired = queue.NotFound(finished[i]);
+    EXPECT_EQ(expired.code(), StatusCode::kNotFound);
+    EXPECT_EQ(expired.message().rfind(
+                  "job " + std::to_string(finished[i]) + " expired", 0),
+              0u)
+        << expired.message();
+    EXPECT_EQ(queue.Cancel(finished[i]).message(), expired.message());
+  }
+  EXPECT_EQ(queue.NotFound(1000000).message(), "no job 1000000");
+  EXPECT_EQ(queue.queued_count(), 1);
+  EXPECT_EQ(queue.running_count(), 1);
 }
 
 // ---- Server over a real socket. ----
@@ -707,6 +901,74 @@ TEST_F(ServerTest, ShutdownCommandAcksThenDrains) {
   EXPECT_FALSE(std::filesystem::exists(socket_path_));
 }
 
+TEST_F(ServerTest, ResultOnAnEvictedJobIsExpired) {
+  StartServer({2, 1, 64});
+  Client client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  int64_t first = -1;
+  for (int i = 0; i < 1024 + 1; ++i) {
+    const int64_t job = client.Call(SubmitRequest("echo")).GetInt("job", -1);
+    ASSERT_GE(job, 1);
+    if (first < 0) first = job;
+    ASSERT_EQ(client.Call(ResultRequest(job, true)).GetString("state", ""),
+              "done");
+  }
+
+  const io::JsonValue expired = client.Call(ResultRequest(first, false));
+  EXPECT_FALSE(expired.GetBool("ok", true));
+  EXPECT_EQ(expired.GetString("code", ""), "not_found");
+  EXPECT_EQ(expired.GetString("error", "")
+                .rfind("job " + std::to_string(first) + " expired", 0),
+            0u)
+      << expired.GetString("error", "");
+  Request status;
+  status.cmd = Request::Cmd::kStatus;
+  status.job = first;
+  EXPECT_EQ(client.Call(status).GetString("error", ""),
+            expired.GetString("error", ""));
+
+  const io::JsonValue never = client.Call(ResultRequest(1000000, false));
+  EXPECT_EQ(never.GetString("code", ""), "not_found");
+  EXPECT_EQ(never.GetString("error", ""), "no job 1000000");
+}
+
+TEST_F(ServerTest, DrainAnswersAWaiterWhoseRecordWasEvicted) {
+  StartServer({/*max_inflight=*/1, 1, /*max_queued=*/1100});
+  Client client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  const int64_t running =
+      client.Call(SubmitRequest("block")).GetInt("job", -1);
+  ASSERT_TRUE(WaitForState(client, running, "running"));
+  int64_t oldest = -1;
+  for (int i = 0; i < 1100; ++i) {
+    const int64_t job =
+        client.Call(SubmitRequest("never-runs")).GetInt("job", -1);
+    ASSERT_GE(job, 1) << i;
+    if (oldest < 0) oldest = job;
+  }
+
+  // The drain retires all 1100 queued jobs at once, more than the queue
+  // retains, so the oldest one's record is gone before the sweep sees it.
+  ASSERT_TRUE(client.SendLine(EncodeRequest(ResultRequest(oldest, true))));
+  Request shutdown;
+  shutdown.cmd = Request::Cmd::kShutdown;
+  ASSERT_TRUE(client.SendLine(EncodeRequest(shutdown)));
+  io::JsonValue verdict;
+  for (int i = 0; i < 2; ++i) {
+    const auto parsed = io::JsonValue::Parse(client.ReadLine());
+    ASSERT_TRUE(parsed.ok()) << "reply " << i;
+    if (!parsed.value().GetBool("draining", false)) verdict = parsed.value();
+  }
+  const bool drained = verdict.GetString("state", "") == "drained";
+  const bool expired =
+      verdict.GetString("code", "") == "not_found" &&
+      verdict.GetString("error", "").find("expired") != std::string::npos;
+  EXPECT_TRUE(drained || expired) << verdict.GetString("error", "");
+
+  serve_thread_.join();
+  EXPECT_EQ(jobs_done_, 0);
+}
+
 // ---- The production job runner. ----
 
 /// The runner's generate digest, restated: FNV-64 over the block's series
@@ -783,6 +1045,41 @@ TEST(BenchJobRunnerTest, JobsMatchGenerateAndShareArtifactsWithTheHarness) {
     EXPECT_GT(evaluated.GetNumber("fit_seconds", 0.0), 0.0);
     EXPECT_FALSE(RunJob(runner, JobKind::kFit, name, "DLG").GetBool("trained", true));
   }
+  std::filesystem::remove_all(root);
+}
+
+
+TEST(BenchJobRunnerTest, StoreHitFitOnAServedModelSkipsTheLoad) {
+  const std::string root = ::testing::TempDir() + "tsg_bench_job_runner_fit";
+  std::filesystem::remove_all(root);
+  bench::BenchConfig config;
+  config.scale = 0.05;
+  config.out_dir = root + "/out";
+  config.store_dir = root + "/store";
+  BenchJobRunner runner(config);
+  const io::JsonValue fitted = RunJob(runner, JobKind::kFit, "TimeVAE", "Stock");
+  ASSERT_TRUE(fitted.GetBool("trained", false));
+  const std::string path = fitted.GetString("path", "");
+  const StatusOr<std::string> artifact = io::ReadFileToString(path);
+  ASSERT_TRUE(artifact.ok()) << path;
+
+  // The generate job restores the model into the serving cache; a fit on the
+  // same key then answers from it without loading the artifact again.
+  RunJob(runner, JobKind::kGenerate, "TimeVAE", "Stock", 4, 1);
+  const obs::Counter& hits =
+      obs::MetricRegistry::Global().GetCounter("store.hits");
+  const int64_t hits_before = hits.value();
+  EXPECT_FALSE(
+      RunJob(runner, JobKind::kFit, "TimeVAE", "Stock").GetBool("trained", true));
+  EXPECT_EQ(hits.value(), hits_before);
+
+  // A deleted artifact is retrained and republished byte-identically.
+  ASSERT_TRUE(std::filesystem::remove(path));
+  EXPECT_TRUE(
+      RunJob(runner, JobKind::kFit, "TimeVAE", "Stock").GetBool("trained", false));
+  const StatusOr<std::string> republished = io::ReadFileToString(path);
+  ASSERT_TRUE(republished.ok()) << path;
+  EXPECT_TRUE(republished.value() == artifact.value());
   std::filesystem::remove_all(root);
 }
 
