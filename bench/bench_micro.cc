@@ -381,7 +381,7 @@ void WriteKernelTimings() {
 
   tsg::io::JsonWriter json;
   json.BeginObject();
-  json.Key("simd_enabled").Bool(kernels::SimdEnabled());
+  json.Key("simd_enabled").Bool(kernels::SimdCompiled());
   json.Key("backend").String(kernels::BackendName());
 
   json.Key("gemm").BeginArray();

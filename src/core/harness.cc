@@ -111,11 +111,6 @@ Harness::EvaluateGenerated(const Dataset& real, const Dataset& real_test,
     if (!outcome.status.ok()) return outcome.status;
     out.push_back(outcome.result);
   }
-  if (options_.verbosity > 0) {
-    for (const auto& [name, summary] : out) {
-      std::fprintf(stderr, "    %-10s %.4f\n", name.c_str(), summary.mean);
-    }
-  }
   return out;
 }
 
@@ -144,9 +139,6 @@ StatusOr<MethodRunResult> Harness::RunMethod(TsgMethod& method,
       if (restore_status.ok()) {
         restored = true;
         metrics.GetCounter("harness.store.restored").Add();
-        if (options_.verbosity > 0) {
-          std::fprintf(stderr, "[%s] restored from store\n", cell.c_str());
-        }
       } else {
         metrics.GetCounter("harness.store.restore_failed").Add();
       }
@@ -154,9 +146,6 @@ StatusOr<MethodRunResult> Harness::RunMethod(TsgMethod& method,
   }
 
   if (!restored) {
-    if (options_.verbosity > 0) {
-      std::fprintf(stderr, "[%s] fitting...\n", cell.c_str());
-    }
     Stopwatch watch;
     obs::ScopedTimer fit_span("fit");
     metrics.GetCounter("harness.fit_calls").Add();

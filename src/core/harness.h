@@ -29,7 +29,6 @@ struct HarnessOptions {
   bool include_ps_entire = false;
   embed::SequenceEmbedder::Options embedder;
   uint64_t seed = 42;
-  int verbosity = 0;
   /// Optional trained-model artifact store (not owned; must outlive the
   /// harness). When set, RunMethod consults it before fitting: a valid cached
   /// snapshot restores the method instead of training it, and a fresh fit

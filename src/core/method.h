@@ -22,8 +22,6 @@ struct FitOptions {
   double epoch_scale = 1.0;
   int64_t batch_size = 32;
   uint64_t seed = 42;
-  /// 0 = silent, 1 = per-phase progress lines on stderr.
-  int verbosity = 0;
 };
 
 /// The complete fitted state of a method, as data: scalar configuration (dims,

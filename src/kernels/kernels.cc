@@ -1,10 +1,7 @@
 #include "kernels/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "base/aligned.h"
@@ -470,121 +467,17 @@ void GemmTransB(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
 }  // namespace simd
 #endif  // TSG_KERNELS_SIMD
 
-// ---- Runtime dispatch. ------------------------------------------------------
-
-namespace {
-
-using GemmFn = void (*)(int64_t, int64_t, int64_t, const double*, int64_t,
-                        const double*, int64_t, double*, int64_t);
-
-struct Backend {
-  const char* name;
-  bool is_simd;
-  DispatchMode mode;
-  GemmFn gemm;
-  GemmFn gemm_trans_a;
-  GemmFn gemm_trans_b;
-};
-
-constexpr Backend kScalarBackend = {"scalar-v4",     false,
-                                    DispatchMode::kScalar, scalar::Gemm,
-                                    scalar::GemmTransA,    scalar::GemmTransB};
-#if TSG_KERNELS_SIMD
-constexpr Backend kSimdBackend = {"simd-v4",       true,
-                                  DispatchMode::kSimd, simd::Gemm,
-                                  simd::GemmTransA,    simd::GemmTransB};
-#endif
-
-/// True when the host CPU has the wide (256-bit) vector units the SIMD backend
-/// is tuned for. On non-x86 targets the compiled vector extension code is
-/// baseline-ISA by construction, so the probe always passes.
-bool CpuWantsSimd() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return true;
-#endif
-}
-
-const Backend* Resolve(DispatchMode mode) {
-  if (mode == DispatchMode::kAuto) {
-    const char* env = std::getenv("TSG_CPU_DISPATCH");
-    if (env != nullptr && std::strcmp(env, "scalar") == 0) {
-      mode = DispatchMode::kScalar;
-    } else if (env != nullptr && (std::strcmp(env, "simd") == 0 ||
-                                  std::strcmp(env, "avx2") == 0)) {
-      mode = DispatchMode::kSimd;
-    } else {
-      if (env != nullptr && *env != '\0' && std::strcmp(env, "auto") != 0) {
-        std::fprintf(stderr,
-                     "tsg_kernels: unknown TSG_CPU_DISPATCH=%s, using auto\n",
-                     env);
-      }
-      mode = SimdCompiled() && CpuWantsSimd() ? DispatchMode::kSimd
-                                              : DispatchMode::kScalar;
-    }
-  }
-#if TSG_KERNELS_SIMD
-  if (mode == DispatchMode::kSimd) return &kSimdBackend;
-#else
-  if (mode == DispatchMode::kSimd) {
-    std::fprintf(stderr,
-                 "tsg_kernels: SIMD backend not compiled in, using scalar\n");
-  }
-#endif
-  return &kScalarBackend;
-}
-
-std::atomic<const Backend*> g_backend{nullptr};
-
-const Backend& ActiveBackend() {
-  const Backend* b = g_backend.load(std::memory_order_acquire);
-  if (b == nullptr) {
-    // Benign race: concurrent first calls resolve to the same table.
-    b = Resolve(DispatchMode::kAuto);
-    g_backend.store(b, std::memory_order_release);
-  }
-  return *b;
-}
-
-}  // namespace
-
-bool SimdEnabled() { return ActiveBackend().is_simd; }
-
-DispatchMode ResolvedDispatch() { return ActiveBackend().mode; }
-
-const char* BackendName() { return ActiveBackend().name; }
-
-void ForceDispatch(DispatchMode mode) {
-  g_backend.store(Resolve(mode), std::memory_order_release);
-}
-
-void Gemm(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
-          const double* b, int64_t ldb, double* c, int64_t ldc) {
-  ActiveBackend().gemm(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void GemmTransA(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
-                const double* b, int64_t ldb, double* c, int64_t ldc) {
-  ActiveBackend().gemm_trans_a(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void GemmTransB(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
-                const double* b, int64_t ldb, double* c, int64_t ldc) {
-  ActiveBackend().gemm_trans_b(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
 // ---- Fused epilogues and element-wise lanes. --------------------------------
 // One implementation each (no backend split): element-wise, or fixed
-// ascending-order chains, so the values cannot depend on dispatch mode, lane
+// ascending-order chains, so the values cannot depend on the backend, lane
 // width, or thread count.
 
 namespace {
 
-/// Vector type for the fused lanes below: widest compiled backend. These
-/// kernels have a single implementation (no runtime dispatch), and every
-/// vectorized loop keeps the scalar form's per-element operation order, so the
-/// choice of vector type changes throughput only, never values.
+/// Vector type for the fused lanes below: the compiled backend's, chosen by
+/// TSG_KERNELS_SIMD like `active`. These kernels have a single implementation,
+/// and every vectorized loop keeps the scalar form's per-element operation
+/// order, so the choice of vector type changes throughput only, never values.
 #if TSG_KERNELS_SIMD
 using VFused = detail::VecSimd;
 #else
@@ -693,8 +586,8 @@ void GemmBiasAct(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
                  int64_t ldc, Act act, double leak, double* pre_out) {
   if (m > 0 && n > 0 && m * n * std::max<int64_t>(k, 0) < kSmallFlops) {
     // Beta-zero small path: skips the memset pass and the C reload. Same bits
-    // as memset + Gemm (see GemmSmall's kZeroC note); VFused matches both
-    // dispatch backends because they are value-identical by contract.
+    // as memset + Gemm (see GemmSmall's kZeroC note); VFused is the vector
+    // type of the backend Gemm runs.
     GemmSmall<VFused, false, /*kZeroC=*/true>(m, n, k, a, lda, b, ldb, c, ldc);
   } else {
     for (int64_t i = 0; i < m; ++i) {

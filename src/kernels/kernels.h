@@ -13,15 +13,13 @@
 // Two backends, one algorithm. The scalar backend (`kernels::scalar`) is always
 // compiled; the SIMD backend (`kernels::simd`, GNU vector extensions) exists when
 // TSG_KERNELS_SIMD is 1 (CMake option TSG_ENABLE_SIMD, default ON, on a GCC/Clang
-// toolchain). The unqualified Gemm family dispatches at runtime (cpuid +
-// TSG_CPU_DISPATCH, see below). Both backends run
-// the identical algorithm at the same logical width (kLanes = 4): every output
-// element accumulates its products in the same order, so results are
-// **bit-identical between the SIMD and scalar backends** and — because parallel
-// partitioning never changes an element's accumulation order — **bit-identical
-// across TSG_THREADS**. tests/kernels_test.cc enforces both properties; the full
-// contract (and the one toolchain caveat about FP contraction flags) is
-// DESIGN.md §6.
+// toolchain). Both backends run the identical algorithm at the same logical
+// width (kLanes = 4): every output element accumulates its products in the same
+// order, so results are **bit-identical between the SIMD and scalar backends**
+// and — because parallel partitioning never changes an element's accumulation
+// order — **bit-identical across TSG_THREADS**. tests/kernels_test.cc enforces
+// both properties; the full contract (and the one toolchain caveat about FP
+// contraction flags) is DESIGN.md §6.
 //
 // Thread-safety: all functions are pure (read inputs, write only the caller's
 // output buffer) and safe to call concurrently. The Gemm* family fans out over
@@ -31,40 +29,34 @@
 // monotonically, so a warm GEMM performs zero heap allocations. Errors are
 // contract violations only (no Status): callers pass validated shapes.
 //
-// Backend *selection* is a runtime decision: the unqualified Gemm family routes
-// through a function-pointer table resolved once at first use — TSG_CPU_DISPATCH
-// env override ("scalar", "simd"/"avx2", or "auto"), else cpuid (AVX2 probe on
-// x86-64). Because both backends are bit-identical, dispatch never changes
-// results — the CI scalar leg proves it by comparing counts snapshots. The
-// fixed-width inline primitives (Dot/SquaredDistance/Axpy) stay compile-time
-// dispatched: they are bit-identical by construction and per-call indirection
-// would hurt the DTW cell recurrence.
+// Backend *selection* is a build-time decision, made in one place: the
+// TSG_KERNELS_SIMD macro (vec.h). The `active` namespace alias below names the
+// compiled backend, and every unqualified kernel runs it — the Gemm family,
+// Dot/SquaredDistance/Axpy and the fused epilogues alike. There is no runtime
+// switch: a TSG_ENABLE_SIMD=OFF build runs the scalar backend, and the CI
+// scalar-fallback job compares its counts snapshots with a default build's.
 namespace tsg::kernels {
 
-/// How the runtime backend was (or should be) chosen; see ForceDispatch.
-enum class DispatchMode : int { kAuto = 0, kScalar, kSimd };
+/// The backend a build runs; see ResolvedDispatch.
+enum class DispatchMode : int { kScalar = 0, kSimd };
 
 /// True when the SIMD backend was compiled in (TSG_ENABLE_SIMD build option).
 constexpr bool SimdCompiled() { return TSG_KERNELS_SIMD != 0; }
 
-/// True when the runtime-dispatched backend is the SIMD one.
-bool SimdEnabled();
-
-/// The mode the dispatch table resolved to (never kAuto).
-DispatchMode ResolvedDispatch();
+/// The compiled backend: kSimd exactly when SimdCompiled().
+constexpr DispatchMode ResolvedDispatch() {
+  return SimdCompiled() ? DispatchMode::kSimd : DispatchMode::kScalar;
+}
 
 /// Human-readable backend tag for logs and bench artifacts:
-/// "simd-v4" or "scalar-v4" (the runtime-dispatched backend).
-const char* BackendName();
-
-/// Re-resolves the dispatch table, overriding the TSG_CPU_DISPATCH env
-/// (tests/bench only; not thread-safe against concurrent kernel calls).
-/// kSimd silently falls back to scalar when the SIMD backend isn't compiled.
-void ForceDispatch(DispatchMode mode);
+/// "simd-v4" or "scalar-v4" (the compiled backend).
+constexpr const char* BackendName() {
+  return SimdCompiled() ? "simd-v4" : "scalar-v4";
+}
 
 /// Activation tags for the fused GEMM epilogues. Mirrors nn::Activation; lives
 /// here so the epilogue and its backward share one scalar definition compiled
-/// in exactly one TU (dispatch- and call-site-independent values).
+/// in exactly one TU (backend- and call-site-independent values).
 enum class Act : int { kNone = 0, kRelu, kLeakyRelu, kSigmoid, kTanh, kSoftplus };
 
 /// True when the GEMM drivers were compiled with FMA contraction (x86-64 with
@@ -122,8 +114,8 @@ inline void AxpyImpl(int64_t n, double alpha, const double* x, double* y) {
 }  // namespace detail
 
 /// Scalar reference backend. Always compiled, regardless of TSG_ENABLE_SIMD —
-/// tests compare the active backend against it bit for bit, and an
-/// TSG_ENABLE_SIMD=OFF build dispatches to it.
+/// tests compare the active backend against it bit for bit, and a
+/// TSG_ENABLE_SIMD=OFF build runs it.
 namespace scalar {
 
 inline double Dot(const double* a, const double* b, int64_t n) {
@@ -168,8 +160,7 @@ void GemmTransB(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
 }  // namespace simd
 #endif  // TSG_KERNELS_SIMD
 
-/// Compile-time default for the header-inline primitives below: the widest
-/// compiled backend. The runtime dispatch table (Gemm family) is independent.
+/// The backend every unqualified kernel below runs: the widest compiled one.
 #if TSG_KERNELS_SIMD
 namespace active = simd;
 #else
@@ -199,27 +190,32 @@ inline void Axpy(int64_t n, double alpha, const double* x, double* y) {
 /// ascending-p order — the invariant behind both determinism guarantees.
 /// Large shapes run the packed, register-tiled path (DESIGN.md §6); small ones a
 /// vectorized streaming loop; the size dispatch depends only on (m, n, k).
-/// Routed through the runtime dispatch table (one indirect call per GEMM).
-void Gemm(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
-          const double* b, int64_t ldb, double* c, int64_t ldc);
+inline void Gemm(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
+                 const double* b, int64_t ldb, double* c, int64_t ldc) {
+  active::Gemm(m, n, k, a, lda, b, ldb, c, ldc);
+}
 
 /// C += A^T * B without materializing the transpose: A is k x m (lda), B is
 /// k x n (ldb), C is m x n (ldc). Same ordering contract as Gemm — and because
 /// the accumulation order per element is identical, GemmTransA(A, B) is
 /// bit-identical to Gemm(transpose(A), B).
-void GemmTransA(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
-                const double* b, int64_t ldb, double* c, int64_t ldc);
+inline void GemmTransA(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
+                       const double* b, int64_t ldb, double* c, int64_t ldc) {
+  active::GemmTransA(m, n, k, a, lda, b, ldb, c, ldc);
+}
 
 /// C += A * B^T without materializing the transpose: A is m x k (lda), B is
 /// n x k (ldb), C is m x n (ldc). Row-row dot products in the canonical
 /// lane-split Dot order.
-void GemmTransB(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
-                const double* b, int64_t ldb, double* c, int64_t ldc);
+inline void GemmTransB(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
+                       const double* b, int64_t ldb, double* c, int64_t ldc) {
+  active::GemmTransB(m, n, k, a, lda, b, ldb, c, ldc);
+}
 
 // ---- Fused epilogues and element-wise lanes. --------------------------------
 // Each has exactly one implementation, compiled once in kernels.cc: element-wise
 // (or fixed ascending-order column chains), so values are independent of the
-// dispatch mode and thread count by construction.
+// backend and thread count by construction.
 
 /// x[i] *= alpha for i in [0, n).
 void Scale(int64_t n, double alpha, double* x);
@@ -232,9 +228,9 @@ void Scale(int64_t n, double alpha, double* x);
 void BiasActInPlace(int64_t m, int64_t n, double* c, int64_t ldc,
                     const double* bias, Act act, double leak, double* pre_out);
 
-/// Fused forward layer: C = act(A * B + bias). Zeroes C, runs the dispatched
-/// Gemm, then the BiasActInPlace epilogue — one pass over C per stage, no
-/// intermediate matrices. Layout contract matches Gemm + BiasActInPlace.
+/// Fused forward layer: C = act(A * B + bias). Zeroes C, runs Gemm, then the
+/// BiasActInPlace epilogue — one pass over C per stage, no intermediate
+/// matrices. Layout contract matches Gemm + BiasActInPlace.
 void GemmBiasAct(int64_t m, int64_t n, int64_t k, const double* a, int64_t lda,
                  const double* b, int64_t ldb, const double* bias, double* c,
                  int64_t ldc, Act act, double leak, double* pre_out);

@@ -4,12 +4,13 @@
 #include <cstdint>
 #include <cstring>
 
-// Build-time backend selection. CMake defines TSG_ENABLE_SIMD_BUILD=1 (option
-// TSG_ENABLE_SIMD, default ON) on tsg_kernels and everything that links it; the
-// vector backend additionally requires GNU vector extensions (GCC/Clang). Any
-// other combination falls back to the scalar backend, which runs the *same*
-// algorithms in the same per-lane arithmetic order — see the determinism contract
-// in DESIGN.md §6.
+// Backend selection: the one place the kernel backend is chosen, at build time
+// (nothing switches it at run time). CMake defines TSG_ENABLE_SIMD_BUILD=1
+// (option TSG_ENABLE_SIMD, default ON) on tsg_kernels and everything that links
+// it; the vector backend additionally requires GNU vector extensions
+// (GCC/Clang). Any other combination falls back to the scalar backend, which
+// runs the *same* algorithms in the same per-lane arithmetic order — see the
+// determinism contract in DESIGN.md §6.
 #if defined(TSG_ENABLE_SIMD_BUILD) && (defined(__GNUC__) || defined(__clang__))
 #define TSG_KERNELS_SIMD 1
 #else

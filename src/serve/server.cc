@@ -22,6 +22,11 @@ namespace tsg::serve {
 
 namespace {
 
+/// A request line longer than this kills its session (malformed client).
+constexpr size_t kMaxLineBytes = size_t{1} << 20;
+/// Connections beyond this many live sessions are refused at accept.
+constexpr int kMaxSessions = 64;
+
 obs::Counter& ServeCounter(const char* name) {
   return obs::MetricRegistry::Global().GetCounter(name);
 }
@@ -50,6 +55,11 @@ Server::~Server() {
 }
 
 Status Server::Start() {
+  // First, so a bad port leaves no pipe, socket or socket file behind.
+  if (options_.tcp_port < 0 || options_.tcp_port > 65535) {
+    return Status::InvalidArgument("tcp_port " + std::to_string(options_.tcp_port) +
+                                   " is outside [0, 65535]");
+  }
   if (options_.socket_path.empty()) {
     return Status::InvalidArgument("socket_path is required");
   }
@@ -282,7 +292,7 @@ void Server::AcceptSessions(int listen_fd) {
   for (;;) {
     const int fd = accept(listen_fd, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN or transient error; poll retries.
-    if (static_cast<int>(sessions_.size()) >= options_.max_sessions) {
+    if (static_cast<int>(sessions_.size()) >= kMaxSessions) {
       ServeCounter("serve.sessions.rejected").Add();
       close(fd);
       continue;
@@ -335,10 +345,10 @@ void Server::ReadSession(Session& session) {
     if (!line.empty()) HandleLine(session, line);
   }
   session.in_buf.erase(0, start);
-  if (session.in_buf.size() > options_.max_line_bytes) {
+  if (session.in_buf.size() > kMaxLineBytes) {
     Respond(session, ErrorResponse(Status::InvalidArgument(
-                         "request line exceeds " +
-                         std::to_string(options_.max_line_bytes) + " bytes")));
+                         "request line exceeds " + std::to_string(kMaxLineBytes) +
+                         " bytes")));
     session.closing = true;
   }
 }
@@ -429,10 +439,10 @@ int64_t Server::Serve() {
           if (!session.out_buf.empty()) pending = true;
         }
         if (!pending) break;
-        pollfd pfds[64];
+        pollfd pfds[kMaxSessions];
         nfds_t n = 0;
         for (auto& [fd, session] : sessions_) {
-          if (!session.out_buf.empty() && n < 64) {
+          if (!session.out_buf.empty() && n < kMaxSessions) {
             pfds[n].fd = fd;
             pfds[n].events = POLLOUT;
             pfds[n].revents = 0;

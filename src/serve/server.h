@@ -20,15 +20,13 @@ struct ServerOptions {
   /// ~107 bytes). An existing socket file is replaced — tsgd owns its path.
   std::string socket_path;
   /// Also listen on 127.0.0.1:<tcp_port> when > 0 (same protocol). 0 = off.
+  /// Start rejects a value outside [0, 65535].
   int tcp_port = 0;
   /// Sessions idle this long are detached — except sessions with a result
   /// subscription outstanding, which legitimately sit silent for the whole job.
   double idle_timeout_seconds = 300.0;
   /// Scheduling policy knobs (see JobQueue).
   JobQueue::Limits limits;
-  /// A request line longer than this kills its session (malformed client).
-  size_t max_line_bytes = 1 << 20;
-  int max_sessions = 64;
 };
 
 /// The tsgd daemon core: one poll(2) loop multiplexing every client session,

@@ -969,6 +969,26 @@ TEST_F(ServerTest, DrainAnswersAWaiterWhoseRecordWasEvicted) {
   EXPECT_EQ(jobs_done_, 0);
 }
 
+// A port outside [0, 65535] must not be narrowed to uint16_t (70000 would
+// listen on 4464; -1 would turn TCP off). Start refuses it before it creates
+// the pipe or any socket, so this test opens no connection.
+TEST(ServerStartTest, RejectsAnOutOfRangeTcpPort) {
+  FakeRunner runner;
+  const std::string path =
+      "/tmp/tsg_serve_port_test_" + std::to_string(getpid()) + ".sock";
+  for (const int port : {70000, -1}) {
+    ServerOptions options;
+    options.socket_path = path;
+    options.tcp_port = port;
+    Server server(options, &runner);
+    const Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << port;
+    EXPECT_NE(started.message().find(std::to_string(port)), std::string::npos)
+        << started.ToString();
+    EXPECT_FALSE(std::filesystem::exists(path)) << port;
+  }
+}
+
 // ---- The production job runner. ----
 
 /// The runner's generate digest, restated: FNV-64 over the block's series
