@@ -1,9 +1,11 @@
 // Sharded-grid supervisor: run after the bench_grid_worker processes exit.
-// Reclaims leftover leases (stale, or orphaned next to finished checkpoints),
-// loads every cell's checkpoint, computes any cell no worker finished (unless
-// --require_complete) concurrently on the TSG_THREADS pool, and writes the grid
-// summary. The summary is byte-identical to a single-process RunGrid of the
-// same config.
+// Workers already write the summary; the merge is the strict coverage check
+// (--require_complete) or finishes cells no worker finished. It refuses a cell
+// a live worker still holds, removes leases orphaned next to finished
+// checkpoints, then runs the grid sweep: loads every cell's checkpoint,
+// reclaims and computes any missing cell (unless --require_complete)
+// concurrently on the TSG_THREADS pool, and writes the grid summary,
+// byte-identical to a single-process RunGrid of the same config.
 //
 // Flags: --methods=A,B --datasets=d1,d2 (default: full 10x10 paper grid),
 // --require_complete (strict: a missing checkpoint is an error),

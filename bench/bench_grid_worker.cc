@@ -1,10 +1,12 @@
 // Sharded-grid worker: one process of an N-worker benchmark grid run. Workers
-// share nothing but the checkpoint directory — each claims pending (method,
-// dataset) cells via atomic lease files (DESIGN.md §10), computes the ones it
-// wins through the store-aware harness, and checkpoints them exactly like the
-// single-process grid. Launch any number against the same TSGBENCH_OUT (and
-// optionally TSGBENCH_STORE_DIR, to share trained models), then run
-// bench_grid_merge to assemble the summary.
+// share nothing but the checkpoint directory — each runs the grid sweep, which
+// claims pending (method, dataset) cells via atomic lease files (DESIGN.md
+// §10), computes the ones it wins through the store-aware harness, and
+// checkpoints them exactly like the single-process grid. Launch any number
+// against the same TSGBENCH_OUT (and optionally TSGBENCH_STORE_DIR, to share
+// trained models); each writes the grid summary once every cell is done.
+// bench_grid_merge is needed only as a strict coverage check or to finish
+// cells no worker finished.
 //
 // Flags: --methods=A,B --datasets=d1,d2 (default: full 10x10 paper grid),
 // --worker_id=<label>, --lease_stale_seconds=<s>, --max_wait_seconds=<s>,
@@ -55,19 +57,19 @@ int main(int argc, char** argv) {
   }
 
   const tsg::bench::BenchConfig config = tsg::bench::LoadConfig();
-  const auto completed = tsg::bench::RunGridShard(config, methods.value(),
-                                                  datasets.value(), options);
-  if (!completed.ok()) {
+  const auto grid = tsg::bench::RunGridShard(config, methods.value(),
+                                             datasets.value(), options);
+  if (!grid.ok()) {
     std::fprintf(stderr, "[%s] shard failed: %s\n",
                  options.worker_label.c_str(),
-                 completed.status().ToString().c_str());
+                 grid.status().ToString().c_str());
     tsg::bench::WriteMetricsSnapshot();
     return 1;
   }
-  std::printf("[%s] computed %lld cells; all cells checkpointed under %s\n",
+  std::printf("[%s] computed %lld cells; summary at %s\n",
               options.worker_label.c_str(),
-              static_cast<long long>(completed.value()),
-              tsg::bench::CheckpointDir(config).c_str());
+              static_cast<long long>(grid.value().computed),
+              tsg::bench::GridSummaryPath(config).c_str());
   tsg::bench::WriteMetricsSnapshot();
   return 0;
 }

@@ -4,12 +4,13 @@
 // an interrupted batch job would. scripts/ci_smoke_grid.sh drives the full
 // kill -> resume -> byte-compare protocol and the --metrics_out determinism check.
 //
-// --shard runs the same grid as one sharded-grid worker (lease-claimed cells,
-// DESIGN.md §10) and --merge as the strict supervisor, so
-// scripts/ci_sharded_grid.sh can drive a multi-worker kill/reclaim/merge cycle
-// with the identical kill instrumentation: a worker killed via
-// TSG_SMOKE_KILL_AFTER dies between claiming a cell's lease and checkpointing
-// it, leaving exactly the dangling-lease state the reclaim path exists for.
+// Every mode runs the one grid sweep (lease-claimed cells, DESIGN.md §10):
+// --shard as a sharded-grid worker with a short no-progress timeout and
+// --merge as the strict supervisor, so scripts/ci_sharded_grid.sh can drive a
+// multi-worker kill/reclaim/merge cycle with the identical kill
+// instrumentation. A run killed via TSG_SMOKE_KILL_AFTER dies between claiming
+// a cell's lease and checkpointing it, leaving exactly the dangling-lease
+// state the reclaim path exists for.
 
 #include <atomic>
 #include <cstdio>
@@ -135,16 +136,15 @@ int main(int argc, char** argv) {
     tsg::bench::ShardOptions options;
     options.worker_label = "smoke-shard";
     options.max_wait_seconds = 120.0;  // A hung peer fails the CI job fast.
-    const auto completed =
-        tsg::bench::RunGridShard(config, methods, datasets, options);
-    if (!completed.ok()) {
+    const auto grid = tsg::bench::RunGridShard(config, methods, datasets, options);
+    if (!grid.ok()) {
       std::fprintf(stderr, "[smoke] shard failed: %s\n",
-                   completed.status().ToString().c_str());
+                   grid.status().ToString().c_str());
       tsg::bench::WriteMetricsSnapshot();
       return 1;
     }
     std::printf("[smoke] shard complete: computed %lld cells\n",
-                static_cast<long long>(completed.value()));
+                static_cast<long long>(grid.value().computed));
     tsg::bench::WriteMetricsSnapshot();
     return 0;
   }

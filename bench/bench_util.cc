@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -380,141 +381,190 @@ CellOutcome ComputeCell(core::Harness& harness, const std::string& method_name,
   return outcome;
 }
 
-/// Simulates + preprocesses datasets on first use, so a shard worker only pays
-/// for the datasets of the cells it actually claims.
-class LazyDatasets {
- public:
-  LazyDatasets(const BenchConfig& config, std::vector<data::DatasetId> ids)
-      : config_(config), ids_(std::move(ids)), prepared_(ids_.size()),
-        ready_(ids_.size(), false) {}
+/// How one claim attempt on a cell ended.
+enum class Claim { kLoaded, kComputed, kHeld, kStopped };
 
-  const core::Preprocessed& Get(size_t index) {
-    if (!ready_[index]) {
-      const obs::ScopedTimer prepare_span("grid.prepare_dataset");
-      prepared_[index] = PrepareDataset(ids_[index], config_);
-      ready_[index] = true;
+/// Pause between rounds while live owners hold the remaining cells.
+constexpr double kHeldCellRetrySeconds = 0.05;
+
+/// Flattens outcomes into score rows and failure records (sweep order), and
+/// counts the cells: grid.cells.{total,resumed} and, per cell, grid.cells.ok
+/// or grid.cells.failed.
+GridResult CollectResult(const std::vector<CellOutcome>& outcomes, int64_t loaded,
+                         int64_t computed) {
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
+  metrics.GetCounter("grid.cells.total").Add(static_cast<int64_t>(outcomes.size()));
+  metrics.GetCounter("grid.cells.resumed").Add(loaded);
+  GridResult result;
+  result.computed = computed;
+  for (const CellOutcome& outcome : outcomes) {
+    if (outcome.failed) {
+      metrics.GetCounter("grid.cells.failed").Add();
+      result.failures.push_back(outcome.error);
+    } else {
+      metrics.GetCounter("grid.cells.ok").Add();
+      result.rows.insert(result.rows.end(), outcome.rows.begin(), outcome.rows.end());
     }
-    return prepared_[index];
   }
+  return result;
+}
 
- private:
-  const BenchConfig& config_;
-  const std::vector<data::DatasetId> ids_;
-  std::vector<core::Preprocessed> prepared_;
-  std::vector<bool> ready_;
-};
-
-/// One pass of the grid engine: every cell's outcome in dataset-major sweep
-/// order, and how many of them came from checkpoints or were computed.
-struct GridSweep {
-  std::vector<CellOutcome> outcomes;
-  int64_t loaded = 0;
-  int64_t computed = 0;
-  /// First failed checkpoint write, in sweep order. The outcomes are complete
-  /// either way; only a later run has to recompute the affected cells.
-  Status checkpoint_status;
-};
-
-/// The grid engine behind RunGrid and MergeGridShards. Loads each cell's
-/// checkpoint; fits and evaluates the cells without one concurrently on the
-/// global pool (TSG_THREADS-many at once), checkpointing each as it finishes,
-/// so a kill at any point loses at most the in-flight cells; then writes the
+/// The grid sweep: the only code that loads, claims or computes a grid cell,
+/// behind RunGrid, RunGridShard and MergeGridShards. Loads each cell's
+/// checkpoint; claims the cells without a valid one concurrently on the global
+/// pool (TSG_THREADS-many at once) under their leases, re-loading the
+/// checkpoint a peer may have written in the meantime and otherwise fitting,
+/// evaluating and checkpointing the cell, so a kill at any point loses at most
+/// the in-flight cells. Cells a live owner holds are retried every round until
+/// `max_wait_seconds` pass without progress or `should_stop` fires. Each
+/// dataset is prepared once, when its first cell is claimed. Finally writes the
 /// summary. Replaying a checkpoint instead of computing the cell is sound
 /// because each cell seeds its Rng chain from the config alone and the shared
 /// embedder fit is deterministic: no cell's result depends on which process or
-/// thread computed any other cell. With `compute_missing` false, a cell
-/// without a valid checkpoint is NotFound and nothing is computed or written.
-StatusOr<GridSweep> SweepGrid(const BenchConfig& config,
-                              const std::vector<std::string>& methods,
-                              const std::vector<data::DatasetId>& datasets,
-                              bool compute_missing) {
+/// thread computed any other cell. With `compute_missing` false, a cell without
+/// a valid checkpoint is NotFound and nothing is claimed or written.
+StatusOr<GridResult> SweepGrid(const BenchConfig& config,
+                               const std::vector<std::string>& methods,
+                               const std::vector<data::DatasetId>& datasets,
+                               const ShardOptions& options, bool compute_missing) {
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
   std::filesystem::create_directories(CheckpointDir(config));
   const size_t num_methods = methods.size();
   const size_t num_cells = datasets.size() * num_methods;
-  GridSweep sweep;
-  sweep.outcomes.resize(num_cells);
-  std::vector<size_t> missing;
-  std::vector<bool> dataset_needed(datasets.size(), false);
+  std::vector<CellOutcome> outcomes(num_cells);
+  int64_t loaded = 0;
+  int64_t computed = 0;
+  std::vector<size_t> pending;
   for (size_t cell = 0; cell < num_cells; ++cell) {
     const std::string dataset = data::DatasetName(datasets[cell / num_methods]);
     const std::string& method = methods[cell % num_methods];
-    if (LoadCellCheckpoint(config, method, dataset, &sweep.outcomes[cell])) {
-      ++sweep.loaded;
-      continue;
+    if (LoadCellCheckpoint(config, method, dataset, &outcomes[cell])) {
+      ++loaded;
+    } else if (!compute_missing) {
+      return Status::NotFound("no checkpoint for cell " + method + " / " + dataset +
+                              " in " + CheckpointDir(config));
+    } else {
+      pending.push_back(cell);
     }
-    if (!compute_missing) {
-      return Status::NotFound("no checkpoint for cell " + method + " / " +
-                              dataset + " in " + CheckpointDir(config));
-    }
-    missing.push_back(cell);
-    dataset_needed[cell / num_methods] = true;
   }
-  if (sweep.loaded > 0) {
+  if (loaded > 0) {
     std::fprintf(stderr, "[grid] resumed %lld/%zu cells from %s\n",
-                 static_cast<long long>(sweep.loaded), num_cells,
+                 static_cast<long long>(loaded), num_cells,
                  CheckpointDir(config).c_str());
   }
 
-  if (!missing.empty()) {
-    // Simulate + preprocess each dataset that has missing cells (independent
-    // and deterministic).
-    const auto prepared = base::ParallelMap<core::Preprocessed>(
-        static_cast<int64_t>(datasets.size()), 1, [&](int64_t di) {
-          if (!dataset_needed[static_cast<size_t>(di)]) return core::Preprocessed();
-          const obs::ScopedTimer prepare_span("grid.prepare_dataset");
-          core::Preprocessed pre =
-              PrepareDataset(datasets[static_cast<size_t>(di)], config);
-          std::fprintf(stderr, "[grid] dataset %s: R_train=%lld l=%lld N=%lld\n",
-                       pre.train.name().c_str(),
-                       static_cast<long long>(pre.train.num_samples()),
-                       static_cast<long long>(pre.train.seq_len()),
-                       static_cast<long long>(pre.train.num_features()));
-          return pre;
-        });
+  if (!pending.empty()) {
     // Each cell builds its own method instance, so cells never share mutable
     // state (the harness serializes its embedder cache internally), and each
     // writes only its own outcome slot and checkpoint file.
     const GridHarness grid = MakeGridHarness(config);
-    std::vector<Status> written(missing.size());
-    base::ParallelFor(0, static_cast<int64_t>(missing.size()), 1,
-                      [&](int64_t chunk_begin, int64_t chunk_end) {
-      for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-        const size_t cell = missing[static_cast<size_t>(i)];
-        CellOutcome& outcome = sweep.outcomes[cell];
-        outcome = ComputeCell(*grid.harness, methods[cell % num_methods],
-                              prepared[cell / num_methods]);
-        written[static_cast<size_t>(i)] = WriteCellCheckpoint(config, outcome);
+    std::vector<core::Preprocessed> prepared(datasets.size());
+    std::vector<std::once_flag> prepare_once(datasets.size());
+    const auto dataset_of = [&](size_t di) -> const core::Preprocessed& {
+      std::call_once(prepare_once[di], [&] {
+        const obs::ScopedTimer prepare_span("grid.prepare_dataset");
+        prepared[di] = PrepareDataset(datasets[di], config);
+        const core::Preprocessed& pre = prepared[di];
+        std::fprintf(stderr, "[grid] dataset %s: R_train=%lld l=%lld N=%lld\n",
+                     pre.train.name().c_str(),
+                     static_cast<long long>(pre.train.num_samples()),
+                     static_cast<long long>(pre.train.seq_len()),
+                     static_cast<long long>(pre.train.num_features()));
+      });
+      return prepared[di];
+    };
+    const std::string& token = io::LeaseOwnerToken();
+    // One claim attempt; on kComputed, *written is the checkpoint write.
+    const auto claim = [&](size_t cell, Status* written) -> StatusOr<Claim> {
+      const std::string dataset = data::DatasetName(datasets[cell / num_methods]);
+      const std::string& method = methods[cell % num_methods];
+      const std::string lease = CellLeasePath(config, method, dataset);
+      TSG_ASSIGN_OR_RETURN(bool acquired, io::AcquireLease(lease, token));
+      if (!acquired) {
+        // Held: a live computation (wait) or a casualty (reclaim). The
+        // breaker can still lose the re-acquire to another worker's claim.
+        TSG_ASSIGN_OR_RETURN(const bool broke,
+                             BreakDeadCellLease(config, method, dataset,
+                                                options.lease_stale_seconds));
+        if (broke) {
+          TSG_ASSIGN_OR_RETURN(acquired, io::AcquireLease(lease, token));
+        }
+        if (!acquired) {
+          metrics.GetCounter("grid.shard.lease_conflicts").Add();
+          return Claim::kHeld;
+        }
       }
-    });
-    for (const Status& s : written) {
-      if (s.ok()) continue;
-      obs::MetricRegistry::Global().GetCounter("grid.checkpoint_write_failures").Add();
-      std::fprintf(stderr, "checkpoint write failed: %s\n", s.ToString().c_str());
-      if (sweep.checkpoint_status.ok()) sweep.checkpoint_status = s;
-    }
-    sweep.computed = static_cast<int64_t>(missing.size());
-  }
-  WriteGridSummary(config, methods, datasets, sweep.outcomes);
-  return sweep;
-}
+      // Under the lease, a valid checkpoint means a peer finished the cell
+      // after this sweep's first look.
+      Claim result = Claim::kLoaded;
+      if (!LoadCellCheckpoint(config, method, dataset, &outcomes[cell])) {
+        outcomes[cell] = ComputeCell(*grid.harness, method, dataset_of(cell / num_methods));
+        *written = WriteCellCheckpoint(config, outcomes[cell]);
+        result = Claim::kComputed;
+      }
+      const Status released = io::ReleaseLease(lease, token);
+      if (!released.ok()) {
+        // Stolen mid-compute after being (wrongly) declared dead. Harmless:
+        // the checkpoint is deterministic, so the thief writes the same bytes.
+        metrics.GetCounter("grid.shard.lease_release_failures").Add();
+        std::fprintf(stderr, "[%s] lease release: %s\n", options.worker_label.c_str(),
+                     released.ToString().c_str());
+      }
+      return result;
+    };
 
-/// Flattens outcomes into score rows and failure records (sweep order),
-/// counting each cell under `ok_counter` or `failed_counter`.
-GridResult CollectResult(const std::vector<CellOutcome>& outcomes,
-                         const char* ok_counter, const char* failed_counter) {
-  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
-  GridResult result;
-  for (const CellOutcome& outcome : outcomes) {
-    if (outcome.failed) {
-      metrics.GetCounter(failed_counter).Add();
-      result.failures.push_back(outcome.error);
-    } else {
-      metrics.GetCounter(ok_counter).Add();
-      result.rows.insert(result.rows.end(), outcome.rows.begin(),
-                         outcome.rows.end());
+    auto last_progress = std::chrono::steady_clock::now();
+    for (;;) {
+      // A cell skipped because should_stop fired stays kStopped.
+      std::vector<StatusOr<Claim>> claims(pending.size(), Claim::kStopped);
+      std::vector<Status> written(pending.size());
+      base::ParallelFor(0, static_cast<int64_t>(pending.size()), 1,
+                        [&](int64_t chunk_begin, int64_t chunk_end) {
+        for (int64_t i = chunk_begin; i < chunk_end; ++i) {
+          if (options.should_stop && options.should_stop()) continue;
+          const size_t slot = static_cast<size_t>(i);
+          claims[slot] = claim(pending[slot], &written[slot]);
+        }
+      });
+      // Fold in sweep order, so the first error reported is deterministic.
+      std::vector<size_t> held;
+      for (size_t i = 0; i < pending.size(); ++i) {
+        if (!claims[i].ok()) return claims[i].status();
+        if (!written[i].ok()) {
+          metrics.GetCounter("grid.checkpoint_write_failures").Add();
+          return written[i];
+        }
+        switch (claims[i].value()) {
+          case Claim::kLoaded:
+            ++loaded;
+            break;
+          case Claim::kComputed:
+            ++computed;
+            break;
+          case Claim::kHeld:
+            held.push_back(pending[i]);
+            break;
+          case Claim::kStopped:
+            metrics.GetCounter("grid.shard.stopped").Add();
+            return Status::FailedPrecondition(options.worker_label +
+                                              ": stopped before grid completion");
+        }
+      }
+      const auto now = std::chrono::steady_clock::now();
+      if (held.size() < pending.size()) last_progress = now;
+      pending = std::move(held);
+      if (pending.empty()) break;
+      const double waited = std::chrono::duration<double>(now - last_progress).count();
+      if (waited > options.max_wait_seconds) {
+        return Status::FailedPrecondition(options.worker_label + ": no progress for " +
+                                          std::to_string(waited) +
+                                          "s waiting on cells held by live workers");
+      }
+      std::this_thread::sleep_for(std::chrono::duration<double>(kHeldCellRetrySeconds));
     }
   }
-  return result;
+  WriteGridSummary(config, methods, datasets, outcomes);
+  return CollectResult(outcomes, loaded, computed);
 }
 
 }  // namespace
@@ -541,15 +591,9 @@ std::string GridSummaryPath(const BenchConfig& config) {
 GridResult RunGrid(const BenchConfig& config,
                    const std::vector<std::string>& methods,
                    const std::vector<data::DatasetId>& datasets) {
-  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
   const obs::ScopedTimer grid_span("grid.run");
-  // A sweep that computes its missing cells has no error return.
-  GridSweep sweep =
-      SweepGrid(config, methods, datasets, /*compute_missing=*/true).value();
-  metrics.GetCounter("grid.cells.total")
-      .Add(static_cast<int64_t>(sweep.outcomes.size()));
-  metrics.GetCounter("grid.cells.resumed").Add(sweep.loaded);
-  return CollectResult(sweep.outcomes, "grid.cells.ok", "grid.cells.failed");
+  return SweepGrid(config, methods, datasets, ShardOptions{}, /*compute_missing=*/true)
+      .value();
 }
 
 StatusOr<bool> BreakDeadCellLease(const BenchConfig& config,
@@ -557,10 +601,11 @@ StatusOr<bool> BreakDeadCellLease(const BenchConfig& config,
                                   const std::string& dataset,
                                   double stale_seconds) {
   const std::string lease_path = CellLeasePath(config, method, dataset);
-  if (io::ProbeLease(lease_path, stale_seconds) != io::LeaseState::kDead) {
+  std::string owner;
+  if (io::ProbeLease(lease_path, stale_seconds, &owner) != io::LeaseState::kDead) {
     return false;
   }
-  StatusOr<bool> broke = io::BreakLease(lease_path, io::LeaseOwnerToken());
+  StatusOr<bool> broke = io::BreakLease(lease_path, owner, io::LeaseOwnerToken());
   if (!broke.ok() || !broke.value()) return broke;
   obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
   metrics.GetCounter("grid.shard.leases.stolen").Add();
@@ -573,193 +618,53 @@ StatusOr<bool> BreakDeadCellLease(const BenchConfig& config,
   return true;
 }
 
-StatusOr<int64_t> RunGridShard(const BenchConfig& config,
-                               const std::vector<std::string>& methods,
-                               const std::vector<data::DatasetId>& datasets,
-                               const ShardOptions& options) {
-  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
-  obs::ScopedTimer shard_span("grid.shard.run");
-  const GridHarness grid = MakeGridHarness(config);
-  std::filesystem::create_directories(CheckpointDir(config));
-  const std::string& token = io::LeaseOwnerToken();
-  const char* label = options.worker_label.c_str();
-
-  const int64_t num_methods = static_cast<int64_t>(methods.size());
-  const int64_t num_cells = static_cast<int64_t>(datasets.size()) * num_methods;
-  LazyDatasets prepared(config, datasets);
-  std::vector<bool> done(static_cast<size_t>(num_cells), false);
-
-  int64_t completed = 0;
-  auto last_progress = std::chrono::steady_clock::now();
-  for (;;) {
-    bool progressed = false;
-    for (int64_t cell = 0; cell < num_cells; ++cell) {
-      if (options.should_stop && options.should_stop()) {
-        metrics.GetCounter("grid.shard.stopped").Add();
-        std::fprintf(stderr, "[%s] stop requested after %lld cells\n", label,
-                     static_cast<long long>(completed));
-        return Status::FailedPrecondition(options.worker_label +
-                                          ": stopped before grid completion");
-      }
-      if (done[static_cast<size_t>(cell)]) continue;
-      const size_t di = static_cast<size_t>(cell / num_methods);
-      const std::string dataset = data::DatasetName(datasets[di]);
-      const std::string& method =
-          methods[static_cast<size_t>(cell % num_methods)];
-      const std::string ckpt_path = CheckpointPath(config, method, dataset);
-      if (std::filesystem::exists(ckpt_path)) {
-        done[static_cast<size_t>(cell)] = true;
-        progressed = true;
-        continue;
-      }
-      const std::string lease_path = CellLeasePath(config, method, dataset);
-      StatusOr<bool> acquired = io::AcquireLease(lease_path, token);
-      if (!acquired.ok()) return acquired.status();
-      if (!acquired.value()) {
-        // Held by another worker. A finished owner removes its lease only
-        // after its checkpoint landed, so held + no checkpoint is either a
-        // live computation (wait) or a casualty (reclaim). The breaker can
-        // still lose the re-acquire to another worker's plain claim; that
-        // worker then computes the cell the breaker already counted.
-        StatusOr<bool> broke = BreakDeadCellLease(
-            config, method, dataset, options.lease_stale_seconds);
-        if (!broke.ok()) return broke.status();
-        if (broke.value()) acquired = io::AcquireLease(lease_path, token);
-        if (!acquired.ok()) return acquired.status();
-        if (!acquired.value()) {
-          if (!std::filesystem::exists(ckpt_path)) {
-            metrics.GetCounter("grid.shard.lease_conflicts").Add();
-          }
-          continue;
-        }
-      }
-      // We hold the lease. Re-check the checkpoint: the previous owner may
-      // have died after checkpointing but before releasing.
-      if (std::filesystem::exists(ckpt_path)) {
-        (void)io::ReleaseLease(lease_path, token);
-        done[static_cast<size_t>(cell)] = true;
-        progressed = true;
-        continue;
-      }
-      metrics.GetCounter("grid.shard.cells.claimed").Add();
-      std::fprintf(stderr, "[%s] claimed %s / %s\n", label, method.c_str(),
-                   dataset.c_str());
-      const CellOutcome outcome =
-          ComputeCell(*grid.harness, method, prepared.Get(di));
-      const Status ckpt = WriteCellCheckpoint(config, outcome);
-      if (!ckpt.ok()) {
-        metrics.GetCounter("grid.checkpoint_write_failures").Add();
-        return ckpt;
-      }
-      metrics.GetCounter("grid.shard.cells.completed").Add();
-      const Status released = io::ReleaseLease(lease_path, token);
-      if (!released.ok()) {
-        // Stolen mid-compute after being (wrongly) declared dead. Harmless:
-        // the checkpoint is durable and deterministic, so whatever the thief
-        // writes is byte-identical. Count it and move on.
-        metrics.GetCounter("grid.shard.lease_release_failures").Add();
-        std::fprintf(stderr, "[%s] lease release: %s\n", label,
-                     released.ToString().c_str());
-      }
-      done[static_cast<size_t>(cell)] = true;
-      ++completed;
-      progressed = true;
-    }
-    bool all_done = true;
-    for (int64_t cell = 0; cell < num_cells; ++cell) {
-      if (!done[static_cast<size_t>(cell)]) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
-    const auto now = std::chrono::steady_clock::now();
-    if (progressed) {
-      last_progress = now;
-      continue;
-    }
-    const double waited =
-        std::chrono::duration_cast<std::chrono::duration<double>>(
-            now - last_progress)
-            .count();
-    if (waited > options.max_wait_seconds) {
-      return Status::FailedPrecondition(
-          options.worker_label + ": no progress for " +
-          std::to_string(waited) + "s waiting on cells held by live workers");
-    }
-    if (options.should_stop && options.should_stop()) {
-      metrics.GetCounter("grid.shard.stopped").Add();
-      return Status::FailedPrecondition(options.worker_label +
-                                        ": stopped before grid completion");
-    }
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(options.poll_seconds));
-  }
-  std::fprintf(stderr, "[%s] shard done: computed %lld/%lld cells\n", label,
-               static_cast<long long>(completed),
-               static_cast<long long>(num_cells));
-  return completed;
+StatusOr<GridResult> RunGridShard(const BenchConfig& config,
+                                  const std::vector<std::string>& methods,
+                                  const std::vector<data::DatasetId>& datasets,
+                                  const ShardOptions& options) {
+  const obs::ScopedTimer shard_span("grid.shard.run");
+  TSG_ASSIGN_OR_RETURN(GridResult grid, SweepGrid(config, methods, datasets, options,
+                                                  /*compute_missing=*/true));
+  std::fprintf(stderr, "[%s] grid done: computed %lld cells\n",
+               options.worker_label.c_str(), static_cast<long long>(grid.computed));
+  return grid;
 }
 
 StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
                                      const std::vector<std::string>& methods,
                                      const std::vector<data::DatasetId>& datasets,
                                      const MergeOptions& options) {
-  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
   const obs::ScopedTimer merge_span("grid.shard.merge");
-  const std::string& token = io::LeaseOwnerToken();
-
-  // Lease pass: no worker may still own a cell, and whatever a dead one left
-  // behind is cleared before the sweep reads the checkpoints.
+  // Lease pass: no worker may still own a cell, and a lease whose owner died
+  // after checkpointing is cleared. Dead leases on unfinished cells are the
+  // sweep's to reclaim.
   for (const data::DatasetId id : datasets) {
     const std::string dataset = data::DatasetName(id);
     for (const std::string& method : methods) {
       const std::string lease_path = CellLeasePath(config, method, dataset);
       if (!std::filesystem::exists(lease_path)) continue;
       if (std::filesystem::exists(CheckpointPath(config, method, dataset))) {
-        // Owner died after checkpointing but before releasing: the work is
-        // done, only the marker is orphaned.
         std::remove(lease_path.c_str());
-        metrics.GetCounter("grid.shard.merge.leases_cleaned").Add();
+        obs::MetricRegistry::Global()
+            .GetCounter("grid.shard.merge.leases_cleaned")
+            .Add();
         continue;
       }
-      const io::LeaseState state =
-          io::ProbeLease(lease_path, options.lease_stale_seconds);
-      if (state == io::LeaseState::kLive) {
+      if (io::ProbeLease(lease_path, options.lease_stale_seconds) ==
+          io::LeaseState::kLive) {
         return Status::FailedPrecondition(
             "cell " + method + " / " + dataset +
             " is still held by a live worker; merge after the workers exit");
       }
-      if (state == io::LeaseState::kDead) {
-        StatusOr<bool> broke = io::BreakLease(lease_path, token);
-        if (!broke.ok()) return broke.status();
-        if (broke.value()) {
-          metrics.GetCounter("grid.shard.merge.leases_reclaimed").Add();
-        }
-      }
     }
   }
 
-  // The same engine as RunGrid, so the merged summary (timing-free, %.17g) is
+  // The same sweep as RunGrid, so the merged summary (timing-free, %.17g) is
   // byte-identical to a single-process run.
-  StatusOr<GridSweep> sweep =
-      SweepGrid(config, methods, datasets, options.compute_missing);
-  if (!sweep.ok()) {
-    // Only a strict merge fails here, on its first missing cell.
-    metrics.GetCounter("grid.shard.merge.cells_missing").Add();
-    return sweep.status();
-  }
-  const GridSweep& swept = sweep.value();
-  if (swept.loaded > 0) {
-    metrics.GetCounter("grid.shard.merge.cells_loaded").Add(swept.loaded);
-  }
-  if (swept.computed > 0) {
-    metrics.GetCounter("grid.shard.merge.cells_missing").Add(swept.computed);
-    metrics.GetCounter("grid.shard.merge.cells_computed").Add(swept.computed);
-  }
-  TSG_RETURN_IF_ERROR(swept.checkpoint_status);
-  return CollectResult(swept.outcomes, "grid.shard.merge.cells_ok",
-                       "grid.shard.merge.cells_error");
+  ShardOptions sweep_options;
+  sweep_options.worker_label = "grid-merge";
+  sweep_options.lease_stale_seconds = options.lease_stale_seconds;
+  return SweepGrid(config, methods, datasets, sweep_options, options.compute_missing);
 }
 
 StatusOr<data::DatasetId> ParseDatasetName(const std::string& name) {

@@ -107,10 +107,12 @@ struct CellError {
 };
 
 /// The outcome of a grid run: score rows for the cells that succeeded (dataset-
-/// major sweep order) plus an error record per failed cell (same order).
+/// major sweep order) plus an error record per failed cell (same order), and
+/// how many cells the call fitted and evaluated itself rather than loaded.
 struct GridResult {
   std::vector<GridRow> rows;
   std::vector<CellError> failures;
+  int64_t computed = 0;
 };
 
 /// Preprocesses one simulated dataset under the benchmark defaults.
@@ -137,63 +139,69 @@ std::string CheckpointDir(const BenchConfig& config);
 /// cycles.
 std::string GridSummaryPath(const BenchConfig& config);
 
-/// Runs the benchmarking grid (methods x datasets x measure suite) and returns
-/// long-format rows plus failures. Every cell with a checkpoint under
-/// CheckpointDir() is replayed from it; the rest are fitted and evaluated as
-/// independent tasks on the global thread pool (TSG_THREADS-many at once) and
-/// checkpointed as they finish. Rows come back in the serial dataset-major
-/// order, and every cell seeds its own Rng chain from the config, so they are
-/// bit-identical to a single-threaded run. A failing cell (diverged fit, NaN
-/// loss, measure error) becomes a CellError while the rest of the grid
-/// completes. The JSON summary at GridSummaryPath() is (re)written atomically
-/// at the end. A rerun over a finished grid computes nothing, which is how the
-/// Figure 1/5/8 binaries share one grid.
-GridResult RunGrid(const BenchConfig& config,
-                   const std::vector<std::string>& methods,
-                   const std::vector<data::DatasetId>& datasets);
-
-/// One sharded-grid worker process (DESIGN.md §10). Workers coordinate only
-/// through files in CheckpointDir(config): a cell is claimed by atomically
-/// creating `<checkpoint>.lease` (io::AcquireLease), computed through the same
-/// store-aware harness path as RunGrid, checkpointed atomically, and released.
-/// A worker that dies mid-cell leaves a lease that any survivor detects as dead
-/// (same-host pid probe, or the `lease_stale_seconds` TTL) and reclaims via
-/// io::BreakLease — exactly one survivor wins the steal. Because every cell is
-/// a pure function of the config, it does not matter which worker computes a
-/// cell: the checkpoint bytes are identical either way.
+/// How a grid sweep shares its checkpoint directory with other processes
+/// (DESIGN.md §10). Processes coordinate only through files in
+/// CheckpointDir(config): a cell without a valid checkpoint is claimed by
+/// atomically creating `<checkpoint>.lease` (io::AcquireLease), computed,
+/// checkpointed atomically, and released. A process that dies mid-cell leaves
+/// a lease that any other sweep detects as dead (same-host pid probe, or the
+/// `lease_stale_seconds` TTL) and reclaims via BreakDeadCellLease. Because
+/// every cell is a pure function of the config, it does not matter which
+/// process computes a cell: the checkpoint bytes are identical either way.
 struct ShardOptions {
-  std::string worker_label = "shard";  ///< Log / trace prefix only.
+  std::string worker_label = "grid";  ///< Log prefix only.
   /// A held lease at least this old is reclaimable even when its owner cannot
   /// be probed (foreign host). Same-host dead owners are reclaimed immediately.
   double lease_stale_seconds = 300.0;
-  /// Give up after this long with pending cells but no progress anywhere (a
-  /// hung live owner would otherwise block the worker forever).
+  /// Give up after this long with cells left but no progress anywhere (a
+  /// hung live owner would otherwise block the sweep forever).
   double max_wait_seconds = 600.0;
-  double poll_seconds = 0.05;  ///< Sleep between sweeps while waiting.
   /// Cooperative stop hook for long-running hosts (the tsgd daemon's drain and
   /// cancel paths). Polled between cells, never mid-cell: when it returns true
-  /// the worker stops claiming cells and returns FailedPrecondition. Cells
+  /// the sweep stops claiming cells and returns FailedPrecondition. Cells
   /// already checkpointed stay durable, so a later run of the same config
   /// resumes from them byte-identically. Null = never stop.
   std::function<bool()> should_stop;
 };
 
-/// Sweeps the (method, dataset) grid claiming pending cells per ShardOptions
-/// until every cell has a checkpoint, then returns how many cells this worker
-/// computed itself. FailedPrecondition on a no-progress timeout.
-StatusOr<int64_t> RunGridShard(const BenchConfig& config,
-                               const std::vector<std::string>& methods,
-                               const std::vector<data::DatasetId>& datasets,
-                               const ShardOptions& options);
+/// Runs the benchmarking grid (methods x datasets x measure suite) and returns
+/// long-format rows plus failures: RunGridShard with the default ShardOptions,
+/// except that it aborts on a sweep error — a lease I/O failure, a failed
+/// checkpoint write, or max_wait_seconds spent waiting on a cell another live
+/// process holds. Every cell with a checkpoint under CheckpointDir() is
+/// replayed from it; the rest are claimed, fitted and evaluated as independent
+/// tasks on the global thread pool (TSG_THREADS-many at once) and checkpointed
+/// as they finish. Rows come back in the serial dataset-major order, and every
+/// cell seeds its own Rng chain from the config, so they are bit-identical to a
+/// single-threaded run. A failing cell (diverged fit, NaN loss, measure error)
+/// becomes a CellError while the rest of the grid completes. The JSON summary
+/// at GridSummaryPath() is (re)written atomically at the end. A rerun over a
+/// finished grid computes nothing, which is how the Figure 1/5/8 binaries share
+/// one grid, and processes pointed at one output directory split the grid.
+GridResult RunGrid(const BenchConfig& config,
+                   const std::vector<std::string>& methods,
+                   const std::vector<data::DatasetId>& datasets);
 
-/// The reclaim step of RunGridShard's claim: when the cell's lease is dead
-/// (ProbeLease with `stale_seconds`), breaks it with this process's owner token
-/// and returns true; false when the lease is free, live, or broken first by
-/// another worker. The break is counted as grid.shard.leases.stolen and, when
-/// the cell has no checkpoint, as grid.cells.reclaimed. Counting at the break
-/// counts each dead cell exactly once — rename(2) lets one breaker win — even
-/// when another worker's plain AcquireLease then takes the freed lease before
-/// the breaker re-acquires it.
+/// The grid sweep with the caller's ShardOptions: one sharded-grid worker
+/// process (bench_grid_worker, the daemon's grid job). Returns once every cell
+/// has a valid checkpoint, with the rows, failures and the number of cells this
+/// call computed, after writing the summary like every sweep.
+/// FailedPrecondition when should_stop fires or on a no-progress timeout;
+/// IoError on a lease failure or the first failed checkpoint write.
+StatusOr<GridResult> RunGridShard(const BenchConfig& config,
+                                  const std::vector<std::string>& methods,
+                                  const std::vector<data::DatasetId>& datasets,
+                                  const ShardOptions& options);
+
+/// The reclaim step of the sweep's claim: when the cell's lease is dead
+/// (io::ProbeLease with `stale_seconds`), breaks that lease — the owner token
+/// the probe read — with this process's token and returns true; false when the
+/// lease is free, live, broken first by another worker, or replaced by a new
+/// claim since the probe. The break is counted as grid.shard.leases.stolen
+/// and, when the cell has no checkpoint, as grid.cells.reclaimed. Counting at
+/// the break counts each dead cell exactly once — rename(2) lets one breaker
+/// win — even when another worker's plain AcquireLease then takes the freed
+/// lease before the breaker re-acquires it.
 StatusOr<bool> BreakDeadCellLease(const BenchConfig& config,
                                   const std::string& method,
                                   const std::string& dataset,
@@ -207,14 +215,16 @@ struct MergeOptions {
   double lease_stale_seconds = 300.0;  ///< Same reclaim TTL as ShardOptions.
 };
 
-/// Supervisor pass, run after the workers exit: reclaims leftover leases
-/// (stale, or orphaned next to a finished checkpoint), then runs RunGrid's
-/// engine — load every cell's checkpoint, compute stragglers concurrently when
-/// allowed, write the grid summary. The summary is byte-identical to a
-/// single-process RunGrid of the same config — checkpoints round-trip doubles
-/// through %.17g, so merged outcomes equal computed outcomes bit for bit. Fails
-/// with NotFound (strict mode, missing cell), FailedPrecondition (a live worker
-/// still holds a lease) or the first failed checkpoint write.
+/// Supervisor pass, run after the workers exit. Workers already write the
+/// summary, so the merge is needed only as the strict coverage check or to
+/// finish cells no worker finished. A lease pass refuses a cell a live worker
+/// still holds and removes a lease left beside a finished checkpoint (owner
+/// died between checkpoint and release); then the grid sweep loads every cell,
+/// reclaims and computes the missing ones when allowed, and writes the
+/// summary, byte-identical to a single-process RunGrid of the same config —
+/// checkpoints round-trip doubles through %.17g. Fails with NotFound (strict
+/// mode, missing cell), FailedPrecondition (a live worker still holds a lease)
+/// or the first failed checkpoint write.
 StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
                                      const std::vector<std::string>& methods,
                                      const std::vector<data::DatasetId>& datasets,

@@ -9,9 +9,10 @@
 #      checkpoint directory. They must finish every remaining cell, steal the
 #      dead worker's lease (grid.cells.reclaimed >= 1 summed across their
 #      metrics snapshots, and the survivors together compute exactly the 3
-#      remaining cells), and leave no lease behind.
+#      remaining cells: grid.cells.computed = 3), leave no lease behind, and
+#      write a grid summary byte-identical to the reference run's.
 #   4. Merge: the strict supervisor (--merge refuses to train anything itself)
-#      must assemble a grid summary byte-identical to the reference run's.
+#      must load all 4 cells and assemble that same summary.
 #
 # Usage: scripts/ci_sharded_grid.sh [build_dir]   (default: build)
 # The work dir (under TSG_WORK_ROOT, default /tmp) is kept on failure so CI can
@@ -102,15 +103,16 @@ if [[ "$reclaimed" -lt 1 ]]; then
   echo "error: grid.cells.reclaimed = $reclaimed across survivors, expected >= 1" >&2
   exit 1
 fi
-completed=$(counter_sum "grid.shard.cells.completed" "${snapshots[@]}")
-expect_eq "cells computed by survivors" "$completed" 3
+computed=$(counter_sum "grid.cells.computed" "${snapshots[@]}")
+expect_eq "cells computed by survivors" "$computed" 3
+cmp "$OUT"/grid_summary_*.json "$WORK/ref"/grid_summary_*.json
 
 echo "== 4. strict merge + byte-compare against the single-process summary"
 TSGBENCH_OUT="$OUT" "$BIN" --merge --metrics_out="$OUT/metrics_merge.json"
 expect_eq "merged cells loaded from checkpoints" \
-  "$(counter_sum "grid.shard.merge.cells_loaded" "$OUT/metrics_merge.json")" 4
+  "$(counter_sum "grid.cells.resumed" "$OUT/metrics_merge.json")" 4
 expect_eq "cells the merge had to compute itself" \
-  "$(counter_sum "grid.shard.merge.cells_computed" "$OUT/metrics_merge.json")" 0
+  "$(counter_sum "grid.cells.computed" "$OUT/metrics_merge.json")" 0
 cmp "$OUT"/grid_summary_*.json "$WORK/ref"/grid_summary_*.json
 
 echo "sharded grid OK: kill reclaimed by a survivor, merged summary byte-identical"

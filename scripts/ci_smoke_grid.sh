@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI smoke test for the bench grid's fault-tolerance and observability layers:
 #
-#   1. Start a tiny 2x2 grid and kill it (hard _exit, no cleanup) after 2 fits.
-#   2. Resume: the run must load exactly the 2 checkpointed cells, finish the
-#      rest, and report grid.cells.resumed=2 in its --metrics_out snapshot.
+#   1. Start a tiny 2x2 grid and kill it (hard _exit, no cleanup) after 2 fits,
+#      holding the lease of the cell it was computing.
+#   2. Resume: the run must load exactly the 2 checkpointed cells, reclaim the
+#      dead run's lease, finish the rest, report grid.cells.resumed=2 and
+#      grid.cells.reclaimed=1 in its --metrics_out snapshot, and leave no lease.
 #   3. The resumed grid summary must be byte-identical to a clean run's.
 #   4. Two clean runs at different TSG_THREADS must produce identical metric
 #      snapshots once the wall-clock "timings" section is stripped.
@@ -67,9 +69,16 @@ fi
 
 echo "== 2. resume run"
 TSGBENCH_OUT="$WORK/resumed" "$BIN" --metrics_out="$WORK/resumed/metrics.json"
-if ! grep -q '"grid.cells.resumed":2' "$WORK/resumed/metrics.json"; then
-  echo "error: metrics snapshot does not report grid.cells.resumed=2" >&2
-  grep -o '"grid[^,}]*' "$WORK/resumed/metrics.json" >&2 || true
+for want in '"grid.cells.resumed":2' '"grid.cells.reclaimed":1'; do
+  if ! grep -q "$want" "$WORK/resumed/metrics.json"; then
+    echo "error: metrics snapshot does not report $want" >&2
+    grep -o '"grid[^,}]*' "$WORK/resumed/metrics.json" >&2 || true
+    exit 1
+  fi
+done
+leases=$(find "$WORK/resumed" -name '*.lease' | wc -l)
+if [[ "$leases" -ne 0 ]]; then
+  echo "error: $leases lease file(s) left after the resume" >&2
   exit 1
 fi
 

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "base/check.h"
+
 namespace tsg {
 
 /// Error categories for recoverable failures (I/O, malformed input, bad config).
@@ -74,11 +76,25 @@ class StatusOr {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  const T& value() const& { return value_; }
-  T& value() & { return value_; }
-  T&& value() && { return std::move(value_); }
+  /// The value; aborts with the status when there is none — check ok() first.
+  const T& value() const& {
+    CheckHasValue();
+    return value_;
+  }
+  T& value() & {
+    CheckHasValue();
+    return value_;
+  }
+  T&& value() && {
+    CheckHasValue();
+    return std::move(value_);
+  }
 
  private:
+  void CheckHasValue() const {
+    TSG_CHECK(status_.ok()) << "StatusOr::value() on " << status_.ToString();
+  }
+
   Status status_;
   T value_{};
 };

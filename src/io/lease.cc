@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <random>
+#include <utility>
 
 #include "io/atomic_file.h"
 
@@ -44,7 +45,18 @@ struct LeaseOwner {
   long pid = 0;
 };
 
-/// Parses "<host>:<pid>:<nonce>" (trailing newline tolerated).
+/// The token a lease file carries, without AcquireLease's trailing newline.
+StatusOr<std::string> ReadLeaseToken(const std::string& path) {
+  StatusOr<std::string> content = ReadFileToString(path);
+  if (!content.ok()) return content;
+  std::string token = std::move(content).value();
+  while (!token.empty() && (token.back() == '\n' || token.back() == '\r')) {
+    token.pop_back();
+  }
+  return token;
+}
+
+/// Parses "<host>:<pid>:<nonce>".
 bool ParseOwnerToken(const std::string& content, LeaseOwner* owner) {
   const size_t host_end = content.find(':');
   if (host_end == std::string::npos) return false;
@@ -90,14 +102,16 @@ StatusOr<bool> AcquireLease(const std::string& path, const std::string& token) {
   return true;
 }
 
-LeaseState ProbeLease(const std::string& path, double stale_after_seconds) {
-  const StatusOr<std::string> content = ReadFileToString(path);
-  if (!content.ok()) return LeaseState::kFree;
-  LeaseOwner owner;
-  const bool parsed = ParseOwnerToken(content.value(), &owner);
-  if (parsed && owner.host == HostName()) {
+LeaseState ProbeLease(const std::string& path, double stale_after_seconds,
+                      std::string* owner) {
+  if (owner != nullptr) owner->clear();
+  const StatusOr<std::string> token = ReadLeaseToken(path);
+  if (!token.ok()) return LeaseState::kFree;
+  if (owner != nullptr) *owner = token.value();
+  LeaseOwner parsed;
+  if (ParseOwnerToken(token.value(), &parsed) && parsed.host == HostName()) {
     // Same host: the process table is authoritative. EPERM still means alive.
-    if (::kill(static_cast<pid_t>(owner.pid), 0) != 0 && errno == ESRCH) {
+    if (::kill(static_cast<pid_t>(parsed.pid), 0) != 0 && errno == ESRCH) {
       return LeaseState::kDead;
     }
     return LeaseState::kLive;
@@ -113,7 +127,8 @@ LeaseState ProbeLease(const std::string& path, double stale_after_seconds) {
   return age >= stale_after_seconds ? LeaseState::kDead : LeaseState::kLive;
 }
 
-StatusOr<bool> BreakLease(const std::string& path, const std::string& token) {
+StatusOr<bool> BreakLease(const std::string& path, const std::string& owner,
+                          const std::string& token) {
   // The destination embeds the stealer's token, so concurrent stealers never
   // rename onto each other: they race only on the source, where rename(2)
   // hands exactly one of them success and the rest ENOENT.
@@ -123,19 +138,22 @@ StatusOr<bool> BreakLease(const std::string& path, const std::string& token) {
     return Status::IoError("cannot break lease " + path + ": " +
                            std::strerror(errno));
   }
+  // Between the caller's probe and the rename, a faster stealer may have
+  // broken the probed lease and claimed the path anew. That live lease goes
+  // back; link(2) fails rather than replace a claim made since the rename.
+  const StatusOr<std::string> moved = ReadLeaseToken(dest);
+  const bool probed = moved.ok() && moved.value() == owner;
+  if (!probed) (void)::link(dest.c_str(), path.c_str());
   std::remove(dest.c_str());
-  return true;
+  return probed;
 }
 
 Status ReleaseLease(const std::string& path, const std::string& token) {
-  StatusOr<std::string> content = ReadFileToString(path);
+  const StatusOr<std::string> content = ReadLeaseToken(path);
   if (!content.ok()) {
     return Status::NotFound("lease already gone: " + path);
   }
-  std::string held = content.value();
-  while (!held.empty() && (held.back() == '\n' || held.back() == '\r')) {
-    held.pop_back();
-  }
+  const std::string& held = content.value();
   if (held != token) {
     return Status::FailedPrecondition("lease " + path + " held by " + held +
                                       ", not " + token);

@@ -21,7 +21,8 @@ namespace tsg::io {
 ///   * Steal: BreakLease renames the lease file to a claimant-unique sidecar.
 ///     rename(2) fails with ENOENT once the source is gone, so exactly one of
 ///     any number of concurrent stealers wins; the winner then claims the now
-///     absent path with AcquireLease as usual.
+///     absent path with AcquireLease as usual. The stealer names the token it
+///     probed, so a lease taken after the probe is put back, not stolen.
 ///   * Release: ReleaseLease removes the file only when it still carries the
 ///     caller's token, so an owner that was (wrongly) declared dead and stolen
 ///     from cannot delete the thief's lease.
@@ -47,14 +48,20 @@ StatusOr<bool> AcquireLease(const std::string& path, const std::string& token);
 /// Classifies `path`. A same-host owner is probed directly with kill(pid, 0):
 /// ESRCH means dead regardless of age. Otherwise (foreign host, or an
 /// unparseable token) the lease is dead once its mtime is at least
-/// `stale_after_seconds` old.
-LeaseState ProbeLease(const std::string& path, double stale_after_seconds);
+/// `stale_after_seconds` old. When `owner` is non-null it receives the token
+/// the probe read (empty when the lease is free): the one to hand BreakLease.
+LeaseState ProbeLease(const std::string& path, double stale_after_seconds,
+                      std::string* owner = nullptr);
 
 /// Atomically takes `path` out of service by renaming it to a sidecar unique
-/// to `token`. Returns true when this call performed the rename (the caller
-/// may now AcquireLease the freed path), false when the lease was already
-/// gone — released by its owner or broken by a faster stealer.
-StatusOr<bool> BreakLease(const std::string& path, const std::string& token);
+/// to `token`. Returns true when this call moved the lease `owner` holds (the
+/// caller may now AcquireLease the freed path), false when the lease was
+/// already gone — released by its owner or broken by a faster stealer — or
+/// when the moved file carried another token: a claim that replaced the
+/// probed lease after the probe. That lease is put back with link(2), which
+/// fails rather than replace a lease created in the meantime.
+StatusOr<bool> BreakLease(const std::string& path, const std::string& owner,
+                          const std::string& token);
 
 /// Removes the lease at `path` iff it still carries `token`. NotFound when
 /// the file is gone, FailedPrecondition when another token holds it (the

@@ -216,11 +216,8 @@ StatusOr<std::string> BenchJobRunner::RunGridJob(
   bench::ShardOptions options;
   options.worker_label = "tsgd-grid";
   options.should_stop = should_stop;
-  TSG_ASSIGN_OR_RETURN(const int64_t computed,
+  TSG_ASSIGN_OR_RETURN(const bench::GridResult grid,
                        bench::RunGridShard(config_, methods, datasets, options));
-  TSG_ASSIGN_OR_RETURN(const bench::GridResult merged,
-                       bench::MergeGridShards(config_, methods, datasets,
-                                              bench::MergeOptions{}));
   const std::string summary_path = bench::GridSummaryPath(config_);
   TSG_ASSIGN_OR_RETURN(const std::string summary,
                        io::ReadFileToString(summary_path));
@@ -229,9 +226,9 @@ StatusOr<std::string> BenchJobRunner::RunGridJob(
   json.Key("summary").String(summary_path);
   json.Key("digest").String(
       HexU64(base::Fnv64Bytes(summary.data(), summary.size())));
-  json.Key("rows").Int(static_cast<int64_t>(merged.rows.size()));
-  json.Key("failed").Int(static_cast<int64_t>(merged.failures.size()));
-  json.Key("computed").Int(computed);
+  json.Key("rows").Int(static_cast<int64_t>(grid.rows.size()));
+  json.Key("failed").Int(static_cast<int64_t>(grid.failures.size()));
+  json.Key("computed").Int(grid.computed);
   json.EndObject();
   return AsRawMembers(json);
 }

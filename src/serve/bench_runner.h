@@ -46,11 +46,11 @@ class JobRunner {
 ///   evaluate — one (method, dataset) cell through core::Harness::RunMethod
 ///              with the exact grid options; the score members round doubles
 ///              through %.17g like the grid summary.
-///   grid     — bench::RunGridShard + MergeGridShards over the daemon's
-///              BenchConfig: cells checkpoint under grid_ckpt_*/, a killed
-///              daemon resumes from them byte-identically, and `should_stop`
-///              stops between cells for drain/cancel. Result: summary path +
-///              FNV-64 digest of the summary file.
+///   grid     — one bench::RunGridShard sweep over the daemon's BenchConfig:
+///              cells checkpoint under grid_ckpt_*/, a killed daemon resumes
+///              from them byte-identically, and `should_stop` stops between
+///              cells for drain/cancel. Result: summary path + FNV-64 digest of
+///              the summary file, rows, failed cells and cells computed.
 ///   stream_eval — attach a streameval::StreamEvaluator to the tenant's
 ///              generate stream: chunked ServingCache generation (chunk b uses
 ///              seed gen_seed + b) feeds windowed online measures whose live

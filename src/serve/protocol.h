@@ -29,8 +29,8 @@ namespace tsg::serve {
 
 /// What a submitted job runs. fit trains (or store-hits) one model; generate
 /// serves synthetic series from the warm cache; evaluate scores one
-/// (method, dataset) cell through the grid harness; grid runs a whole
-/// checkpointed RunGridShard + merge; stream_eval streams batched generation
+/// (method, dataset) cell through the grid harness; grid runs one whole
+/// checkpointed grid sweep (RunGridShard); stream_eval streams batched generation
 /// through a streameval::StreamEvaluator, publishing live per-tenant
 /// "stream.<tenant>.*" quality/drift metrics (DESIGN.md §12).
 enum class JobKind { kFit, kGenerate, kEvaluate, kGrid, kStreamEval };

@@ -160,6 +160,15 @@ TEST(CheckDeathTest, ComparisonMacroReportsValues) {
   EXPECT_DEATH({ TSG_CHECK_EQ(3, 4); }, "3 vs 4");
 }
 
+TEST(StatusOrDeathTest, ValueOnErrorAbortsWithTheStatus) {
+  // A default value would pass silently for a real result (0.0 for a score).
+  const StatusOr<double> score = Status::NotFound("missing");
+  EXPECT_DEATH((void)score.value(),
+               "StatusOr::value\\(\\) on NOT_FOUND: missing");
+  EXPECT_DEATH((void)StatusOr<double>(Status::Internal("moved")).value(),
+               "StatusOr::value\\(\\) on INTERNAL: moved");
+}
+
 TEST(ThreadPoolEnvDeathTest, MalformedThreadCountExitsTwo) {
   // The pool is a process singleton sized once from TSG_THREADS, so each case
   // runs in a freshly started child that sets the variable before the pool

@@ -412,12 +412,12 @@ TEST(GridResumeTest, InterruptedGridResumesByteIdentical) {
   std::filesystem::remove_all(resumed.out_dir);
 }
 
-// ---- Sharded execution (ISSUE 8): lease-claimed workers and the supervisor
-// merge must reproduce the single-process grid byte for byte, reclaim cells
-// whose owner died, and surface error cells through the merge. ----
+// ---- Sharded execution: lease-claimed workers and the supervisor merge must
+// reproduce the single-process grid byte for byte, reclaim cells whose owner
+// died, and surface error cells through the merge. ----
 
-/// The lease path RunGridShard uses for (TimeVAE, DLG) cells — both names are
-/// filesystem-safe, so the mapping is the checkpoint path + ".lease".
+/// The lease path the grid sweep uses for (TimeVAE, DLG) cells — both names
+/// are filesystem-safe, so the mapping is the checkpoint path + ".lease".
 std::string LeasePathFor(const BenchConfig& config, const std::string& method,
                          const std::string& dataset) {
   return CheckpointDir(config) + "/" + method + "__" + dataset + ".csv.lease";
@@ -455,24 +455,26 @@ TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
   options.worker_label = "test-shard";
   const auto completed = RunGridShard(sharded, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
-  EXPECT_EQ(completed.value(), 2);
+  EXPECT_EQ(completed.value().computed, 2);
+  ExpectScoresBitIdentical(completed.value().rows, clean_grid.rows);
+  const std::string clean_summary = ReadWholeFile(GridSummaryPath(clean));
+  ASSERT_FALSE(clean_summary.empty());
+  EXPECT_EQ(ReadWholeFile(GridSummaryPath(sharded)), clean_summary);
 
   // Strict merge: every cell must come from a worker checkpoint.
+  std::filesystem::remove(GridSummaryPath(sharded));
   MergeOptions merge_options;
   merge_options.compute_missing = false;
   const auto merged = MergeGridShards(sharded, methods, datasets, merge_options);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ASSERT_EQ(merged.value().rows.size(), clean_grid.rows.size());
-
-  const std::string clean_summary = ReadWholeFile(GridSummaryPath(clean));
-  const std::string merged_summary = ReadWholeFile(GridSummaryPath(sharded));
-  ASSERT_FALSE(clean_summary.empty());
-  EXPECT_EQ(clean_summary, merged_summary);
+  EXPECT_EQ(merged.value().computed, 0);
+  EXPECT_EQ(ReadWholeFile(GridSummaryPath(sharded)), clean_summary);
 
   // An overlapping second worker finds every cell checkpointed: zero computed.
   const auto again = RunGridShard(sharded, methods, datasets, options);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value(), 0);
+  EXPECT_EQ(again.value().computed, 0);
 
   std::filesystem::remove_all(clean.out_dir);
   std::filesystem::remove_all(sharded.out_dir);
@@ -497,7 +499,7 @@ TEST(ShardedGridTest, DeadOwnersLeaseIsStolenAndCellReclaimed) {
   options.worker_label = "test-reclaim";
   const auto completed = RunGridShard(config, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
-  EXPECT_EQ(completed.value(), 1);
+  EXPECT_EQ(completed.value().computed, 1);
   EXPECT_EQ(CounterValue("grid.cells.reclaimed"), reclaimed_before + 1);
   EXPECT_EQ(CounterValue("grid.shard.leases.stolen"), stolen_before + 1);
   EXPECT_FALSE(std::filesystem::exists(lease));
@@ -550,7 +552,6 @@ TEST(ShardedGridTest, LiveLeaseTimesOutWorkerAndBlocksMerge) {
   ShardOptions options;
   options.worker_label = "test-live";
   options.max_wait_seconds = 0.2;
-  options.poll_seconds = 0.02;
   const auto completed = RunGridShard(config, methods, datasets, options);
   ASSERT_FALSE(completed.ok());
   EXPECT_EQ(completed.status().code(), StatusCode::kFailedPrecondition);
@@ -559,6 +560,80 @@ TEST(ShardedGridTest, LiveLeaseTimesOutWorkerAndBlocksMerge) {
   const auto merged = MergeGridShards(config, methods, datasets, merge_options);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
+
+  std::filesystem::remove_all(config.out_dir);
+}
+
+// A malformed checkpoint is not a finished cell: a worker recomputes exactly
+// that cell, so the strict merge then finds every cell and writes RunGrid's
+// summary bytes.
+TEST(ShardedGridTest, WorkerRecomputesMalformedCheckpointForTheStrictMerge) {
+  const std::vector<std::string> methods = {"TimeVAE"};
+  const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg,
+                                                 data::DatasetId::kStock};
+  BenchConfig config;
+  config.scale = 0.2;
+  config.out_dir = "/tmp/tsg_shard_malformed";
+  std::filesystem::remove_all(config.out_dir);
+  std::filesystem::create_directories(config.out_dir);
+  ASSERT_TRUE(RunGrid(config, methods, datasets).failures.empty());
+  const std::string clean_summary = ReadWholeFile(GridSummaryPath(config));
+  ASSERT_FALSE(clean_summary.empty());
+  const std::string ckpt = CheckpointDir(config) + "/TimeVAE__DLG.csv";
+  auto lines = io::ReadCsvRows(ckpt);
+  ASSERT_TRUE(lines.ok());
+  ASSERT_GE(lines.value().size(), 2u);
+  lines.value()[1][4] = "0.5x";  // Row 1, "mean" column.
+  ASSERT_TRUE(io::WriteCsvRows(ckpt, lines.value()).ok());
+  std::filesystem::remove(GridSummaryPath(config));
+
+  ShardOptions options;
+  options.worker_label = "test-malformed";
+  const auto worker = RunGridShard(config, methods, datasets, options);
+  ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+  EXPECT_EQ(worker.value().computed, 1);
+  EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), clean_summary);
+
+  std::filesystem::remove(GridSummaryPath(config));
+  MergeOptions strict;
+  strict.compute_missing = false;
+  const auto merged = MergeGridShards(config, methods, datasets, strict);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value().computed, 0);
+  EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), clean_summary);
+
+  std::filesystem::remove_all(config.out_dir);
+}
+
+TEST(ShardedGridTest, StopHookStopsBetweenCellsAndTheRerunResumes) {
+  const std::vector<std::string> methods = {"TimeVAE"};
+  const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg,
+                                                 data::DatasetId::kStock};
+  BenchConfig config;
+  config.scale = 0.2;
+  config.out_dir = "/tmp/tsg_shard_stop";
+  std::filesystem::remove_all(config.out_dir);
+  std::filesystem::create_directories(config.out_dir);
+
+  // Serial cells: the hook answers "stop" when asked before the second cell.
+  int polls = 0;
+  ShardOptions options;
+  options.worker_label = "test-stop";
+  options.should_stop = [&polls] { return ++polls > 1; };
+  base::ThreadPool::Global().SetMaxParallelism(1);
+  const auto stopped = RunGridShard(config, methods, datasets, options);
+  base::ThreadPool::Global().SetMaxParallelism(0);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(std::filesystem::exists(CheckpointDir(config) + "/TimeVAE__DLG.csv"));
+  EXPECT_FALSE(std::filesystem::exists(GridSummaryPath(config)));
+  EXPECT_FALSE(std::filesystem::exists(LeasePathFor(config, "TimeVAE", "Stock")));
+
+  options.should_stop = nullptr;
+  const auto resumed = RunGridShard(config, methods, datasets, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed.value().computed, 1);
+  EXPECT_TRUE(std::filesystem::exists(GridSummaryPath(config)));
 
   std::filesystem::remove_all(config.out_dir);
 }
@@ -603,18 +678,19 @@ TEST(ShardedGridTest, MergeComputesMissingCellsAndMatchesCleanRun) {
                                DeadOwnerToken())
                   .value());
 
-  const int64_t reclaimed_before =
-      CounterValue("grid.shard.merge.leases_reclaimed");
-  const int64_t computed_before = CounterValue("grid.shard.merge.cells_computed");
+  const int64_t reclaimed_before = CounterValue("grid.cells.reclaimed");
+  const int64_t computed_before = CounterValue("grid.cells.computed");
   MergeOptions options;
   options.compute_missing = true;
   base::ThreadPool::Global().SetMaxParallelism(2);
   const auto merged = MergeGridShards(merged_config, methods, datasets, options);
   base::ThreadPool::Global().SetMaxParallelism(0);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(CounterValue("grid.shard.merge.leases_reclaimed"),
-            reclaimed_before + 1);
-  EXPECT_EQ(CounterValue("grid.shard.merge.cells_computed"), computed_before + 2);
+  EXPECT_EQ(CounterValue("grid.cells.reclaimed"), reclaimed_before + 1);
+  EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before + 2);
+  EXPECT_EQ(merged.value().computed, 2);
+  EXPECT_FALSE(std::filesystem::exists(
+      LeasePathFor(merged_config, "TimeVAE", "DLG")));
 
   // Scores are bitwise RunGrid's; only the wall-clock fit times differ.
   ExpectScoresBitIdentical(merged.value().rows, clean_grid.rows);
@@ -647,7 +723,7 @@ TEST(ShardedGridTest, MergeCarriesErrorCellsFromWorkerCheckpoints) {
   options.worker_label = "test-errors";
   const auto completed = RunGridShard(config, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
-  EXPECT_EQ(completed.value(), 2);  // The failing cell still checkpoints.
+  EXPECT_EQ(completed.value().computed, 2);  // The failing cell still checkpoints.
 
   MergeOptions merge_options;
   merge_options.compute_missing = false;

@@ -303,9 +303,11 @@ TEST(LeaseTest, ForeignHostLeaseStealsOnlyAfterTtlExpiry) {
   std::filesystem::last_write_time(
       path, std::filesystem::file_time_type::clock::now() -
                 std::chrono::hours(2));
-  EXPECT_EQ(ProbeLease(path, 3600.0), LeaseState::kDead);
+  std::string owner;
+  EXPECT_EQ(ProbeLease(path, 3600.0, &owner), LeaseState::kDead);
+  EXPECT_EQ(owner, "other-host:4242:beef");
 
-  const auto broke = BreakLease(path, LeaseOwnerToken());
+  const auto broke = BreakLease(path, owner, LeaseOwnerToken());
   ASSERT_TRUE(broke.ok());
   EXPECT_TRUE(broke.value());
   ASSERT_TRUE(AcquireLease(path, LeaseOwnerToken()).value());
@@ -335,7 +337,8 @@ TEST(LeaseTest, BreakLeaseHandsExactlyOneStealerTheWin) {
   threads.reserve(kStealers);
   for (int i = 0; i < kStealers; ++i) {
     threads.emplace_back([&, i] {
-      const auto broke = BreakLease(path, "stealer:1:" + std::to_string(i));
+      const auto broke =
+          BreakLease(path, "casualty:999999:0", "stealer:1:" + std::to_string(i));
       if (broke.ok() && broke.value()) wins.fetch_add(1);
     });
   }
@@ -349,6 +352,31 @@ TEST(LeaseTest, BreakLeaseHandsExactlyOneStealerTheWin) {
               std::string::npos)
         << entry.path();
   }
+}
+
+// Survivor A probes a dead owner; before A breaks, survivor B breaks that
+// lease and claims the cell. A's break must leave B's live lease in place.
+TEST(LeaseTest, BreakLeavesALeaseTakenAfterTheProbe) {
+  const std::string path = TempPath("tsg_lease_probe_race.lease");
+  std::filesystem::remove(path);
+  const std::string dead = "other-host:4242:dead";
+  ASSERT_TRUE(AcquireLease(path, dead).value());
+  std::string probed_by_a;
+  std::string probed_by_b;
+  ASSERT_EQ(ProbeLease(path, 0.0, &probed_by_a), LeaseState::kDead);
+  ASSERT_EQ(ProbeLease(path, 0.0, &probed_by_b), LeaseState::kDead);
+  EXPECT_EQ(probed_by_a, dead);
+
+  ASSERT_TRUE(BreakLease(path, probed_by_b, "b:2:2").value());
+  ASSERT_TRUE(AcquireLease(path, LeaseOwnerToken()).value());
+  const auto broke = BreakLease(path, probed_by_a, "a:1:1");
+  ASSERT_TRUE(broke.ok()) << broke.status().ToString();
+  EXPECT_FALSE(broke.value());
+  const auto held = ReadFileToString(path);
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ(held.value(), LeaseOwnerToken() + "\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".stale-a_1_1"));
+  EXPECT_TRUE(ReleaseLease(path, LeaseOwnerToken()).ok());
 }
 
 TEST(LeaseTest, ConcurrentAcquireHandsExactlyOneClaimantTheWin) {

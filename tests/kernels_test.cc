@@ -175,6 +175,15 @@ TEST(KernelsPrimitivesTest, DotAndSquaredDistanceTailsMatchScalarBitwise) {
               kernels::scalar::Dot(a.data(), b.data(), n));
     EXPECT_EQ(kernels::SquaredDistance(a.data(), b.data(), n),
               kernels::scalar::SquaredDistance(a.data(), b.data(), n));
+    // Symmetric bit for bit on both backends, so a distance matrix may fill
+    // one triangle and mirror it.
+    EXPECT_TRUE(BitEqual({kernels::SquaredDistance(b.data(), a.data(), n)},
+                         {kernels::SquaredDistance(a.data(), b.data(), n)}))
+        << n;
+    EXPECT_TRUE(
+        BitEqual({kernels::scalar::SquaredDistance(b.data(), a.data(), n)},
+                 {kernels::scalar::SquaredDistance(a.data(), b.data(), n)}))
+        << n;
     // Tolerance sanity against the plain left-to-right reference.
     double dot = 0.0, sq = 0.0;
     for (int64_t i = 0; i < n; ++i) {

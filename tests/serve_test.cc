@@ -1103,5 +1103,52 @@ TEST(BenchJobRunnerTest, StoreHitFitOnAServedModelSkipsTheLoad) {
   std::filesystem::remove_all(root);
 }
 
+// A malformed checkpoint is not a finished cell: the grid job's one sweep
+// recomputes exactly that cell and answers with the summary RunGrid writes.
+TEST(BenchJobRunnerTest, GridJobRecomputesAMalformedCheckpoint) {
+  const std::string root = ::testing::TempDir() + "tsg_bench_job_runner_grid";
+  std::filesystem::remove_all(root);
+  bench::BenchConfig reference;
+  reference.scale = 0.05;
+  reference.out_dir = root + "/ref";
+  std::filesystem::create_directories(reference.out_dir);
+  ASSERT_TRUE(bench::RunGrid(reference, {"TimeVAE"},
+                             {data::DatasetId::kDlg, data::DatasetId::kStock})
+                  .failures.empty());
+  const StatusOr<std::string> summary =
+      io::ReadFileToString(bench::GridSummaryPath(reference));
+  ASSERT_TRUE(summary.ok());
+  char digest[20];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(base::Fnv64Bytes(
+                    summary.value().data(), summary.value().size())));
+
+  bench::BenchConfig config = reference;
+  config.out_dir = root + "/out";
+  config.store_dir = root + "/store";
+  std::filesystem::create_directories(config.out_dir);
+  std::filesystem::copy(bench::CheckpointDir(reference),
+                        bench::CheckpointDir(config));
+  ASSERT_TRUE(io::WriteFileAtomic(bench::CheckpointDir(config) +
+                                      "/TimeVAE__Stock.csv",
+                                  "status,method\nok,TimeVAE\n")
+                  .ok());
+
+  BenchJobRunner runner(config);
+  JobSpec spec;
+  spec.kind = JobKind::kGrid;
+  spec.methods = {"TimeVAE"};
+  spec.datasets = {"DLG", "Stock"};
+  const StatusOr<std::string> members = runner.Run(spec, nullptr);
+  ASSERT_TRUE(members.ok()) << members.status().ToString();
+  const StatusOr<io::JsonValue> result =
+      io::JsonValue::Parse("{" + members.value().substr(1) + "}");
+  ASSERT_TRUE(result.ok()) << members.value();
+  EXPECT_EQ(result.value().GetInt("computed", -1), 1);
+  EXPECT_EQ(result.value().GetInt("failed", -1), 0);
+  EXPECT_EQ(result.value().GetString("digest", ""), digest);
+  std::filesystem::remove_all(root);
+}
+
 }  // namespace
 }  // namespace tsg::serve

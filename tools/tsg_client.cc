@@ -157,6 +157,10 @@ int main(int argc, char** argv) {
   if (socket_path.empty() != has_port) {
     return UsageError("pass exactly one of --socket / --port");
   }
+  if (has_port && (port < 1 || port > 65535)) {
+    std::fprintf(stderr, "--port=%d is outside [1, 65535]\n", port);
+    return 2;
+  }
 
   // Dispatch off the shared verb table: submit verbs are JobKind wire tokens,
   // plain verbs are Cmd wire tokens — so an unlisted command cannot exist.
