@@ -65,11 +65,8 @@ class Tape {
   /// on, arena chunk growth counts against the zero-allocation contract.
   void CompleteStep();
 
-  int64_t steps_completed() const { return steps_completed_; }
   int64_t nodes_since_reset() const { return node_count_; }
-  size_t arena_bytes_used() const { return arena_.bytes_used(); }
   size_t arena_bytes_peak() const { return arena_.bytes_peak(); }
-  int64_t arena_chunk_allocs() const { return arena_.chunk_allocs(); }
   int64_t steady_state_chunk_allocs() const {
     return arena_.steady_state_chunk_allocs();
   }

@@ -46,7 +46,6 @@ void* Arena::AllocateSlow(size_t bytes) {
     c.storage = AlignedBuffer<std::byte>(capacity);
     c.capacity = capacity;
     chunks_.push_back(std::move(c));
-    bytes_reserved_ += capacity;
     ++chunk_allocs_;
     if (steady_state_) ++steady_state_chunk_allocs_;
   }
@@ -63,13 +62,6 @@ void Arena::Reset() {
   for (Chunk& c : chunks_) c.used = 0;
   next_chunk_ = 0;
   bytes_used_ = 0;
-}
-
-void Arena::Clear() {
-  chunks_.clear();
-  next_chunk_ = 0;
-  bytes_used_ = 0;
-  bytes_reserved_ = 0;
 }
 
 }  // namespace tsg::base

@@ -39,9 +39,6 @@ class Arena {
   /// Rewinds every chunk to empty, keeping the storage for reuse. O(#chunks).
   void Reset();
 
-  /// Releases all chunks back to the heap (tests / explicit teardown).
-  void Clear();
-
   /// After this call, new chunk acquisitions count as steady-state allocations
   /// (steady_state_chunk_allocs). The tape flips this once the first full
   /// training step has completed, so warm-up growth is excluded from the
@@ -52,8 +49,6 @@ class Arena {
   size_t bytes_used() const { return bytes_used_; }
   /// High-water mark of bytes_used() over the arena's lifetime.
   size_t bytes_peak() const { return bytes_peak_; }
-  /// Total bytes of chunk capacity currently held.
-  size_t bytes_reserved() const { return bytes_reserved_; }
   /// Number of heap chunk allocations over the arena's lifetime.
   int64_t chunk_allocs() const { return chunk_allocs_; }
   /// Chunk allocations that happened after MarkSteadyState() — the quantity
@@ -75,7 +70,6 @@ class Arena {
   size_t next_chunk_ = 0;  // index of the chunk currently being bumped
   size_t bytes_used_ = 0;
   size_t bytes_peak_ = 0;
-  size_t bytes_reserved_ = 0;
   int64_t chunk_allocs_ = 0;
   int64_t steady_state_chunk_allocs_ = 0;
   bool steady_state_ = false;

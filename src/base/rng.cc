@@ -84,6 +84,4 @@ std::vector<int64_t> Rng::Permutation(int64_t n) {
   return perm;
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 }  // namespace tsg

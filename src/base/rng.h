@@ -44,10 +44,6 @@ class Rng {
   /// Fisher-Yates shuffle of indices [0, n); returns the permutation.
   std::vector<int64_t> Permutation(int64_t n);
 
-  /// Derives an independent child generator; used to give each repeat/worker its own
-  /// stream without correlated sequences.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   double spare_normal_ = 0.0;

@@ -53,14 +53,23 @@ std::pair<Dataset, Dataset> Dataset::Split(double train_fraction) const {
   return {Dataset(name_, std::move(train)), Dataset(name_, std::move(test))};
 }
 
-Matrix Dataset::Flatten() const {
-  const int64_t r = num_samples(), l = seq_len(), n = num_features();
+Matrix FlattenSeries(const std::vector<const Matrix*>& series) {
+  if (series.empty()) return Matrix();
+  const int64_t r = static_cast<int64_t>(series.size());
+  const int64_t l = series[0]->rows(), n = series[0]->cols();
   Matrix out(r, l * n);
   for (int64_t i = 0; i < r; ++i) {
-    const Matrix& s = samples_[static_cast<size_t>(i)];
+    const Matrix& s = *series[static_cast<size_t>(i)];
     for (int64_t t = 0; t < l; ++t)
       for (int64_t j = 0; j < n; ++j) out(i, t * n + j) = s(t, j);
   }
+  return out;
+}
+
+std::vector<const Matrix*> Dataset::SampleRefs() const {
+  std::vector<const Matrix*> out;
+  out.reserve(samples_.size());
+  for (const Matrix& s : samples_) out.push_back(&s);
   return out;
 }
 

@@ -12,6 +12,11 @@ namespace tsg::core {
 
 using linalg::Matrix;
 
+/// Stacks (l x N) series as the rows of a (count x l*N) matrix, each row its
+/// series' cells in time-major order: Dataset::Flatten, and the MMD measure's
+/// rows of a dataset or a stream window.
+Matrix FlattenSeries(const std::vector<const Matrix*>& series);
+
 /// A preprocessed TSG dataset of shape (R, l, N): R window samples, each an (l x N)
 /// matrix (rows are time steps, columns the N individual series). This is the common
 /// currency between the preprocessing pipeline, the TSG methods, and the evaluation
@@ -31,6 +36,8 @@ class Dataset {
 
   const Matrix& sample(int64_t i) const { return samples_[static_cast<size_t>(i)]; }
   const std::vector<Matrix>& samples() const { return samples_; }
+  /// The samples by pointer, in order; valid while the dataset lives.
+  std::vector<const Matrix*> SampleRefs() const;
 
   /// Appends a sample; must match the established (l, N) shape.
   void Add(Matrix sample);
@@ -45,7 +52,7 @@ class Dataset {
   std::pair<Dataset, Dataset> Split(double train_fraction) const;
 
   /// Flattens every sample to a row -> (R x l*N) matrix (t-SNE / embedding input).
-  Matrix Flatten() const;
+  Matrix Flatten() const { return FlattenSeries(SampleRefs()); }
 
   /// Content fingerprint (FNV-1a 64 over name, shape, and every sample's bit
   /// pattern, in order). Two datasets share a fingerprint exactly when a method

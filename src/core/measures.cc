@@ -64,7 +64,59 @@ Status ValidateContext(const MeasureContext& ctx) {
   return Status::Ok();
 }
 
+/// SD / KD over a validated context: MomentDifference per feature, averaged.
+double MeanMomentDifference(Moment moment, const MeasureContext& ctx) {
+  const int64_t n = ctx.real->num_features();
+  const double total = base::ParallelSum(n, 1, [&](int64_t j) {
+    return MomentDifference(moment, ctx.real->FeatureValues(j),
+                            ctx.generated->FeatureValues(j));
+  });
+  return total / static_cast<double>(n);
+}
+
 }  // namespace
+
+stats::Histogram MddHistogram(const std::vector<double>& real_values) {
+  return stats::Histogram::FitRange(real_values, /*num_bins=*/20);
+}
+
+int64_t AcdMaxLag(int64_t seq_len) { return std::min<int64_t>(seq_len - 1, 32); }
+
+std::vector<double> SeriesAcf(const Matrix& series, int64_t j) {
+  const int64_t l = series.rows();
+  std::vector<double> col(static_cast<size_t>(l));
+  for (int64_t t = 0; t < l; ++t) col[static_cast<size_t>(t)] = series(t, j);
+  return signal::Autocorrelation(col, AcdMaxLag(l));
+}
+
+std::vector<double> MeanAcf(const Dataset& ds, int64_t j) {
+  return MeanAcf(ds.num_samples(),
+                 [&](int64_t i) { return SeriesAcf(ds.sample(i), j); });
+}
+
+double AcfDifference(const std::vector<double>& real_acf,
+                     const std::vector<double>& gen_acf) {
+  const int64_t max_lag = static_cast<int64_t>(real_acf.size()) - 1;
+  double s = 0.0;
+  for (int64_t k = 1; k <= max_lag; ++k) {
+    s += std::fabs(real_acf[static_cast<size_t>(k)] - gen_acf[static_cast<size_t>(k)]);
+  }
+  return s / static_cast<double>(max_lag);
+}
+
+double MomentDifference(Moment moment, const std::vector<double>& real_values,
+                        const std::vector<double>& gen_values) {
+  const stats::Moments real_m = stats::ComputeMoments(real_values);
+  const stats::Moments gen_m = stats::ComputeMoments(gen_values);
+  return moment == Moment::kSkewness ? std::fabs(gen_m.skewness - real_m.skewness)
+                                     : std::fabs(gen_m.kurtosis - real_m.kurtosis);
+}
+
+Matrix MmdRows(const std::vector<const Matrix*>& series) {
+  const int64_t rows = std::min<int64_t>(static_cast<int64_t>(series.size()), 256);
+  return FlattenSeries(
+      std::vector<const Matrix*>(series.begin(), series.begin() + rows));
+}
 
 StatusOr<double> DiscriminativeScore::Evaluate(const MeasureContext& ctx) const {
   const MeasureSpan span(*this);
@@ -244,8 +296,7 @@ StatusOr<double> MarginalDistributionDifference::Evaluate(const MeasureContext& 
     const int64_t j = cell / l;
     const int64_t t = cell % l;
     const std::vector<double> real_vals = ctx.real->FeatureValuesAt(j, t);
-    // Both histograms share bin edges frozen on the real values at this cell.
-    stats::Histogram real_hist = stats::Histogram::FitRange(real_vals, num_bins_);
+    stats::Histogram real_hist = MddHistogram(real_vals);
     stats::Histogram gen_hist = real_hist;
     real_hist.AddAll(real_vals);
     gen_hist.AddAll(ctx.generated->FeatureValuesAt(j, t));
@@ -258,33 +309,9 @@ StatusOr<double> AutocorrelationDifference::Evaluate(const MeasureContext& ctx) 
   const MeasureSpan span(*this);
   TSG_RETURN_IF_ERROR(ValidateContext(ctx));
   const int64_t n = ctx.real->num_features();
-  const int64_t l = ctx.real->seq_len();
-  const int64_t max_lag = max_lag_ > 0 ? std::min(max_lag_, l - 1)
-                                       : std::min<int64_t>(l - 1, 32);
-
-  auto mean_acf = [&](const Dataset& ds, int64_t j) {
-    std::vector<double> acc(static_cast<size_t>(max_lag + 1), 0.0);
-    const int64_t count = std::min<int64_t>(ds.num_samples(), 256);
-    for (int64_t i = 0; i < count; ++i) {
-      std::vector<double> col(static_cast<size_t>(l));
-      for (int64_t t = 0; t < l; ++t) col[static_cast<size_t>(t)] = ds.sample(i)(t, j);
-      const std::vector<double> acf = signal::Autocorrelation(col, max_lag);
-      for (size_t k = 0; k < acf.size(); ++k) acc[k] += acf[k];
-    }
-    for (double& v : acc) v /= static_cast<double>(count);
-    return acc;
-  };
-
   // Per-feature ACF accumulation is independent across features.
   const double total = base::ParallelSum(n, 1, [&](int64_t j) {
-    const std::vector<double> real_acf = mean_acf(*ctx.real, j);
-    const std::vector<double> gen_acf = mean_acf(*ctx.generated, j);
-    double s = 0.0;
-    for (int64_t k = 1; k <= max_lag; ++k) {
-      s += std::fabs(real_acf[static_cast<size_t>(k)] -
-                     gen_acf[static_cast<size_t>(k)]);
-    }
-    return s / static_cast<double>(max_lag);
+    return AcfDifference(MeanAcf(*ctx.real, j), MeanAcf(*ctx.generated, j));
   });
   return total / static_cast<double>(n);
 }
@@ -292,25 +319,13 @@ StatusOr<double> AutocorrelationDifference::Evaluate(const MeasureContext& ctx) 
 StatusOr<double> SkewnessDifference::Evaluate(const MeasureContext& ctx) const {
   const MeasureSpan span(*this);
   TSG_RETURN_IF_ERROR(ValidateContext(ctx));
-  const int64_t n = ctx.real->num_features();
-  const double total = base::ParallelSum(n, 1, [&](int64_t j) {
-    const auto real_m = stats::ComputeMoments(ctx.real->FeatureValues(j));
-    const auto gen_m = stats::ComputeMoments(ctx.generated->FeatureValues(j));
-    return std::fabs(gen_m.skewness - real_m.skewness);
-  });
-  return total / static_cast<double>(n);
+  return MeanMomentDifference(Moment::kSkewness, ctx);
 }
 
 StatusOr<double> KurtosisDifference::Evaluate(const MeasureContext& ctx) const {
   const MeasureSpan span(*this);
   TSG_RETURN_IF_ERROR(ValidateContext(ctx));
-  const int64_t n = ctx.real->num_features();
-  const double total = base::ParallelSum(n, 1, [&](int64_t j) {
-    const auto real_m = stats::ComputeMoments(ctx.real->FeatureValues(j));
-    const auto gen_m = stats::ComputeMoments(ctx.generated->FeatureValues(j));
-    return std::fabs(gen_m.kurtosis - real_m.kurtosis);
-  });
-  return total / static_cast<double>(n);
+  return MeanMomentDifference(Moment::kKurtosis, ctx);
 }
 
 StatusOr<double> EuclideanDistanceMeasure::Evaluate(const MeasureContext& ctx) const {
@@ -344,10 +359,8 @@ StatusOr<double> DtwDistanceMeasure::Evaluate(const MeasureContext& ctx) const {
 StatusOr<double> MmdMeasure::Evaluate(const MeasureContext& ctx) const {
   const MeasureSpan span(*this);
   TSG_RETURN_IF_ERROR(ValidateContext(ctx));
-  const int64_t cap = 256;
-  const Matrix real_flat = ctx.real->Head(cap).Flatten();
-  const Matrix gen_flat = ctx.generated->Head(cap).Flatten();
-  return distance::RbfMmd(real_flat, gen_flat, gamma_);
+  return distance::RbfMmd(MmdRows(ctx.real->SampleRefs()),
+                          MmdRows(ctx.generated->SampleRefs()), gamma_);
 }
 
 std::vector<std::unique_ptr<Measure>> DefaultMeasureSuite(bool include_ps_entire) {

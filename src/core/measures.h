@@ -1,6 +1,7 @@
 #ifndef TSG_CORE_MEASURES_H_
 #define TSG_CORE_MEASURES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -9,6 +10,7 @@
 #include "base/status.h"
 #include "core/dataset.h"
 #include "embed/embedder.h"
+#include "stats/histogram.h"
 
 namespace tsg::core {
 
@@ -123,24 +125,16 @@ class ContextFid : public Measure {
 /// bin edges frozen on the real data; mean absolute bin-probability difference.
 class MarginalDistributionDifference : public Measure {
  public:
-  explicit MarginalDistributionDifference(int num_bins = 20) : num_bins_(num_bins) {}
   StatusOr<double> Evaluate(const MeasureContext& ctx) const override;
   std::string name() const override { return "MDD"; }
-
- private:
-  int num_bins_;
 };
 
 /// M5: AutoCorrelation Difference — mean |ACF_real - ACF_gen| over lags and features,
 /// with per-sample ACFs averaged within each set first.
 class AutocorrelationDifference : public Measure {
  public:
-  explicit AutocorrelationDifference(int64_t max_lag = 0) : max_lag_(max_lag) {}
   StatusOr<double> Evaluate(const MeasureContext& ctx) const override;
   std::string name() const override { return "ACD"; }
-
- private:
-  int64_t max_lag_;  ///< 0 = min(l - 1, 32).
 };
 
 /// M6: Skewness Difference (Eq. 1), averaged over features.
@@ -196,6 +190,59 @@ class MmdMeasure : public Measure {
  private:
   double gamma_;
 };
+
+// ---------------------------------------------------------------------------
+// The formulas inside MDD, ACD, SD, KD and MMD. Measure::Evaluate above and the
+// streaming states (src/streameval) both call these, so each is defined once and
+// a stream that replays the same per-series values reproduces the batch bits.
+// They open no measure.* span and count nothing.
+// ---------------------------------------------------------------------------
+
+/// M4: the empty histogram of one (feature, step) cell, with MDD's bin count and
+/// edges frozen on the real values at that cell. Both sides fill a copy of it.
+stats::Histogram MddHistogram(const std::vector<double>& real_values);
+
+/// M5's lag rule: ACFs are compared at lags 1..AcdMaxLag(seq_len).
+int64_t AcdMaxLag(int64_t seq_len);
+
+/// M5: the ACF of feature `j` of one (l x N) series at lags 0..AcdMaxLag(l).
+std::vector<double> SeriesAcf(const Matrix& series, int64_t j);
+
+/// M5 averages the ACFs of at most this many series per set.
+inline constexpr int64_t kAcdMaxSeries = 256;
+
+/// M5: the mean of the per-series ACFs acf_at(0), acf_at(1), ... over the first
+/// min(count, kAcdMaxSeries) series, summed in series order, then divided.
+/// `acf_at(i)` may return the ACF by value (computed) or by reference (cached).
+template <typename AcfAt>
+std::vector<double> MeanAcf(int64_t count, const AcfAt& acf_at) {
+  count = std::min(count, kAcdMaxSeries);
+  std::vector<double> mean;
+  for (int64_t i = 0; i < count; ++i) {
+    const std::vector<double>& acf = acf_at(i);
+    mean.resize(acf.size(), 0.0);
+    for (size_t k = 0; k < acf.size(); ++k) mean[k] += acf[k];
+  }
+  for (double& v : mean) v /= static_cast<double>(count);
+  return mean;
+}
+
+/// M5: MeanAcf of feature `j` over a dataset's samples.
+std::vector<double> MeanAcf(const Dataset& ds, int64_t j);
+
+/// M5 for one feature: the mean |real - gen| of two mean ACFs over lags 1..max.
+double AcfDifference(const std::vector<double>& real_acf,
+                     const std::vector<double>& gen_acf);
+
+/// M6 (Eq. 1) or M7 (Eq. 2) for one feature: the absolute skewness or kurtosis
+/// difference between the generated and the real values.
+enum class Moment { kSkewness, kKurtosis };
+double MomentDifference(Moment moment, const std::vector<double>& real_values,
+                        const std::vector<double>& gen_values);
+
+/// MMD's input: the first min(|series|, 256) series, flattened into the rows of
+/// one matrix (FlattenSeries).
+Matrix MmdRows(const std::vector<const Matrix*>& series);
 
 /// The ten scalar measures in the paper's reporting order:
 /// DS, PS, PS(entire) [optional], C-FID, MDD, ACD, SD, KD, ED, DTW.

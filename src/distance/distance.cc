@@ -14,17 +14,17 @@ namespace tsg::distance {
 
 namespace {
 
-/// Single-dimension DTW over strided series read in place (stride = number of
-/// columns walks down one column of a row-major matrix without copying it).
-/// `prev`/`cur` are caller-provided DP scratch so a multi-dimension caller reuses
-/// one allocation across dimensions. Identical arithmetic to DtwDistance with
-/// dims = 1, so DtwIndependent keeps its exact values.
-double Dtw1D(const double* a, int64_t la, int64_t stride_a, const double* b,
-             int64_t lb, int64_t stride_b, int64_t band, std::vector<double>& prev,
-             std::vector<double>& cur) {
+/// The DTW dynamic program over an (la x lb) grid whose cell (i, j) costs
+/// cost(i, j) (0-based), inside a Sakoe-Chiba band of half-width `band`
+/// (band < 0: unconstrained). Returns the square root of the cheapest path's
+/// summed cost. `prev`/`cur` are the two rolling DP rows, so a caller that runs
+/// several programs reuses one allocation.
+template <typename CellCost>
+double DtwRecurrence(int64_t la, int64_t lb, int64_t band, const CellCost& cost,
+                     std::vector<double>& prev, std::vector<double>& cur) {
   TSG_CHECK(la > 0 && lb > 0);
   if (band < 0) band = std::max(la, lb);
-  band = std::max(band, std::abs(la - lb));
+  band = std::max(band, std::abs(la - lb));  // Band must admit the diagonal.
 
   const double kInf = std::numeric_limits<double>::infinity();
   prev.assign(static_cast<size_t>(lb + 1), kInf);
@@ -35,13 +35,11 @@ double Dtw1D(const double* a, int64_t la, int64_t stride_a, const double* b,
     std::fill(cur.begin(), cur.end(), kInf);
     const int64_t j_lo = std::max<int64_t>(1, i - band);
     const int64_t j_hi = std::min<int64_t>(lb, i + band);
-    const double ai = a[(i - 1) * stride_a];
     for (int64_t j = j_lo; j <= j_hi; ++j) {
-      const double diff = ai - b[(j - 1) * stride_b];
       const double best = std::min({prev[static_cast<size_t>(j)],
                                     prev[static_cast<size_t>(j - 1)],
                                     cur[static_cast<size_t>(j - 1)]});
-      cur[static_cast<size_t>(j)] = diff * diff + best;
+      cur[static_cast<size_t>(j)] = cost(i - 1, j - 1) + best;
     }
     std::swap(prev, cur);
   }
@@ -57,44 +55,32 @@ double EuclideanDistance(const Matrix& a, const Matrix& b) {
 
 double DtwDistance(const Matrix& a, const Matrix& b, int64_t band) {
   TSG_CHECK_EQ(a.cols(), b.cols());
-  const int64_t la = a.rows(), lb = b.rows(), dims = a.cols();
-  TSG_CHECK(la > 0 && lb > 0);
-  if (band < 0) band = std::max(la, lb);
-  band = std::max(band, std::abs(la - lb));  // Band must admit the diagonal.
-
-  const double kInf = std::numeric_limits<double>::infinity();
-  // Rolling two-row DP over the (la+1) x (lb+1) cost table.
-  std::vector<double> prev(static_cast<size_t>(lb + 1), kInf);
-  std::vector<double> cur(static_cast<size_t>(lb + 1), kInf);
-  prev[0] = 0.0;
-
-  for (int64_t i = 1; i <= la; ++i) {
-    std::fill(cur.begin(), cur.end(), kInf);
-    const int64_t j_lo = std::max<int64_t>(1, i - band);
-    const int64_t j_hi = std::min<int64_t>(lb, i + band);
-    const double* a_row = a.data() + (i - 1) * dims;
-    for (int64_t j = j_lo; j <= j_hi; ++j) {
-      const double cost =
-          kernels::SquaredDistance(a_row, b.data() + (j - 1) * dims, dims);
-      const double best = std::min({prev[static_cast<size_t>(j)],
-                                    prev[static_cast<size_t>(j - 1)],
-                                    cur[static_cast<size_t>(j - 1)]});
-      cur[static_cast<size_t>(j)] = cost + best;
-    }
-    std::swap(prev, cur);
-  }
-  return std::sqrt(prev[static_cast<size_t>(lb)]);
+  const int64_t dims = a.cols();
+  std::vector<double> prev, cur;
+  return DtwRecurrence(
+      a.rows(), b.rows(), band,
+      [&](int64_t i, int64_t j) {
+        return kernels::SquaredDistance(a.data() + i * dims, b.data() + j * dims,
+                                        dims);
+      },
+      prev, cur);
 }
 
 double DtwIndependent(const Matrix& a, const Matrix& b, int64_t band) {
   TSG_CHECK_EQ(a.cols(), b.cols());
   // Strided reads walk each column in place; one pair of DP rows is reused across
   // all dimensions instead of materializing a Matrix per column.
+  const int64_t dims = a.cols();
   std::vector<double> prev, cur;
   double total_sq = 0.0;
-  for (int64_t j = 0; j < a.cols(); ++j) {
-    const double d = Dtw1D(a.data() + j, a.rows(), a.cols(), b.data() + j, b.rows(),
-                           b.cols(), band, prev, cur);
+  for (int64_t k = 0; k < dims; ++k) {
+    const double d = DtwRecurrence(
+        a.rows(), b.rows(), band,
+        [&](int64_t i, int64_t j) {
+          const double diff = a.data()[i * dims + k] - b.data()[j * dims + k];
+          return diff * diff;
+        },
+        prev, cur);
     total_sq += d * d;
   }
   return std::sqrt(total_sq);
@@ -110,17 +96,28 @@ StatusOr<double> FrechetDistance(const Matrix& embeddings_a, const Matrix& embed
   }
   const Matrix mu_a = linalg::ColMean(embeddings_a);
   const Matrix mu_b = linalg::ColMean(embeddings_b);
-  Matrix cov_a = linalg::RowCovariance(embeddings_a);
-  Matrix cov_b = linalg::RowCovariance(embeddings_b);
+  return FrechetFromMoments(
+      std::vector<double>(mu_a.data(), mu_a.data() + mu_a.size()),
+      linalg::RowCovariance(embeddings_a),
+      std::vector<double>(mu_b.data(), mu_b.data() + mu_b.size()),
+      linalg::RowCovariance(embeddings_b), ridge);
+}
+
+StatusOr<double> FrechetFromMoments(const std::vector<double>& mean_a, Matrix cov_a,
+                                    const std::vector<double>& mean_b, Matrix cov_b,
+                                    double ridge) {
   const int64_t d = cov_a.rows();
+  TSG_CHECK(cov_a.SameShape(cov_b) && cov_a.cols() == d);
+  TSG_CHECK(static_cast<int64_t>(mean_a.size()) == d &&
+            static_cast<int64_t>(mean_b.size()) == d);
   for (int64_t i = 0; i < d; ++i) {
     cov_a(i, i) += ridge;
     cov_b(i, i) += ridge;
   }
 
   double mean_term = 0.0;
-  for (int64_t j = 0; j < mu_a.cols(); ++j) {
-    const double diff = mu_a(0, j) - mu_b(0, j);
+  for (int64_t j = 0; j < d; ++j) {
+    const double diff = mean_a[static_cast<size_t>(j)] - mean_b[static_cast<size_t>(j)];
     mean_term += diff * diff;
   }
 

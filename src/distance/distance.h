@@ -2,6 +2,8 @@
 #define TSG_DISTANCE_DISTANCE_H_
 
 #include <cstdint>
+#include <vector>
+
 #include "base/status.h"
 #include "linalg/matrix.h"
 
@@ -32,6 +34,13 @@ double DtwIndependent(const Matrix& a, const Matrix& b, int64_t band = -1);
 /// numerical stability, as standard FID implementations do.
 StatusOr<double> FrechetDistance(const Matrix& embeddings_a, const Matrix& embeddings_b,
                                  double ridge = 1e-6);
+
+/// The Frechet core FrechetDistance ends in, for Gaussians already given as
+/// (mean, covariance): the streaming FGD state passes its Welford moments here.
+/// `ridge` is added to both covariance diagonals.
+StatusOr<double> FrechetFromMoments(const std::vector<double>& mean_a, Matrix cov_a,
+                                    const std::vector<double>& mean_b, Matrix cov_b,
+                                    double ridge = 1e-6);
 
 /// Unbiased squared Maximum Mean Discrepancy with an RBF kernel between two sets of
 /// row vectors. `gamma <= 0` selects the median heuristic. RGAN's training objective

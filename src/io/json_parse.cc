@@ -300,17 +300,20 @@ double JsonValue::GetNumber(const std::string& key, double fallback) const {
   return (v != nullptr && v->is_number()) ? v->number_value() : fallback;
 }
 
-int64_t JsonValue::GetInt(const std::string& key, int64_t fallback) const {
-  const JsonValue* v = Find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  const double d = v->number_value();
+std::optional<int64_t> JsonValue::int_value() const {
+  if (kind_ != Kind::kNumber) return std::nullopt;
   // Integral and exactly representable: 2^63 itself rounds into range under
   // a naive cast, so bound by the largest double below it.
-  if (d != std::floor(d) || d < -9223372036854775808.0 ||
-      d > 9223372036854774784.0) {
-    return fallback;
+  if (number_ != std::floor(number_) || number_ < -9223372036854775808.0 ||
+      number_ > 9223372036854774784.0) {
+    return std::nullopt;
   }
-  return static_cast<int64_t>(d);
+  return static_cast<int64_t>(number_);
+}
+
+int64_t JsonValue::GetInt(const std::string& key, int64_t fallback) const {
+  const JsonValue* v = Find(key);
+  return v == nullptr ? fallback : v->int_value().value_or(fallback);
 }
 
 bool JsonValue::GetBool(const std::string& key, bool fallback) const {

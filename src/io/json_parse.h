@@ -2,6 +2,7 @@
 #define TSG_IO_JSON_PARSE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +45,9 @@ class JsonValue {
   /// absence, so a kind mismatch is not worth an abort).
   bool bool_value() const { return kind_ == Kind::kBool && bool_; }
   double number_value() const { return kind_ == Kind::kNumber ? number_ : 0.0; }
+  /// The number as an int64 when it is integral and representable; nullopt for
+  /// any other number and for every other kind.
+  std::optional<int64_t> int_value() const;
   const std::string& string_value() const { return string_; }
   const std::vector<JsonValue>& array_items() const { return items_; }
   /// Object members in document order.

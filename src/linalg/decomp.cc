@@ -72,29 +72,6 @@ StatusOr<EigenResult> SymmetricEigen(const Matrix& a, int max_sweeps, double tol
   return result;
 }
 
-StatusOr<Matrix> Cholesky(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("Cholesky requires a square matrix");
-  }
-  const int64_t n = a.rows();
-  Matrix l(n, n);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (int64_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      if (i == j) {
-        if (s <= 0.0) {
-          return Status::FailedPrecondition("matrix is not positive definite");
-        }
-        l(i, j) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
 StatusOr<Matrix> SqrtSymmetric(const Matrix& a) {
   StatusOr<EigenResult> eigen = SymmetricEigen(a);
   if (!eigen.ok()) return eigen.status();
@@ -105,22 +82,6 @@ StatusOr<Matrix> SqrtSymmetric(const Matrix& a) {
     sqrt_diag(i, i) = std::sqrt(std::max(0.0, e.values[i]));
   }
   return MatMul(MatMul(e.vectors, sqrt_diag), e.vectors.Transpose());
-}
-
-Matrix SolveLowerTriangular(const Matrix& l, const Matrix& b) {
-  TSG_CHECK_EQ(l.rows(), l.cols());
-  TSG_CHECK_EQ(l.rows(), b.rows());
-  const int64_t n = l.rows(), m = b.cols();
-  Matrix x = b;
-  for (int64_t j = 0; j < m; ++j) {
-    for (int64_t i = 0; i < n; ++i) {
-      double s = x(i, j);
-      for (int64_t k = 0; k < i; ++k) s -= l(i, k) * x(k, j);
-      TSG_CHECK_NE(l(i, i), 0.0) << "singular triangular matrix";
-      x(i, j) = s / l(i, i);
-    }
-  }
-  return x;
 }
 
 double Trace(const Matrix& a) {

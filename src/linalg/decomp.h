@@ -22,17 +22,10 @@ struct EigenResult {
 StatusOr<EigenResult> SymmetricEigen(const Matrix& a, int max_sweeps = 64,
                                      double tol = 1e-12);
 
-/// Cholesky factorization A = L * L^T for a symmetric positive-definite matrix.
-/// Returns the lower-triangular factor, or FailedPrecondition if A is not PD.
-StatusOr<Matrix> Cholesky(const Matrix& a);
-
 /// Principal square root of a symmetric positive semi-definite matrix via its
 /// eigendecomposition; tiny negative eigenvalues from round-off are clamped to zero.
 /// Needed by the Frechet (C-FID) distance.
 StatusOr<Matrix> SqrtSymmetric(const Matrix& a);
-
-/// Solves L * x = b with L lower triangular (forward substitution).
-Matrix SolveLowerTriangular(const Matrix& l, const Matrix& b);
 
 /// Trace of a square matrix.
 double Trace(const Matrix& a);

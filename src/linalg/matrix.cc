@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "kernels/kernels.h"
 
@@ -37,13 +36,6 @@ Matrix& Matrix::operator=(const Matrix& other) {
 Matrix Matrix::Identity(int64_t n) {
   Matrix m(n, n);
   for (int64_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::FromVector(int64_t rows, int64_t cols, const std::vector<double>& v) {
-  TSG_CHECK_EQ(rows * cols, static_cast<int64_t>(v.size()));
-  Matrix m = Matrix::Uninit(rows, cols);
-  std::copy(v.begin(), v.end(), m.data_);
   return m;
 }
 
@@ -129,22 +121,6 @@ double Matrix::Norm() const {
   return std::sqrt(s);
 }
 
-std::string Matrix::DebugString(int64_t max_rows, int64_t max_cols) const {
-  std::ostringstream os;
-  os << rows_ << "x" << cols_ << " [";
-  for (int64_t i = 0; i < std::min(rows_, max_rows); ++i) {
-    os << (i == 0 ? "[" : " [");
-    for (int64_t j = 0; j < std::min(cols_, max_cols); ++j) {
-      os << (*this)(i, j) << (j + 1 < std::min(cols_, max_cols) ? ", " : "");
-    }
-    os << (cols_ > max_cols ? ", ...]" : "]");
-    if (i + 1 < std::min(rows_, max_rows)) os << "\n";
-  }
-  if (rows_ > max_rows) os << "\n ...";
-  os << "]";
-  return os.str();
-}
-
 // The MatMul* family delegates to the kernel layer (kernels::Gemm*): packed,
 // register-tiled, vectorized, and threaded internally. Matrix construction
 // zero-fills the output, which the accumulating (C += A*B) kernels rely on.
@@ -196,13 +172,6 @@ Matrix operator*(const Matrix& a, double s) {
 }
 
 Matrix operator*(double s, const Matrix& a) { return a * s; }
-
-Matrix Hadamard(const Matrix& a, const Matrix& b) {
-  TSG_CHECK(a.SameShape(b));
-  Matrix out = a;
-  for (int64_t i = 0; i < out.size(); ++i) out[i] *= b[i];
-  return out;
-}
 
 Matrix ColMean(const Matrix& a) {
   Matrix out(1, a.cols());

@@ -58,13 +58,10 @@ class Matrix {
     return *this;
   }
 
-  static Matrix Zeros(int64_t rows, int64_t cols) { return Matrix(rows, cols); }
   static Matrix Constant(int64_t rows, int64_t cols, double v) {
     return Matrix(rows, cols, v);
   }
   static Matrix Identity(int64_t n);
-  /// Wraps a flat row-major buffer copy.
-  static Matrix FromVector(int64_t rows, int64_t cols, const std::vector<double>& v);
   /// Owning but *uninitialized* storage — for outputs that are fully overwritten.
   static Matrix Uninit(int64_t rows, int64_t cols) {
     Matrix m;
@@ -138,8 +135,6 @@ class Matrix {
   /// Frobenius norm.
   double Norm() const;
 
-  std::string DebugString(int64_t max_rows = 6, int64_t max_cols = 8) const;
-
  private:
   static constexpr size_t kAlignment = 64;
 
@@ -176,8 +171,6 @@ Matrix operator+(const Matrix& a, const Matrix& b);
 Matrix operator-(const Matrix& a, const Matrix& b);
 Matrix operator*(const Matrix& a, double s);
 Matrix operator*(double s, const Matrix& a);
-/// Element-wise (Hadamard) product.
-Matrix Hadamard(const Matrix& a, const Matrix& b);
 
 /// Mean of each column -> 1 x cols.
 Matrix ColMean(const Matrix& a);

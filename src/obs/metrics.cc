@@ -114,12 +114,6 @@ void MetricRegistry::RecordTimer(const std::string& name, double seconds) {
   GetTimer(name).Record(seconds);
 }
 
-void MetricRegistry::ForEachTimer(
-    const std::function<void(const std::string&, const Histogram&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, timer] : timers_) fn(name, *timer);
-}
-
 namespace {
 
 /// Order-independent histogram fields only — the deterministic half.

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -141,12 +140,6 @@ class MetricRegistry {
   Histogram& GetTimer(const std::string& name);
   /// Shorthand for GetTimer(name).Record(seconds).
   void RecordTimer(const std::string& name, double seconds);
-
-  /// Visits every timer histogram in name order. For bench-side aggregation
-  /// (e.g. summing `*.step_seconds` into a per-step Fit time) without parsing
-  /// a snapshot. The references are valid until the next Reset().
-  void ForEachTimer(
-      const std::function<void(const std::string&, const Histogram&)>& fn) const;
 
   /// Root of this registry's ScopedTimer trace tree.
   TraceNode& trace_root() { return trace_root_; }

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <optional>
 #include <utility>
 
 #include "io/json.h"
@@ -15,6 +16,41 @@ StatusOr<std::string> RequireString(const io::JsonValue& obj,
   const io::JsonValue* v = obj.Find(key);
   if (v == nullptr || !v->is_string() || v->string_value().empty()) {
     return Status::InvalidArgument("missing or non-string \"" + key + "\"");
+  }
+  return v->string_value();
+}
+
+/// Optional members: absent gives `fallback`, but a member that is present must
+/// have the right JSON type (and an integer must be integral and fit int64) —
+/// a wrong type is invalid_argument, never a silent default.
+StatusOr<int64_t> OptionalInt(const io::JsonValue& obj, const std::string& key,
+                              int64_t fallback) {
+  const io::JsonValue* v = obj.Find(key);
+  if (v == nullptr) return fallback;
+  const std::optional<int64_t> value = v->int_value();
+  if (!value.has_value()) {
+    return Status::InvalidArgument("\"" + key + "\" must be an integer");
+  }
+  return *value;
+}
+
+StatusOr<bool> OptionalBool(const io::JsonValue& obj, const std::string& key,
+                            bool fallback) {
+  const io::JsonValue* v = obj.Find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_bool()) {
+    return Status::InvalidArgument("\"" + key + "\" must be a boolean");
+  }
+  return v->bool_value();
+}
+
+StatusOr<std::string> OptionalString(const io::JsonValue& obj,
+                                     const std::string& key,
+                                     const std::string& fallback) {
+  const io::JsonValue* v = obj.Find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_string()) {
+    return Status::InvalidArgument("\"" + key + "\" must be a string");
   }
   return v->string_value();
 }
@@ -41,11 +77,11 @@ StatusOr<JobSpec> ParseJobSpec(const io::JsonValue& obj) {
   JobSpec spec;
   TSG_ASSIGN_OR_RETURN(const std::string kind, RequireString(obj, "kind"));
   TSG_ASSIGN_OR_RETURN(spec.kind, ParseJobKind(kind));
-  spec.tenant = obj.GetString("tenant", "default");
+  TSG_ASSIGN_OR_RETURN(spec.tenant, OptionalString(obj, "tenant", "default"));
   if (spec.tenant.empty()) {
     return Status::InvalidArgument("\"tenant\" must be non-empty");
   }
-  spec.priority = obj.GetInt("priority", 0);
+  TSG_ASSIGN_OR_RETURN(spec.priority, OptionalInt(obj, "priority", 0));
   switch (spec.kind) {
     case JobKind::kFit:
     case JobKind::kEvaluate: {
@@ -56,12 +92,12 @@ StatusOr<JobSpec> ParseJobSpec(const io::JsonValue& obj) {
     case JobKind::kGenerate: {
       TSG_ASSIGN_OR_RETURN(spec.method, RequireString(obj, "method"));
       TSG_ASSIGN_OR_RETURN(spec.dataset, RequireString(obj, "dataset"));
-      spec.count = obj.GetInt("count", 0);
+      TSG_ASSIGN_OR_RETURN(spec.count, OptionalInt(obj, "count", 0));
       if (spec.count <= 0) {
         return Status::InvalidArgument(
             "generate requires a positive integer \"count\"");
       }
-      const int64_t seed = obj.GetInt("gen_seed", 0);
+      TSG_ASSIGN_OR_RETURN(const int64_t seed, OptionalInt(obj, "gen_seed", 0));
       if (seed < 0) {
         return Status::InvalidArgument("\"gen_seed\" must be >= 0");
       }
@@ -76,21 +112,22 @@ StatusOr<JobSpec> ParseJobSpec(const io::JsonValue& obj) {
     case JobKind::kStreamEval: {
       TSG_ASSIGN_OR_RETURN(spec.method, RequireString(obj, "method"));
       TSG_ASSIGN_OR_RETURN(spec.dataset, RequireString(obj, "dataset"));
-      spec.count = obj.GetInt("count", 0);
+      TSG_ASSIGN_OR_RETURN(spec.count, OptionalInt(obj, "count", 0));
       if (spec.count <= 0) {
         return Status::InvalidArgument(
             "stream_eval requires a positive integer \"count\"");
       }
-      const int64_t seed = obj.GetInt("gen_seed", 0);
+      TSG_ASSIGN_OR_RETURN(const int64_t seed, OptionalInt(obj, "gen_seed", 0));
       if (seed < 0) {
         return Status::InvalidArgument("\"gen_seed\" must be >= 0");
       }
       spec.gen_seed = static_cast<uint64_t>(seed);
-      spec.window = obj.GetInt("window", JobSpec().window);
+      TSG_ASSIGN_OR_RETURN(spec.window,
+                           OptionalInt(obj, "window", JobSpec().window));
       if (spec.window <= 0) {
         return Status::InvalidArgument("\"window\" must be a positive integer");
       }
-      spec.chunk = obj.GetInt("chunk", JobSpec().chunk);
+      TSG_ASSIGN_OR_RETURN(spec.chunk, OptionalInt(obj, "chunk", JobSpec().chunk));
       if (spec.chunk <= 0) {
         return Status::InvalidArgument("\"chunk\" must be a positive integer");
       }
@@ -188,17 +225,17 @@ StatusOr<Request> ParseRequest(const std::string& line) {
   }
   if (cmd == "status") {
     request.cmd = Request::Cmd::kStatus;
-    request.job = doc.GetInt("job", -1);
+    TSG_ASSIGN_OR_RETURN(request.job, OptionalInt(doc, "job", -1));
     return request;
   }
   if (cmd == "result" || cmd == "cancel") {
     request.cmd =
         cmd == "result" ? Request::Cmd::kResult : Request::Cmd::kCancel;
-    request.job = doc.GetInt("job", -1);
+    TSG_ASSIGN_OR_RETURN(request.job, OptionalInt(doc, "job", -1));
     if (request.job < 0) {
       return Status::InvalidArgument(cmd + " requires a \"job\" id");
     }
-    request.wait = doc.GetBool("wait", false);
+    TSG_ASSIGN_OR_RETURN(request.wait, OptionalBool(doc, "wait", false));
     return request;
   }
   if (cmd == "metrics") {

@@ -91,15 +91,4 @@ std::vector<double> InverseStft(const Stft& stft) {
   return out;
 }
 
-Stft BandSplit(const Stft& stft, int64_t split_bin, bool keep_low) {
-  Stft out = stft;
-  for (auto& frame : out.coeffs) {
-    for (int64_t k = 0; k < static_cast<int64_t>(frame.size()); ++k) {
-      const bool in_low = k < split_bin;
-      if (in_low != keep_low) frame[static_cast<size_t>(k)] = Complex(0, 0);
-    }
-  }
-  return out;
-}
-
 }  // namespace tsg::signal

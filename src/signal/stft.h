@@ -28,10 +28,6 @@ Stft ComputeStft(const std::vector<double>& x, int64_t n_fft, int64_t hop);
 /// signal of length stft.signal_length.
 std::vector<double> InverseStft(const Stft& stft);
 
-/// Returns a copy of `stft` keeping only bins [0, split_bin) (low band) or
-/// [split_bin, num_bins) (high band); the other bins are zeroed.
-Stft BandSplit(const Stft& stft, int64_t split_bin, bool keep_low);
-
 }  // namespace tsg::signal
 
 #endif  // TSG_SIGNAL_STFT_H_

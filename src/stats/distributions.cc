@@ -114,12 +114,4 @@ double StudentTTwoSidedSf(double t, double df) {
   return RegularizedIncompleteBeta(df / 2.0, 0.5, df / (df + t2));
 }
 
-double FDistSf(double x, double d1, double d2) {
-  if (x <= 0.0) return 1.0;
-  // P(F >= x) = I_{d2/(d2 + d1 x)}(d2/2, d1/2).
-  return RegularizedIncompleteBeta(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x));
-}
-
-double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
-
 }  // namespace tsg::stats

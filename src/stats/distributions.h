@@ -18,12 +18,6 @@ double ChiSquareSf(double x, double k);
 /// Student-t two-sided tail probability: P(|T| >= t) with `df` degrees of freedom.
 double StudentTTwoSidedSf(double t, double df);
 
-/// F distribution upper tail: P(F >= x) with (d1, d2) degrees of freedom.
-double FDistSf(double x, double d1, double d2);
-
-/// Standard normal CDF.
-double NormalCdf(double x);
-
 }  // namespace tsg::stats
 
 #endif  // TSG_STATS_DISTRIBUTIONS_H_

@@ -40,9 +40,6 @@ void Histogram::Remove(double value) {
   --total_;
 }
 
-double Histogram::bin_lo(int b) const { return lo_ + width_ * b; }
-double Histogram::bin_hi(int b) const { return lo_ + width_ * (b + 1); }
-
 std::vector<double> Histogram::Probabilities() const {
   std::vector<double> p(counts_.size(), 0.0);
   if (total_ == 0) return p;

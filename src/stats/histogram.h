@@ -29,9 +29,6 @@ class Histogram {
 
   int num_bins() const { return static_cast<int>(counts_.size()); }
   int64_t total_count() const { return total_; }
-  double bin_lo(int b) const;
-  double bin_hi(int b) const;
-  double bin_center(int b) const { return 0.5 * (bin_lo(b) + bin_hi(b)); }
 
   /// Normalized bin probabilities (sums to 1; all-zero when empty).
   std::vector<double> Probabilities() const;

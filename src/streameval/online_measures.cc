@@ -1,14 +1,10 @@
 #include "streameval/online_measures.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "base/check.h"
 #include "base/thread_pool.h"
 #include "distance/distance.h"
-#include "linalg/decomp.h"
-#include "signal/acf.h"
-#include "stats/descriptive.h"
 
 namespace tsg::streameval {
 namespace {
@@ -20,30 +16,50 @@ int64_t PairIndex(const core::Dataset& reference, int64_t position) {
   return position % reference.num_samples();
 }
 
+/// FGD's per-series embedding: each feature's temporal mean, then each
+/// feature's population stddev (2N values).
+std::vector<double> MomentFeatures(const Matrix& series) {
+  const int64_t l = series.rows();
+  const int64_t n = series.cols();
+  std::vector<double> out(static_cast<size_t>(2 * n), 0.0);
+  for (int64_t j = 0; j < n; ++j) {
+    double mu = 0.0;
+    for (int64_t t = 0; t < l; ++t) mu += series(t, j);
+    mu /= static_cast<double>(l);
+    double m2 = 0.0;
+    for (int64_t t = 0; t < l; ++t) {
+      const double d = series(t, j) - mu;
+      m2 += d * d;
+    }
+    out[static_cast<size_t>(j)] = mu;
+    out[static_cast<size_t>(n + j)] = std::sqrt(m2 / static_cast<double>(l));
+  }
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ED / DTW: cache the per-pair distance at Update, re-fold at Snapshot with the
-// batch measure's exact ParallelSum shape (grain 16 / 1). The fold in
-// ParallelMapReduce is strictly index-ordered, so replaying cached values in
-// window order is bit-identical to the batch evaluation.
+// ED / DTW: cache the per-pair distance at Update, re-fold at Snapshot in window
+// order. The fold in ParallelMapReduce is strictly index-ordered, so replaying
+// cached values in window order is bit-identical to the batch evaluation.
 // ---------------------------------------------------------------------------
 
-Status OnlineEuclidean::Update(const std::vector<const WindowItem*>& batch) {
+Status OnlinePairedDistance::Update(const std::vector<const WindowItem*>& batch) {
   for (const WindowItem* item : batch) {
     const Matrix& ref = reference_->sample(PairIndex(*reference_, item->position));
-    cached_.push_back(distance::EuclideanDistance(ref, item->series));
+    cached_.push_back(distance_(ref, item->series));
   }
   return Status::Ok();
 }
 
-Status OnlineEuclidean::Evict(const WindowItem& /*item*/) {
+Status OnlinePairedDistance::Evict(const WindowItem& /*item*/) {
   TSG_CHECK(!cached_.empty());
   cached_.pop_front();
   return Status::Ok();
 }
 
-StatusOr<double> OnlineEuclidean::Snapshot(const Window& window) const {
+StatusOr<double> OnlinePairedDistance::Snapshot(const Window& window) const {
   TSG_CHECK_EQ(static_cast<int64_t>(cached_.size()),
                static_cast<int64_t>(window.size()));
   const int64_t pairs = static_cast<int64_t>(window.size());
@@ -53,48 +69,30 @@ StatusOr<double> OnlineEuclidean::Snapshot(const Window& window) const {
   return total / static_cast<double>(pairs);
 }
 
-Status OnlineDtw::Update(const std::vector<const WindowItem*>& batch) {
-  for (const WindowItem* item : batch) {
-    const Matrix& ref = reference_->sample(PairIndex(*reference_, item->position));
-    cached_.push_back(distance::DtwDistance(ref, item->series));
-  }
-  return Status::Ok();
-}
+OnlineEuclidean::OnlineEuclidean(std::shared_ptr<const core::Dataset> reference)
+    : OnlinePairedDistance(std::move(reference), "ED", &distance::EuclideanDistance) {}
 
-Status OnlineDtw::Evict(const WindowItem& /*item*/) {
-  TSG_CHECK(!cached_.empty());
-  cached_.pop_front();
-  return Status::Ok();
-}
-
-StatusOr<double> OnlineDtw::Snapshot(const Window& window) const {
-  TSG_CHECK_EQ(static_cast<int64_t>(cached_.size()),
-               static_cast<int64_t>(window.size()));
-  const int64_t pairs = static_cast<int64_t>(window.size());
-  const double total = base::ParallelSum(pairs, 1, [&](int64_t i) {
-    return cached_[static_cast<size_t>(i)];
-  });
-  return total / static_cast<double>(pairs);
-}
+OnlineDtw::OnlineDtw(std::shared_ptr<const core::Dataset> reference)
+    : OnlinePairedDistance(std::move(reference), "DTW",
+                           [](const Matrix& ref, const Matrix& series) {
+                             return distance::DtwDistance(ref, series);
+                           }) {}
 
 // ---------------------------------------------------------------------------
 // MDD: integer bin counts with edges frozen on the reference make the window
 // histograms exactly maintainable under Add/Remove.
 // ---------------------------------------------------------------------------
 
-OnlineMdd::OnlineMdd(std::shared_ptr<const core::Dataset> reference, int num_bins)
+OnlineMdd::OnlineMdd(std::shared_ptr<const core::Dataset> reference)
     : reference_(std::move(reference)) {
   const int64_t n = reference_->num_features();
   const int64_t l = reference_->seq_len();
   real_hists_.reserve(static_cast<size_t>(n * l));
   gen_hists_.reserve(static_cast<size_t>(n * l));
   for (int64_t cell = 0; cell < n * l; ++cell) {
-    const int64_t j = cell / l;
-    const int64_t t = cell % l;
-    const std::vector<double> real_vals = reference_->FeatureValuesAt(j, t);
-    // Mirrors the batch measure: both sides share edges frozen on the real
-    // values at this cell; the generated-side histogram starts empty.
-    stats::Histogram real_hist = stats::Histogram::FitRange(real_vals, num_bins);
+    const std::vector<double> real_vals =
+        reference_->FeatureValuesAt(cell / l, cell % l);
+    stats::Histogram real_hist = core::MddHistogram(real_vals);
     gen_hists_.push_back(real_hist);
     real_hist.AddAll(real_vals);
     real_hists_.push_back(std::move(real_hist));
@@ -106,9 +104,7 @@ Status OnlineMdd::Update(const std::vector<const WindowItem*>& batch) {
   const int64_t l = reference_->seq_len();
   for (const WindowItem* item : batch) {
     for (int64_t cell = 0; cell < n * l; ++cell) {
-      const int64_t j = cell / l;
-      const int64_t t = cell % l;
-      gen_hists_[static_cast<size_t>(cell)].Add(item->series(t, j));
+      gen_hists_[static_cast<size_t>(cell)].Add(item->series(cell % l, cell / l));
     }
   }
   return Status::Ok();
@@ -118,68 +114,40 @@ Status OnlineMdd::Evict(const WindowItem& item) {
   const int64_t n = reference_->num_features();
   const int64_t l = reference_->seq_len();
   for (int64_t cell = 0; cell < n * l; ++cell) {
-    const int64_t j = cell / l;
-    const int64_t t = cell % l;
-    gen_hists_[static_cast<size_t>(cell)].Remove(item.series(t, j));
+    gen_hists_[static_cast<size_t>(cell)].Remove(item.series(cell % l, cell / l));
   }
   return Status::Ok();
 }
 
 StatusOr<double> OnlineMdd::Snapshot(const Window& window) const {
-  const int64_t n = reference_->num_features();
-  const int64_t l = reference_->seq_len();
+  const int64_t cells = static_cast<int64_t>(real_hists_.size());
   TSG_CHECK_EQ(gen_hists_.empty() ? 0 : gen_hists_[0].total_count(),
                static_cast<int64_t>(window.size()));
-  const double total = base::ParallelSum(n * l, 8, [&](int64_t cell) {
+  const double total = base::ParallelSum(cells, 8, [&](int64_t cell) {
     return real_hists_[static_cast<size_t>(cell)].MeanAbsDiff(
         gen_hists_[static_cast<size_t>(cell)]);
   });
-  return total / static_cast<double>(n * l);
+  return total / static_cast<double>(cells);
 }
 
 // ---------------------------------------------------------------------------
-// ACD: per-item ACFs cached at Update; reference mean ACF frozen with the batch
-// measure's 256-sample cap; Snapshot replays the accumulation in window order.
+// ACD: per-item ACFs cached at Update; the reference mean ACF frozen at
+// construction; Snapshot averages the cached ACFs in window order.
 // ---------------------------------------------------------------------------
 
 OnlineAcd::OnlineAcd(std::shared_ptr<const core::Dataset> reference)
-    : reference_(std::move(reference)) {
-  const int64_t n = reference_->num_features();
-  const int64_t l = reference_->seq_len();
-  max_lag_ = std::min<int64_t>(l - 1, 32);
-  real_acf_.assign(static_cast<size_t>(n * (max_lag_ + 1)), 0.0);
-  // Mirrors the batch measure's mean_acf on the real side exactly: first 256
-  // samples, per-sample ACFs accumulated in sample order, then divided.
-  const int64_t count = std::min<int64_t>(reference_->num_samples(), 256);
-  for (int64_t j = 0; j < n; ++j) {
-    std::vector<double> acc(static_cast<size_t>(max_lag_ + 1), 0.0);
-    for (int64_t i = 0; i < count; ++i) {
-      std::vector<double> col(static_cast<size_t>(l));
-      for (int64_t t = 0; t < l; ++t) {
-        col[static_cast<size_t>(t)] = reference_->sample(i)(t, j);
-      }
-      const std::vector<double> acf = signal::Autocorrelation(col, max_lag_);
-      for (size_t k = 0; k < acf.size(); ++k) acc[k] += acf[k];
-    }
-    for (double& v : acc) v /= static_cast<double>(count);
-    std::copy(acc.begin(), acc.end(),
-              real_acf_.begin() + static_cast<int64_t>(j * (max_lag_ + 1)));
+    : num_features_(reference->num_features()) {
+  for (int64_t j = 0; j < num_features_; ++j) {
+    real_acf_.push_back(core::MeanAcf(*reference, j));
   }
 }
 
 Status OnlineAcd::Update(const std::vector<const WindowItem*>& batch) {
-  const int64_t n = reference_->num_features();
-  const int64_t l = reference_->seq_len();
   for (const WindowItem* item : batch) {
-    std::vector<double> acfs(static_cast<size_t>(n * (max_lag_ + 1)));
-    for (int64_t j = 0; j < n; ++j) {
-      std::vector<double> col(static_cast<size_t>(l));
-      for (int64_t t = 0; t < l; ++t) {
-        col[static_cast<size_t>(t)] = item->series(t, j);
-      }
-      const std::vector<double> acf = signal::Autocorrelation(col, max_lag_);
-      std::copy(acf.begin(), acf.end(),
-                acfs.begin() + static_cast<int64_t>(j * (max_lag_ + 1)));
+    std::vector<std::vector<double>> acfs;
+    acfs.reserve(static_cast<size_t>(num_features_));
+    for (int64_t j = 0; j < num_features_; ++j) {
+      acfs.push_back(core::SeriesAcf(item->series, j));
     }
     cached_.push_back(std::move(acfs));
   }
@@ -195,78 +163,53 @@ Status OnlineAcd::Evict(const WindowItem& /*item*/) {
 StatusOr<double> OnlineAcd::Snapshot(const Window& window) const {
   TSG_CHECK_EQ(static_cast<int64_t>(cached_.size()),
                static_cast<int64_t>(window.size()));
-  const int64_t n = reference_->num_features();
-  const int64_t stride = max_lag_ + 1;
-  const int64_t count =
-      std::min<int64_t>(static_cast<int64_t>(window.size()), 256);
-  const double total = base::ParallelSum(n, 1, [&](int64_t j) {
-    std::vector<double> acc(static_cast<size_t>(stride), 0.0);
-    for (int64_t i = 0; i < count; ++i) {
-      const std::vector<double>& acfs = cached_[static_cast<size_t>(i)];
-      for (int64_t k = 0; k <= max_lag_; ++k) {
-        acc[static_cast<size_t>(k)] += acfs[static_cast<size_t>(j * stride + k)];
-      }
-    }
-    for (double& v : acc) v /= static_cast<double>(count);
-    double s = 0.0;
-    for (int64_t k = 1; k <= max_lag_; ++k) {
-      s += std::fabs(real_acf_[static_cast<size_t>(j * stride + k)] -
-                     acc[static_cast<size_t>(k)]);
-    }
-    return s / static_cast<double>(max_lag_);
+  const double total = base::ParallelSum(num_features_, 1, [&](int64_t j) {
+    const std::vector<double> gen_acf = core::MeanAcf(
+        static_cast<int64_t>(cached_.size()),
+        [&](int64_t i) -> const std::vector<double>& {
+          return cached_[static_cast<size_t>(i)][static_cast<size_t>(j)];
+        });
+    return core::AcfDifference(real_acf_[static_cast<size_t>(j)], gen_acf);
   });
-  return total / static_cast<double>(n);
+  return total / static_cast<double>(num_features_);
 }
 
 // ---------------------------------------------------------------------------
-// SD / KD: recompute two-pass moments from the retained raw window — exact by
-// construction, since the batch measure is itself a two-pass over the same
-// values in the same (sample, time) order.
+// SD / KD: the batch measure's MomentDifference on the retained raw window,
+// gathered in the same (sample, time) order as Dataset::FeatureValues.
 // ---------------------------------------------------------------------------
 
 StatusOr<double> OnlineMomentsDiff::Snapshot(const Window& window) const {
   const int64_t n = reference_->num_features();
   const int64_t l = reference_->seq_len();
   const double total = base::ParallelSum(n, 1, [&](int64_t j) {
-    const auto real_m = stats::ComputeMoments(reference_->FeatureValues(j));
     std::vector<double> vals;
     vals.reserve(window.size() * static_cast<size_t>(l));
     for (const WindowItem& item : window) {
       for (int64_t t = 0; t < l; ++t) vals.push_back(item.series(t, j));
     }
-    const auto gen_m = stats::ComputeMoments(vals);
-    return kind_ == Kind::kSkewness
-               ? std::fabs(gen_m.skewness - real_m.skewness)
-               : std::fabs(gen_m.kurtosis - real_m.kurtosis);
+    return core::MomentDifference(kind_, reference_->FeatureValues(j), vals);
   });
   return total / static_cast<double>(n);
 }
 
 // ---------------------------------------------------------------------------
-// MMD: windowed-exact recomputation through the identical RbfMmd call.
+// MMD: windowed-exact recomputation through the batch measure's RbfMmd call.
 // ---------------------------------------------------------------------------
 
 OnlineMmd::OnlineMmd(std::shared_ptr<const core::Dataset> reference)
-    : reference_(std::move(reference)),
-      ref_flat_(reference_->Head(256).Flatten()) {}
+    : ref_rows_(core::MmdRows(reference->SampleRefs())) {}
 
 StatusOr<double> OnlineMmd::Snapshot(const Window& window) const {
-  const int64_t rows =
-      std::min<int64_t>(static_cast<int64_t>(window.size()), 256);
-  if (ref_flat_.rows() < 2 || rows < 2) {
+  std::vector<const Matrix*> series;
+  series.reserve(window.size());
+  for (const WindowItem& item : window) series.push_back(&item.series);
+  const Matrix gen_rows = core::MmdRows(series);
+  if (ref_rows_.rows() < 2 || gen_rows.rows() < 2) {
     return Status::FailedPrecondition(
         "MMD needs at least 2 series on each side");
   }
-  const int64_t l = reference_->seq_len();
-  const int64_t n = reference_->num_features();
-  Matrix gen_flat(rows, l * n);
-  for (int64_t i = 0; i < rows; ++i) {
-    const Matrix& s = window[static_cast<size_t>(i)].series;
-    for (int64_t t = 0; t < l; ++t) {
-      for (int64_t j = 0; j < n; ++j) gen_flat(i, t * n + j) = s(t, j);
-    }
-  }
-  return distance::RbfMmd(ref_flat_, gen_flat, -1.0);
+  return distance::RbfMmd(ref_rows_, gen_rows, -1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,73 +292,30 @@ StatusOr<double> FrechetFromMoments(const GaussianStats& a,
     return Status::FailedPrecondition(
         "need at least 2 observations per Gaussian");
   }
-  Matrix cov_a = a.Covariance();
-  Matrix cov_b = b.Covariance();
-  const int64_t d = cov_a.rows();
-  for (int64_t i = 0; i < d; ++i) {
-    cov_a(i, i) += ridge;
-    cov_b(i, i) += ridge;
-  }
-  double mean_term = 0.0;
-  for (int64_t j = 0; j < d; ++j) {
-    const double diff = a.mean[static_cast<size_t>(j)] -
-                        b.mean[static_cast<size_t>(j)];
-    mean_term += diff * diff;
-  }
-  // Same symmetrized Tr((C1 C2)^{1/2}) route as distance::FrechetDistance.
-  StatusOr<Matrix> sqrt_a = linalg::SqrtSymmetric(cov_a);
-  if (!sqrt_a.ok()) return sqrt_a.status();
-  const Matrix inner =
-      linalg::MatMul(linalg::MatMul(sqrt_a.value(), cov_b), sqrt_a.value());
-  StatusOr<linalg::EigenResult> eig = linalg::SymmetricEigen(inner);
-  if (!eig.ok()) return eig.status();
-  double trace_sqrt = 0.0;
-  for (double v : eig.value().values) trace_sqrt += std::sqrt(std::max(0.0, v));
-  const double fid =
-      mean_term + linalg::Trace(cov_a) + linalg::Trace(cov_b) - 2.0 * trace_sqrt;
-  return std::max(0.0, fid);
+  return distance::FrechetFromMoments(a.mean, a.Covariance(), b.mean,
+                                      b.Covariance(), ridge);
 }
 
 // ---------------------------------------------------------------------------
 // FGD: moment-feature embedding + streaming Gaussians.
 // ---------------------------------------------------------------------------
 
-std::vector<double> OnlineFeatureGaussian::Features(const Matrix& series) {
-  const int64_t l = series.rows();
-  const int64_t n = series.cols();
-  std::vector<double> out(static_cast<size_t>(2 * n), 0.0);
-  for (int64_t j = 0; j < n; ++j) {
-    double mu = 0.0;
-    for (int64_t t = 0; t < l; ++t) mu += series(t, j);
-    mu /= static_cast<double>(l);
-    double m2 = 0.0;
-    for (int64_t t = 0; t < l; ++t) {
-      const double d = series(t, j) - mu;
-      m2 += d * d;
-    }
-    out[static_cast<size_t>(j)] = mu;
-    out[static_cast<size_t>(n + j)] = std::sqrt(m2 / static_cast<double>(l));
-  }
-  return out;
-}
-
 OnlineFeatureGaussian::OnlineFeatureGaussian(
     std::shared_ptr<const core::Dataset> reference)
-    : reference_(std::move(reference)),
-      ref_stats_(2 * reference_->num_features()),
-      gen_stats_(2 * reference_->num_features()) {
-  for (int64_t i = 0; i < reference_->num_samples(); ++i) {
-    ref_stats_.Add(Features(reference_->sample(i)));
+    : ref_stats_(2 * reference->num_features()),
+      gen_stats_(2 * reference->num_features()) {
+  for (const Matrix& series : reference->samples()) {
+    ref_stats_.Add(MomentFeatures(series));
   }
 }
 
 Status OnlineFeatureGaussian::Update(
     const std::vector<const WindowItem*>& batch) {
   // Welford within the batch, Chan merge into the stream accumulator — the
-  // association that makes this state batch-boundary-dependent (and therefore
-  // sampled-tier, not streaming-exact).
+  // association that makes this state batch-boundary-dependent (the sampled
+  // tier).
   GaussianStats local(gen_stats_.dim());
-  for (const WindowItem* item : batch) local.Add(Features(item->series));
+  for (const WindowItem* item : batch) local.Add(MomentFeatures(item->series));
   gen_stats_.Merge(local);
   return Status::Ok();
 }

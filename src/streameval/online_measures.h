@@ -9,6 +9,7 @@
 
 #include "base/status.h"
 #include "core/dataset.h"
+#include "core/measures.h"
 #include "linalg/matrix.h"
 #include "stats/histogram.h"
 
@@ -40,16 +41,15 @@ using Window = std::deque<WindowItem>;
 /// `Snapshot(window)` produces the measure value for exactly the series
 /// currently in `window`.
 ///
-/// Exactness contract: states report one of two tiers via streaming_exact().
-///  - Streaming-exact: Snapshot is bit-identical to running the batch measure
-///    (src/core/measures.cc) on a dataset holding the window's series, for any
-///    window size, batch slicing, and thread count. This works because the
-///    batch measures reduce with base::ParallelSum — a parallel map with a
-///    strictly index-ordered fold — so replaying identical per-item values in
-///    window order reproduces the batch result bit for bit.
-///  - Sampled / stream-level: Snapshot carries a documented approximation
-///    (e.g. Welford/Chan moment merging whose floating-point result depends on
-///    batch boundaries) and is validated by tolerance, not byte equality.
+/// Each state is built from its batch measure's own functions (core/measures.h,
+/// distance/distance.h): it caches their per-series results and replays the
+/// batch measure's index-ordered fold, which base::ParallelSum keeps
+/// bit-identical for any thread count. ED, DTW, MDD, ACD, SD, KD and MMD are
+/// therefore bit-identical to the batch measure on a dataset holding the
+/// window's series, for any window size and batch slicing;
+/// StreamEvaluator::VerifyExactAgainstBatch lists and checks exactly these.
+/// FGD is the sampled tier: its Welford/Chan moments depend on batch
+/// boundaries, so it is checked by tolerance.
 class OnlineMeasureState {
  public:
   virtual ~OnlineMeasureState() = default;
@@ -60,9 +60,6 @@ class OnlineMeasureState {
   /// Stable short name, matching the batch measure's name where one exists
   /// ("ED", "DTW", "MDD", "ACD", "SD", "KD", "MMD") so report columns line up.
   virtual std::string name() const = 0;
-
-  /// True when Snapshot is bit-identical to the batch measure on the window.
-  virtual bool streaming_exact() const = 0;
 
   /// Folds `batch` (newly appended window items, oldest first) into the state.
   /// Called before the corresponding Evict calls for items the batch displaces.
@@ -78,52 +75,53 @@ class OnlineMeasureState {
   virtual StatusOr<double> Snapshot(const Window& window) const = 0;
 };
 
-/// M11 ED, streaming-exact. Caches one Euclidean distance per window item at
-/// Update; Snapshot re-folds the cached values in window order with the same
-/// ParallelSum shape as the batch measure.
-class OnlineEuclidean : public OnlineMeasureState {
+/// An index-paired distance (M11 ED, M12 DTW): each item's distance to its
+/// paired reference sample is computed once at Update and cached; Snapshot
+/// re-folds the cached values in window order, as the batch measure sums its
+/// pairs.
+class OnlinePairedDistance : public OnlineMeasureState {
  public:
-  explicit OnlineEuclidean(std::shared_ptr<const core::Dataset> reference)
-      : reference_(std::move(reference)) {}
-  std::string name() const override { return "ED"; }
-  bool streaming_exact() const override { return true; }
+  using Distance = double (*)(const Matrix& reference, const Matrix& series);
+  std::string name() const override { return name_; }
   Status Update(const std::vector<const WindowItem*>& batch) override;
   Status Evict(const WindowItem& item) override;
   StatusOr<double> Snapshot(const Window& window) const override;
 
+ protected:
+  OnlinePairedDistance(std::shared_ptr<const core::Dataset> reference,
+                       std::string name, Distance distance)
+      : reference_(std::move(reference)), name_(std::move(name)),
+        distance_(distance) {}
+
  private:
   std::shared_ptr<const core::Dataset> reference_;
+  std::string name_;
+  Distance distance_;
   std::deque<double> cached_;  ///< Per-item distances, aligned with the window.
 };
 
-/// M12 DTW (dependent, unconstrained band — the batch default), streaming-exact.
-/// The O(l^2) DP table per pair runs once at Update; Snapshot is a cached fold.
-class OnlineDtw : public OnlineMeasureState {
+/// M11 ED.
+class OnlineEuclidean : public OnlinePairedDistance {
  public:
-  explicit OnlineDtw(std::shared_ptr<const core::Dataset> reference)
-      : reference_(std::move(reference)) {}
-  std::string name() const override { return "DTW"; }
-  bool streaming_exact() const override { return true; }
-  Status Update(const std::vector<const WindowItem*>& batch) override;
-  Status Evict(const WindowItem& item) override;
-  StatusOr<double> Snapshot(const Window& window) const override;
-
- private:
-  std::shared_ptr<const core::Dataset> reference_;
-  std::deque<double> cached_;
+  explicit OnlineEuclidean(std::shared_ptr<const core::Dataset> reference);
 };
 
-/// M4 MDD, streaming-exact and truly incremental: per-(feature, step) histogram
-/// bin edges are frozen on the reference at construction (exactly as the batch
-/// measure freezes them on ctx.real), and integer bin counts make Add/Remove
-/// lossless, so the generated-side histograms always equal a from-scratch
-/// histogram of the window. Snapshot is O(n*l*bins) regardless of window size.
+/// M12 DTW (dependent, unconstrained band — the batch default); the O(l^2) DP
+/// table per pair runs once, at Update.
+class OnlineDtw : public OnlinePairedDistance {
+ public:
+  explicit OnlineDtw(std::shared_ptr<const core::Dataset> reference);
+};
+
+/// M4 MDD, truly incremental: each (feature, step) cell's histogram comes from
+/// core::MddHistogram on the reference at construction, and integer bin counts
+/// make Add/Remove lossless, so the generated-side histograms always equal a
+/// from-scratch histogram of the window. Snapshot is O(n*l*bins) regardless of
+/// window size.
 class OnlineMdd : public OnlineMeasureState {
  public:
-  explicit OnlineMdd(std::shared_ptr<const core::Dataset> reference,
-                     int num_bins = 20);
+  explicit OnlineMdd(std::shared_ptr<const core::Dataset> reference);
   std::string name() const override { return "MDD"; }
-  bool streaming_exact() const override { return true; }
   Status Update(const std::vector<const WindowItem*>& batch) override;
   Status Evict(const WindowItem& item) override;
   StatusOr<double> Snapshot(const Window& window) const override;
@@ -134,43 +132,36 @@ class OnlineMdd : public OnlineMeasureState {
   std::vector<stats::Histogram> gen_hists_;   ///< Live window histograms.
 };
 
-/// M5 ACD, streaming-exact. Each item's per-feature ACF vector is computed once
-/// at Update and cached; the reference side's mean ACF (capped at the batch
-/// measure's 256 samples) is frozen at construction. Snapshot averages the
-/// cached ACFs of the first min(|window|, 256) items in window order — the
-/// identical sum the batch measure accumulates.
+/// M5 ACD. Each item's per-feature core::SeriesAcf is computed once at Update
+/// and cached; the reference side's core::MeanAcf is frozen at construction.
+/// Snapshot averages the cached ACFs through core::MeanAcf in window order.
 class OnlineAcd : public OnlineMeasureState {
  public:
   explicit OnlineAcd(std::shared_ptr<const core::Dataset> reference);
   std::string name() const override { return "ACD"; }
-  bool streaming_exact() const override { return true; }
   Status Update(const std::vector<const WindowItem*>& batch) override;
   Status Evict(const WindowItem& item) override;
   StatusOr<double> Snapshot(const Window& window) const override;
 
  private:
-  std::shared_ptr<const core::Dataset> reference_;
-  int64_t max_lag_;
-  /// real mean ACF per feature, [j * (max_lag_ + 1) + k].
-  std::vector<double> real_acf_;
-  /// Per-item flattened per-feature ACFs, aligned with the window.
-  std::deque<std::vector<double>> cached_;
+  int64_t num_features_;
+  std::vector<std::vector<double>> real_acf_;  ///< Reference mean ACF per feature.
+  /// Per item (aligned with the window), per feature: the series' ACF.
+  std::deque<std::vector<std::vector<double>>> cached_;
 };
 
-/// M6 SD / M7 KD, streaming-exact. The reference moments are a frozen
-/// deterministic function of the reference set; the generated side recomputes
-/// two-pass moments from the raw window samples (retained by the evaluator), so
-/// the snapshot equals the batch measure on the window bit for bit. O(W*l*n)
-/// per snapshot — cheap next to the cached-distance states' Update cost.
+/// M6 SD / M7 KD. Snapshot gathers each feature's values from the raw window
+/// (retained by the evaluator) and calls core::MomentDifference, as the batch
+/// measure does on its generated set. O(W*l*n) per snapshot — cheap next to the
+/// cached-distance states' Update cost.
 class OnlineMomentsDiff : public OnlineMeasureState {
  public:
-  enum class Kind { kSkewness, kKurtosis };
+  using Kind = core::Moment;
   OnlineMomentsDiff(std::shared_ptr<const core::Dataset> reference, Kind kind)
       : reference_(std::move(reference)), kind_(kind) {}
   std::string name() const override {
     return kind_ == Kind::kSkewness ? "SD" : "KD";
   }
-  bool streaming_exact() const override { return true; }
   Status Update(const std::vector<const WindowItem*>& /*batch*/) override {
     return Status::Ok();
   }
@@ -181,25 +172,22 @@ class OnlineMomentsDiff : public OnlineMeasureState {
   Kind kind_;
 };
 
-/// MMD, windowed-exact: Snapshot calls the same distance::RbfMmd (median-
-/// heuristic gamma) on the frozen reference flat matrix (Head(256), as the
-/// batch measure caps it) and the first min(|window|, 256) window series, so it
-/// is bit-identical to the batch measure on the window — but unlike MDD there
-/// is no O(1) incremental core; the kernel sums are recomputed per snapshot.
-/// Needs at least 2 series in the window (the unbiased estimator's minimum).
+/// MMD: Snapshot calls the batch measure's distance::RbfMmd (median-heuristic
+/// gamma) on the reference's core::MmdRows, frozen at construction, and the
+/// window's — but unlike MDD there is no O(1) incremental core; the kernel
+/// sums are recomputed per snapshot. Needs at least 2 series in the window
+/// (the unbiased estimator's minimum).
 class OnlineMmd : public OnlineMeasureState {
  public:
   explicit OnlineMmd(std::shared_ptr<const core::Dataset> reference);
   std::string name() const override { return "MMD"; }
-  bool streaming_exact() const override { return true; }
   Status Update(const std::vector<const WindowItem*>& /*batch*/) override {
     return Status::Ok();
   }
   StatusOr<double> Snapshot(const Window& window) const override;
 
  private:
-  std::shared_ptr<const core::Dataset> reference_;
-  Matrix ref_flat_;  ///< reference->Head(256).Flatten(), frozen.
+  Matrix ref_rows_;  ///< core::MmdRows of the reference, frozen.
 };
 
 /// Streaming mean/covariance over d-dimensional feature vectors: single-point
@@ -233,29 +221,24 @@ struct GaussianStats {
 /// the Frechet distance against a Gaussian frozen on the reference set — the
 /// C-FID formula on moment features instead of learned embeddings.
 ///
-/// NOT streaming-exact: Welford/Chan accumulation associates floating-point
-/// sums by batch boundary, so two streams with different chunkings agree only
-/// to ~1e-9 relative error (bounded-error contract, tested by tolerance).
+/// Not bit-identical to any batch computation: Welford/Chan accumulation
+/// associates floating-point sums by batch boundary, so two streams with
+/// different chunkings agree only to ~1e-9 relative error (bounded-error
+/// contract, tested by tolerance).
 class OnlineFeatureGaussian : public OnlineMeasureState {
  public:
   explicit OnlineFeatureGaussian(std::shared_ptr<const core::Dataset> reference);
   std::string name() const override { return "FGD"; }
-  bool streaming_exact() const override { return false; }
   Status Update(const std::vector<const WindowItem*>& batch) override;
   StatusOr<double> Snapshot(const Window& window) const override;
 
-  /// The per-series feature embedding (exposed for tests).
-  static std::vector<double> Features(const Matrix& series);
-
  private:
-  std::shared_ptr<const core::Dataset> reference_;
   GaussianStats ref_stats_;
   GaussianStats gen_stats_;
 };
 
-/// Frechet distance between two moment-parameterized Gaussians — the
-/// distance::FrechetDistance formula starting from (mean, covariance) instead
-/// of raw embedding rows. Requires both accumulators to hold >= 2 observations.
+/// distance::FrechetFromMoments on two streaming Gaussians. Requires equal
+/// dimensions and >= 2 observations in each accumulator.
 StatusOr<double> FrechetFromMoments(const GaussianStats& a,
                                     const GaussianStats& b,
                                     double ridge = 1e-6);

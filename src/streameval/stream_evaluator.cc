@@ -11,7 +11,7 @@
 namespace tsg::streameval {
 namespace {
 
-/// Bitwise double equality — the comparison the streaming-exact contract is
+/// Bitwise double equality — the comparison the stream-vs-batch contract is
 /// stated in. Treats identical NaN patterns as equal, unlike operator==.
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -21,9 +21,7 @@ bool BitEqual(double a, double b) {
 
 StreamEvaluator::StreamEvaluator(
     std::shared_ptr<const core::Dataset> reference, StreamEvalOptions options)
-    : reference_(std::move(reference)),
-      options_(std::move(options)),
-      drift_(options_.drift) {
+    : reference_(std::move(reference)), options_(std::move(options)) {
   states_.push_back(std::make_unique<OnlineEuclidean>(reference_));
   states_.push_back(std::make_unique<OnlineDtw>(reference_));
   states_.push_back(std::make_unique<OnlineMdd>(reference_));
@@ -161,13 +159,6 @@ core::Dataset StreamEvaluator::WindowDataset() const {
   samples.reserve(window_.size());
   for (const WindowItem& item : window_) samples.push_back(item.series);
   return core::Dataset("stream_window", std::move(samples));
-}
-
-std::vector<int64_t> StreamEvaluator::WindowPositions() const {
-  std::vector<int64_t> out;
-  out.reserve(window_.size());
-  for (const WindowItem& item : window_) out.push_back(item.position);
-  return out;
 }
 
 Status StreamEvaluator::VerifyExactAgainstBatch() const {

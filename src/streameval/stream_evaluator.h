@@ -30,7 +30,6 @@ struct StreamEvalOptions {
   bool include_mmd = true;
   /// The sampled-tier FGD state (stream-level Welford/Chan Gaussian).
   bool include_feature_gaussian = true;
-  DriftOptions drift;
 };
 
 /// Windowed incremental evaluation of a generated-series stream against a
@@ -42,7 +41,7 @@ struct StreamEvalOptions {
 /// DriftDetector, and (when a metric prefix is set) publishes the per-tenant
 /// "stream.*" gauges/counters the daemon's METRICS verb exposes.
 ///
-/// Exactness: for the streaming-exact states, a snapshot is bit-identical to
+/// Exactness: for every state but FGD, a snapshot is bit-identical to
 /// running the batch measure on (a) the window's series as the generated set
 /// and (b) the reference — rotated by stream position for the index-paired
 /// distances, whole for the distributional measures — as the real set, at any
@@ -65,15 +64,14 @@ class StreamEvaluator {
   /// 1-series window) are omitted.
   StatusOr<std::map<std::string, double>> SnapshotNow() const;
 
-  /// Checks every streaming-exact state's snapshot byte-for-byte against the
-  /// corresponding batch measure run on the window; returns Internal on any
-  /// mismatch. The current window must be non-empty.
+  /// Checks the ED, DTW, MDD, ACD, SD, KD and MMD snapshots byte-for-byte
+  /// against the corresponding batch measure run on the window; returns
+  /// Internal on any mismatch. The current window must be non-empty.
   Status VerifyExactAgainstBatch() const;
 
-  /// The window's series as a Dataset (oldest first) and their stream
-  /// positions — the generated side of the batch counterpart.
+  /// The window's series as a Dataset (oldest first) — the generated side of
+  /// the batch counterpart.
   core::Dataset WindowDataset() const;
-  std::vector<int64_t> WindowPositions() const;
 
   int64_t series_seen() const { return series_seen_; }
   int64_t windows_completed() const { return windows_completed_; }

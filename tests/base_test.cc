@@ -131,17 +131,6 @@ TEST(RngTest, PermutationIsShuffled) {
   EXPECT_LT(fixed_points, 10);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(99);
-  Rng child = parent.Fork();
-  // The child stream should not replay the parent stream.
-  Rng parent_copy(99);
-  parent_copy.NextUint64();  // Account for the draw consumed by Fork().
-  int same = 0;
-  for (int i = 0; i < 32; ++i) same += child.NextUint64() == parent_copy.NextUint64();
-  EXPECT_LT(same, 2);
-}
-
 TEST(StopwatchTest, MeasuresNonNegativeMonotonicTime) {
   Stopwatch sw;
   const double t1 = sw.ElapsedSeconds();

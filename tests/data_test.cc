@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-
-#include "data/loader.h"
 #include "data/simulators.h"
 #include "stats/descriptive.h"
 
@@ -170,45 +167,6 @@ TEST(SineBenchmarkTest, SamplesAreSinusoidal) {
       EXPECT_NEAR(mean, 0.5, 0.25);
     }
   }
-}
-
-}  // namespace
-}  // namespace tsg::data
-
-namespace tsg::data {
-namespace {
-
-TEST(LoaderTest, RoundTripsThroughCsv) {
-  SimulatorOptions options;
-  options.scale = 0.01;
-  options.min_windows = 32;
-  const RawSeries original = Simulate(DatasetId::kStock, options);
-  const std::string path = "/tmp/tsg_loader_roundtrip.csv";
-  ASSERT_TRUE(SaveRawSeriesToCsv(path, original).ok());
-
-  LoadOptions load;
-  load.window_length = 24;
-  load.domain = "Financial";
-  auto loaded = LoadRawSeriesFromCsv(path, "StockReload", load);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().name, "StockReload");
-  EXPECT_EQ(loaded.value().window_length, 24);
-  EXPECT_TRUE(linalg::AllClose(loaded.value().values, original.values, 1e-9));
-  std::remove(path.c_str());
-}
-
-TEST(LoaderTest, MissingFileFails) {
-  EXPECT_FALSE(LoadRawSeriesFromCsv("/no/such/file.csv", "x", LoadOptions()).ok());
-}
-
-TEST(LoaderTest, TooShortSeriesFails) {
-  const std::string path = "/tmp/tsg_loader_short.csv";
-  {
-    std::ofstream out(path);
-    out << "a,b\n1,2\n";
-  }
-  EXPECT_FALSE(LoadRawSeriesFromCsv(path, "x", LoadOptions()).ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -211,7 +212,12 @@ TEST(AtomicFileTest, WritesContentAndLeavesNoTempFile) {
   std::ostringstream os;
   os << in.rdbuf();
   EXPECT_EQ(os.str(), "hello\n");
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  const std::string name = std::filesystem::path(path).filename().string();
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::temp_directory_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(name + ".tmp", 0), 0u)
+        << "temp file left behind: " << entry.path();
+  }
   // Overwrite is atomic too: the new content fully replaces the old.
   ASSERT_TRUE(WriteFileAtomic(path, "v2").ok());
   std::ifstream in2(path);
@@ -219,6 +225,57 @@ TEST(AtomicFileTest, WritesContentAndLeavesNoTempFile) {
   os2 << in2.rdbuf();
   EXPECT_EQ(os2.str(), "v2");
   std::filesystem::remove(path);
+}
+
+// Writers racing on one path (two grid workers finishing at once, two daemon
+// fits of one model) must each publish a whole file: a reader sees the path
+// absent or holding exactly one writer's content, never a torn or empty one.
+TEST(AtomicFileTest, ConcurrentWritersOfOnePathPublishWholeFiles) {
+  const std::filesystem::path dir = TempPath("tsg_atomic_race");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "summary.json").string();
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 300;
+  std::vector<std::string> contents;
+  for (int w = 0; w < kWriters; ++w) {
+    contents.push_back(std::string(static_cast<size_t>(65536 + 4096 * w),
+                                   static_cast<char>('a' + w)));
+  }
+  std::atomic<bool> writing{true};
+  std::atomic<int> failed_writes{0};
+  std::atomic<int> bad_reads{0};
+  std::thread reader([&] {
+    while (writing.load()) {
+      const StatusOr<std::string> read = ReadFileToString(path);
+      if (read.ok() && std::find(contents.begin(), contents.end(), read.value()) ==
+                           contents.end()) {
+        bad_reads.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        if (!WriteFileAtomic(path, contents[static_cast<size_t>(w)]).ok()) {
+          failed_writes.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  writing.store(false);
+  reader.join();
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_EQ(bad_reads.load(), 0);
+  // Only the target is left: every temp file was renamed into place.
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"summary.json"});
+  std::filesystem::remove_all(dir);
 }
 
 TEST(AtomicFileTest, BadDirectoryFails) {

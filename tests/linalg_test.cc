@@ -47,19 +47,12 @@ TEST(MatrixTest, IdentityAndConstant) {
   EXPECT_DOUBLE_EQ(c(1, 1), 7.0);
 }
 
-TEST(MatrixTest, FromVectorRoundTrip) {
-  const Matrix m = Matrix::FromVector(2, 2, {1, 2, 3, 4});
-  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
-}
-
 TEST(MatrixTest, ArithmeticOperators) {
   const Matrix a = {{1, 2}, {3, 4}};
   const Matrix b = {{5, 6}, {7, 8}};
   EXPECT_TRUE(AllClose(a + b, Matrix({{6, 8}, {10, 12}})));
   EXPECT_TRUE(AllClose(b - a, Matrix({{4, 4}, {4, 4}})));
   EXPECT_TRUE(AllClose(a * 2.0, Matrix({{2, 4}, {6, 8}})));
-  EXPECT_TRUE(AllClose(Hadamard(a, b), Matrix({{5, 12}, {21, 32}})));
 }
 
 TEST(MatrixTest, MatMulKnownResult) {
@@ -172,28 +165,6 @@ TEST(EigenTest, RejectsNonSquare) {
   EXPECT_FALSE(SymmetricEigen(Matrix(2, 3)).ok());
 }
 
-TEST(CholeskyTest, FactorReconstructs) {
-  Rng rng(8);
-  const Matrix a = RandomSpd(7, rng);
-  auto l = Cholesky(a);
-  ASSERT_TRUE(l.ok());
-  EXPECT_TRUE(AllClose(MatMulTransB(l.value(), l.value()), a, 1e-9));
-}
-
-TEST(CholeskyTest, FactorIsLowerTriangular) {
-  Rng rng(9);
-  const Matrix a = RandomSpd(5, rng);
-  auto l = Cholesky(a);
-  ASSERT_TRUE(l.ok());
-  for (int64_t i = 0; i < 5; ++i)
-    for (int64_t j = i + 1; j < 5; ++j) EXPECT_DOUBLE_EQ(l.value()(i, j), 0.0);
-}
-
-TEST(CholeskyTest, RejectsIndefinite) {
-  const Matrix a = {{1, 2}, {2, 1}};  // Eigenvalues 3 and -1.
-  EXPECT_FALSE(Cholesky(a).ok());
-}
-
 TEST(SqrtTest, SquaresBackToInput) {
   Rng rng(10);
   const Matrix a = RandomSpd(6, rng);
@@ -206,14 +177,6 @@ TEST(SqrtTest, IdentitySqrtIsIdentity) {
   auto s = SqrtSymmetric(Matrix::Identity(4));
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(AllClose(s.value(), Matrix::Identity(4), 1e-10));
-}
-
-TEST(SolveTest, LowerTriangularSolve) {
-  const Matrix l = {{2, 0}, {1, 3}};
-  const Matrix b = {{4}, {7}};
-  const Matrix x = SolveLowerTriangular(l, b);
-  EXPECT_NEAR(x(0, 0), 2.0, 1e-12);
-  EXPECT_NEAR(x(1, 0), 5.0 / 3.0, 1e-12);
 }
 
 TEST(TraceTest, SumsDiagonal) {

@@ -169,6 +169,45 @@ TEST(ProtocolTest, RejectsInvalidRequests) {
   }
 }
 
+// A present optional member of the wrong JSON type (or a non-integral or
+// out-of-range integer) is invalid_argument naming the member — never parsed
+// as the member's default. One row per member.
+TEST(ProtocolTest, MistypedOptionalMembersAreInvalidArgument) {
+  const std::string generate =
+      "{\"cmd\":\"submit\",\"job\":{\"kind\":\"generate\",\"method\":\"M\","
+      "\"dataset\":\"D\",\"count\":4,";
+  const std::string stream =
+      "{\"cmd\":\"submit\",\"job\":{\"kind\":\"stream_eval\",\"method\":\"M\","
+      "\"dataset\":\"D\",\"count\":32,";
+  const struct {
+    std::string line;
+    std::string member;
+  } cases[] = {
+      {generate + "\"gen_seed\":\"7\"}}", "gen_seed"},
+      {generate + "\"gen_seed\":7.5}}", "gen_seed"},
+      {stream + "\"gen_seed\":1e300}}", "gen_seed"},
+      {generate + "\"priority\":\"high\"}}", "priority"},
+      {generate + "\"priority\":0.5}}", "priority"},
+      {generate + "\"tenant\":5}}", "tenant"},
+      {stream + "\"window\":\"64\"}}", "window"},
+      {stream + "\"chunk\":true}}", "chunk"},
+      {"{\"cmd\":\"result\",\"job\":3,\"wait\":\"true\"}", "wait"},
+      {"{\"cmd\":\"status\",\"job\":\"3\"}", "job"},
+      {"{\"cmd\":\"status\",\"job\":3.25}", "job"},
+  };
+  for (const auto& c : cases) {
+    const auto parsed = ParseRequest(c.line);
+    if (parsed.ok()) {
+      ADD_FAILURE() << "accepted: " << c.line;
+      continue;
+    }
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.line;
+    EXPECT_NE(parsed.status().ToString().find("\"" + c.member + "\""),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(ProtocolTest, ResponsesAreParseableJson) {
   const auto ok = io::JsonValue::Parse(OkResponse(",\"job\":7"));
   ASSERT_TRUE(ok.ok());

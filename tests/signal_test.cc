@@ -130,27 +130,15 @@ TEST(StftTest, FrameAndBinCounts) {
   EXPECT_GT(stft.num_frames(), 100 / 4 - 2);
 }
 
-TEST(StftTest, BandSplitPartitionsEnergy) {
-  Rng rng(77);
-  const std::vector<double> x = RandomSignal(128, rng);
-  const Stft full = ComputeStft(x, 8, 4);
-  const Stft low = BandSplit(full, 2, /*keep_low=*/true);
-  const Stft high = BandSplit(full, 2, /*keep_low=*/false);
-  for (int64_t f = 0; f < full.num_frames(); ++f) {
-    for (int64_t k = 0; k < full.num_bins(); ++k) {
-      const Complex sum = low.coeffs[f][k] + high.coeffs[f][k];
-      EXPECT_NEAR(sum.real(), full.coeffs[f][k].real(), 1e-12);
-      EXPECT_NEAR(sum.imag(), full.coeffs[f][k].imag(), 1e-12);
-    }
-  }
-}
-
 TEST(StftTest, LowBandOfSmoothSignalKeepsMostEnergy) {
   // A slow sinusoid should live almost entirely in the low bins.
   std::vector<double> x(128);
   for (int t = 0; t < 128; ++t) x[t] = std::sin(2.0 * kPi * t / 64.0);
-  const Stft full = ComputeStft(x, 8, 4);
-  const auto low = InverseStft(BandSplit(full, 2, /*keep_low=*/true));
+  Stft low_band = ComputeStft(x, 8, 4);
+  for (auto& frame : low_band.coeffs) {
+    for (size_t k = 2; k < frame.size(); ++k) frame[k] = Complex(0, 0);
+  }
+  const auto low = InverseStft(low_band);
   double err = 0.0, energy = 0.0;
   for (int t = 0; t < 128; ++t) {
     err += (low[t] - x[t]) * (low[t] - x[t]);

@@ -182,20 +182,6 @@ TEST(DistributionsTest, StudentTKnownValues) {
   EXPECT_NEAR(StudentTTwoSidedSf(0.0, 7.0), 1.0, 1e-12);
 }
 
-TEST(DistributionsTest, FDistKnownValue) {
-  // F_{0.95}(5, 10) = 3.326.
-  EXPECT_NEAR(FDistSf(3.326, 5.0, 10.0), 0.05, 1e-3);
-  EXPECT_DOUBLE_EQ(FDistSf(0.0, 3.0, 3.0), 1.0);
-}
-
-TEST(DistributionsTest, NormalCdfKnownValues) {
-  EXPECT_NEAR(NormalCdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(NormalCdf(1.96), 0.975, 1e-4);
-  EXPECT_NEAR(NormalCdf(-1.96), 0.025, 1e-4);
-}
-
-// ---- Ranking & rank tests. ----
-
 TEST(RankTest, SimpleAscendingRanks) {
   const auto r = RankWithTies({30, 10, 20});
   EXPECT_DOUBLE_EQ(r[0], 3.0);

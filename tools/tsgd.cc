@@ -58,6 +58,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--socket is required\nusage: %s\n", usage.c_str());
     return 2;
   }
+  if (options.tcp_port < 0 || options.tcp_port > 65535) {
+    std::fprintf(stderr, "--tcp_port=%d is outside [0, 65535]\n", options.tcp_port);
+    return 2;
+  }
   if (options.limits.max_inflight < 1 ||
       options.limits.max_inflight_per_tenant < 1 ||
       options.limits.max_queued < 1) {
