@@ -6,8 +6,9 @@
 // arriving chunk, the cadence a tenant watching METRICS actually gets. The
 // streaming path does each expensive per-item computation (DTW tables, ACFs,
 // histogram inserts) exactly once per series, so every live snapshot re-folds
-// cached values; the rescan redoes the per-item work for the whole window at
-// every snapshot, costing roughly window/chunk times more on the cached
+// cached values, and MMD keeps the reference's distance block; the rescan
+// redoes the per-item work for the whole window, and MMD's reference block,
+// at every snapshot, costing roughly window/chunk times more on the cached
 // measures.
 //
 // Both paths compute bit-identical values (the evaluator's
@@ -51,6 +52,7 @@ double BatchRescanSeconds(const Dataset& reference,
   const tsg::core::AutocorrelationDifference acd;
   const tsg::core::SkewnessDifference sd;
   const tsg::core::KurtosisDifference kd;
+  const tsg::core::MmdMeasure mmd;
 
   tsg::Stopwatch watch;
   std::deque<Matrix> window;
@@ -86,6 +88,7 @@ double BatchRescanSeconds(const Dataset& reference,
     sink += acd.Evaluate(full_ctx).value();
     sink += sd.Evaluate(full_ctx).value();
     sink += kd.Evaluate(full_ctx).value();
+    sink += mmd.Evaluate(full_ctx).value();
   }
   const double seconds = watch.ElapsedSeconds();
   std::fprintf(stderr, "[stream] batch rescan sink %.6f\n", sink);
@@ -133,13 +136,9 @@ int main(int argc, char** argv) {
 
   tsg::streameval::StreamEvalOptions options;
   options.window = kWindow;
-  // Keep the timed comparison to the measures with an incremental or cached
-  // core: FGD has no batch counterpart in the rescan loop, and MMD recomputes
-  // identical O(window^2) kernel sums in both paths (windowed-exact, no
-  // incremental core — see docs/MEASURES.md), which would only dilute the
-  // caching signal being measured.
+  // FGD has no batch counterpart in the rescan loop, so the timed comparison
+  // leaves it out.
   options.include_feature_gaussian = false;
-  options.include_mmd = false;
   auto eval_or = tsg::streameval::StreamEvaluator::Create(reference, options);
   if (!eval_or.ok()) {
     std::fprintf(stderr, "[stream] create failed: %s\n",

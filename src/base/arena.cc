@@ -46,7 +46,6 @@ void* Arena::AllocateSlow(size_t bytes) {
     c.storage = AlignedBuffer<std::byte>(capacity);
     c.capacity = capacity;
     chunks_.push_back(std::move(c));
-    ++chunk_allocs_;
     if (steady_state_) ++steady_state_chunk_allocs_;
   }
   Chunk& c = chunks_[next_chunk_];

@@ -45,12 +45,9 @@ class Arena {
   /// zero-alloc accounting.
   void MarkSteadyState() { steady_state_ = true; }
 
-  /// Total bytes handed out since the last Reset().
-  size_t bytes_used() const { return bytes_used_; }
-  /// High-water mark of bytes_used() over the arena's lifetime.
+  /// High-water mark, over the arena's lifetime, of the bytes handed out
+  /// between two Reset() calls.
   size_t bytes_peak() const { return bytes_peak_; }
-  /// Number of heap chunk allocations over the arena's lifetime.
-  int64_t chunk_allocs() const { return chunk_allocs_; }
   /// Chunk allocations that happened after MarkSteadyState() — the quantity
   /// the zero-allocation contract says must stay 0.
   int64_t steady_state_chunk_allocs() const { return steady_state_chunk_allocs_; }
@@ -68,9 +65,8 @@ class Arena {
 
   std::vector<Chunk> chunks_;
   size_t next_chunk_ = 0;  // index of the chunk currently being bumped
-  size_t bytes_used_ = 0;
+  size_t bytes_used_ = 0;  // bytes handed out since the last Reset()
   size_t bytes_peak_ = 0;
-  int64_t chunk_allocs_ = 0;
   int64_t steady_state_chunk_allocs_ = 0;
   bool steady_state_ = false;
 };

@@ -68,7 +68,7 @@ Status ValidateContext(const MeasureContext& ctx) {
 double MeanMomentDifference(Moment moment, const MeasureContext& ctx) {
   const int64_t n = ctx.real->num_features();
   const double total = base::ParallelSum(n, 1, [&](int64_t j) {
-    return MomentDifference(moment, ctx.real->FeatureValues(j),
+    return MomentDifference(moment, stats::ComputeMoments(ctx.real->FeatureValues(j)),
                             ctx.generated->FeatureValues(j));
   });
   return total / static_cast<double>(n);
@@ -104,9 +104,8 @@ double AcfDifference(const std::vector<double>& real_acf,
   return s / static_cast<double>(max_lag);
 }
 
-double MomentDifference(Moment moment, const std::vector<double>& real_values,
+double MomentDifference(Moment moment, const stats::Moments& real_m,
                         const std::vector<double>& gen_values) {
-  const stats::Moments real_m = stats::ComputeMoments(real_values);
   const stats::Moments gen_m = stats::ComputeMoments(gen_values);
   return moment == Moment::kSkewness ? std::fabs(gen_m.skewness - real_m.skewness)
                                      : std::fabs(gen_m.kurtosis - real_m.kurtosis);

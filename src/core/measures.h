@@ -10,6 +10,7 @@
 #include "base/status.h"
 #include "core/dataset.h"
 #include "embed/embedder.h"
+#include "stats/descriptive.h"
 #include "stats/histogram.h"
 
 namespace tsg::core {
@@ -235,9 +236,10 @@ double AcfDifference(const std::vector<double>& real_acf,
                      const std::vector<double>& gen_acf);
 
 /// M6 (Eq. 1) or M7 (Eq. 2) for one feature: the absolute skewness or kurtosis
-/// difference between the generated and the real values.
+/// difference between the generated values and `real_m`, the real values'
+/// stats::ComputeMoments (which a stream computes once for its reference).
 enum class Moment { kSkewness, kKurtosis };
-double MomentDifference(Moment moment, const std::vector<double>& real_values,
+double MomentDifference(Moment moment, const stats::Moments& real_m,
                         const std::vector<double>& gen_values);
 
 /// MMD's input: the first min(|series|, 256) series, flattened into the rows of

@@ -137,26 +137,58 @@ StatusOr<double> FrechetFromMoments(const std::vector<double>& mean_a, Matrix co
   return std::max(0.0, fid);
 }
 
-double RbfMmd(const Matrix& a, const Matrix& b, double gamma) {
+Matrix PairwiseSquaredDistances(const Matrix& x) {
+  const int64_t n = x.rows(), d = x.cols();
+  Matrix dist(n, n);
+  // Pass 1: each task owns the upper-triangle part of its rows. Pass 2 mirrors the
+  // lower triangle once every upper entry exists; splitting the passes keeps every
+  // write owned by exactly one task.
+  base::ParallelFor(0, n, 4, [&](int64_t row0, int64_t row1) {
+    for (int64_t i = row0; i < row1; ++i) {
+      const double* xi = x.data() + i * d;
+      for (int64_t j = i + 1; j < n; ++j) {
+        dist(i, j) = kernels::SquaredDistance(xi, x.data() + j * d, d);
+      }
+    }
+  });
+  base::ParallelFor(0, n, 16, [&](int64_t row0, int64_t row1) {
+    for (int64_t i = row0; i < row1; ++i) {
+      for (int64_t j = 0; j < i; ++j) dist(i, j) = dist(j, i);
+    }
+  });
+  return dist;
+}
+
+Matrix CrossSquaredDistances(const Matrix& a, const Matrix& b) {
   TSG_CHECK_EQ(a.cols(), b.cols());
   const int64_t n = a.rows(), m = b.rows(), d = a.cols();
+  Matrix dist(n, m);
+  base::ParallelFor(0, n, 8, [&](int64_t row0, int64_t row1) {
+    for (int64_t i = row0; i < row1; ++i) {
+      const double* ai = a.data() + i * d;
+      for (int64_t j = 0; j < m; ++j) {
+        dist(i, j) = kernels::SquaredDistance(ai, b.data() + j * d, d);
+      }
+    }
+  });
+  return dist;
+}
+
+double RbfMmd(const Matrix& a, const Matrix& b, double gamma) {
+  return RbfMmdFromDistances(PairwiseSquaredDistances(a), PairwiseSquaredDistances(b),
+                             CrossSquaredDistances(a, b), gamma);
+}
+
+double RbfMmdFromDistances(const Matrix& d_aa, const Matrix& d_bb, const Matrix& d_ab,
+                           double gamma) {
+  const int64_t n = d_aa.rows(), m = d_bb.rows();
+  TSG_CHECK(d_aa.cols() == n && d_bb.cols() == m);
+  TSG_CHECK(d_ab.rows() == n && d_ab.cols() == m);
   TSG_CHECK(n >= 2 && m >= 2);
 
-  auto sq_dist = [d](const double* x, const double* y) {
-    return kernels::SquaredDistance(x, y, d);
-  };
-
   if (gamma <= 0.0) {
-    // Median heuristic over cross distances; each row fills its own segment.
-    std::vector<double> dists(static_cast<size_t>(n * m));
-    base::ParallelFor(0, n, 8, [&](int64_t row0, int64_t row1) {
-      for (int64_t i = row0; i < row1; ++i) {
-        const double* ai = a.data() + i * d;
-        for (int64_t j = 0; j < m; ++j) {
-          dists[static_cast<size_t>(i * m + j)] = sq_dist(ai, b.data() + j * d);
-        }
-      }
-    });
+    // Median heuristic over cross distances.
+    std::vector<double> dists(d_ab.data(), d_ab.data() + d_ab.size());
     std::nth_element(dists.begin(), dists.begin() + dists.size() / 2, dists.end());
     const double median = std::max(dists[dists.size() / 2], 1e-12);
     gamma = 1.0 / median;
@@ -164,26 +196,23 @@ double RbfMmd(const Matrix& a, const Matrix& b, double gamma) {
 
   // Kernel-matrix rows are summed independently and reduced in index order, so the
   // three statistics are bit-identical for any thread count.
-  const double kaa = base::ParallelSum(n, 8, [&](int64_t i) {
-    const double* xi = a.data() + i * d;
-    double s = 0.0;
-    for (int64_t j = 0; j < n; ++j) {
-      if (i != j) s += std::exp(-gamma * sq_dist(xi, a.data() + j * d));
-    }
-    return s;
-  });
-  const double kbb = base::ParallelSum(m, 8, [&](int64_t i) {
-    const double* xi = b.data() + i * d;
-    double s = 0.0;
-    for (int64_t j = 0; j < m; ++j) {
-      if (i != j) s += std::exp(-gamma * sq_dist(xi, b.data() + j * d));
-    }
-    return s;
-  });
+  auto within_sum = [gamma](const Matrix& dist) {
+    const int64_t k = dist.rows();
+    return base::ParallelSum(k, 8, [&](int64_t i) {
+      const double* row = dist.data() + i * k;
+      double s = 0.0;
+      for (int64_t j = 0; j < k; ++j) {
+        if (i != j) s += std::exp(-gamma * row[j]);
+      }
+      return s;
+    });
+  };
+  const double kaa = within_sum(d_aa);
+  const double kbb = within_sum(d_bb);
   const double kab = base::ParallelSum(n, 8, [&](int64_t i) {
-    const double* xi = a.data() + i * d;
+    const double* row = d_ab.data() + i * m;
     double s = 0.0;
-    for (int64_t j = 0; j < m; ++j) s += std::exp(-gamma * sq_dist(xi, b.data() + j * d));
+    for (int64_t j = 0; j < m; ++j) s += std::exp(-gamma * row[j]);
     return s;
   });
 

@@ -42,10 +42,29 @@ StatusOr<double> FrechetFromMoments(const std::vector<double>& mean_a, Matrix co
                                     const std::vector<double>& mean_b, Matrix cov_b,
                                     double ridge = 1e-6);
 
+/// Squared Euclidean distances between all row pairs of `x`: an (n x n) block with
+/// a zero diagonal. Each pair's kernels::SquaredDistance is computed once, in the
+/// upper triangle, and mirrored; the kernel is symmetric bit for bit, so the block
+/// equals computing every entry in place. MMD's within-set blocks and t-SNE's input
+/// affinities both come from here.
+Matrix PairwiseSquaredDistances(const Matrix& x);
+
+/// Squared Euclidean distances from every row of `a` to every row of `b`: entry
+/// (i, j) of the (n x m) block is kernels::SquaredDistance(a_i, b_j).
+Matrix CrossSquaredDistances(const Matrix& a, const Matrix& b);
+
 /// Unbiased squared Maximum Mean Discrepancy with an RBF kernel between two sets of
 /// row vectors. `gamma <= 0` selects the median heuristic. RGAN's training objective
-/// was motivated by MMD; exposed here for analysis and tests.
+/// was motivated by MMD; exposed here for analysis and tests. Builds the three
+/// squared-distance blocks and calls RbfMmdFromDistances.
 double RbfMmd(const Matrix& a, const Matrix& b, double gamma = -1.0);
+
+/// RbfMmd's statistic over given squared-distance blocks: `d_aa` (n x n) and `d_bb`
+/// (m x m) from PairwiseSquaredDistances, `d_ab` (n x m) from CrossSquaredDistances.
+/// `gamma <= 0` takes the median of `d_ab`. A caller holding a fixed set's block
+/// (the streaming MMD state's reference) passes it here instead of recomputing it.
+double RbfMmdFromDistances(const Matrix& d_aa, const Matrix& d_bb, const Matrix& d_ab,
+                           double gamma);
 
 }  // namespace tsg::distance
 

@@ -7,7 +7,7 @@
 
 #include "base/check.h"
 #include "base/thread_pool.h"
-#include "kernels/kernels.h"
+#include "distance/distance.h"
 #include "linalg/decomp.h"
 
 namespace tsg::embed {
@@ -15,29 +15,6 @@ namespace tsg::embed {
 using linalg::Matrix;
 
 namespace {
-
-/// Squared Euclidean distances between all row pairs.
-Matrix PairwiseSquaredDistances(const Matrix& x) {
-  const int64_t n = x.rows(), d = x.cols();
-  Matrix dist(n, n);
-  // Pass 1: each task owns the upper-triangle part of its rows. Pass 2 mirrors the
-  // lower triangle once every upper entry exists; splitting the passes keeps every
-  // write owned by exactly one task.
-  base::ParallelFor(0, n, 4, [&](int64_t row0, int64_t row1) {
-    for (int64_t i = row0; i < row1; ++i) {
-      const double* xi = x.data() + i * d;
-      for (int64_t j = i + 1; j < n; ++j) {
-        dist(i, j) = kernels::SquaredDistance(xi, x.data() + j * d, d);
-      }
-    }
-  });
-  base::ParallelFor(0, n, 16, [&](int64_t row0, int64_t row1) {
-    for (int64_t i = row0; i < row1; ++i) {
-      for (int64_t j = 0; j < i; ++j) dist(i, j) = dist(j, i);
-    }
-  });
-  return dist;
-}
 
 /// Calibrates each row's Gaussian bandwidth so the conditional distribution has the
 /// requested perplexity, then returns the symmetrized joint P (scaled to sum to 1).
@@ -108,7 +85,7 @@ Matrix Tsne(const Matrix& data, const TsneOptions& options) {
   const int64_t n = x.rows();
   const double perplexity =
       std::min(options.perplexity, static_cast<double>(n - 1) / 3.0);
-  Matrix p = ComputeP(PairwiseSquaredDistances(x), perplexity);
+  Matrix p = ComputeP(distance::PairwiseSquaredDistances(x), perplexity);
 
   Rng rng(options.seed);
   Matrix y(n, 2);
@@ -124,8 +101,8 @@ Matrix Tsne(const Matrix& data, const TsneOptions& options) {
                                 : options.final_momentum;
 
     // Student-t affinities in the embedding: upper-triangle rows in parallel with a
-    // row-ordered q_sum reduction, then a mirror pass (same scheme as the pairwise
-    // distances above).
+    // row-ordered q_sum reduction, then a mirror pass (the scheme of
+    // distance::PairwiseSquaredDistances).
     Matrix num(n, n);
     double q_sum = base::ParallelSum(n, 4, [&](int64_t i) {
       double row_sum = 0.0;

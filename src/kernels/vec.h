@@ -4,8 +4,9 @@
 #include <cstdint>
 #include <cstring>
 
-// Backend selection: the one place the kernel backend is chosen, at build time
-// (nothing switches it at run time). CMake defines TSG_ENABLE_SIMD_BUILD=1
+// Backend selection: the one place the kernel backend, and the SIMD backend's
+// register type (VecSimd below), are chosen, at build time (nothing switches
+// either at run time). CMake defines TSG_ENABLE_SIMD_BUILD=1
 // (option TSG_ENABLE_SIMD, default ON) on tsg_kernels and everything that links
 // it; the vector backend additionally requires GNU vector extensions
 // (GCC/Clang). Any other combination falls back to the scalar backend, which
@@ -20,7 +21,7 @@
 namespace tsg::kernels {
 
 /// Logical lane count of the kernel layer. Fixed at 4 doubles (one 256-bit
-/// register, or two 128-bit ops on SSE/NEON-class targets) in *both* backends:
+/// register on AVX targets, two 128-bit registers elsewhere) in *both* backends:
 /// the scalar backend emulates the same 4 lanes so that lane-split reductions
 /// produce bit-identical results whether or not SIMD is enabled.
 inline constexpr int kLanes = 4;
@@ -62,30 +63,80 @@ struct VecScalar {
 };
 
 #if TSG_KERNELS_SIMD
-/// 4-double SIMD register via GNU vector extensions. The compiler lowers the
-/// operations to the widest vector ISA of the build target (AVX as one op,
-/// SSE2/NEON as two) with no intrinsics and no runtime dispatch. Loads and
-/// stores go through memcpy so unaligned rows are well-defined (lowered to
-/// unaligned vector moves).
-struct VecSimd {
+/// 4-double SIMD register as one 32-byte GNU vector: one AVX instruction per
+/// operation, with no intrinsics and no runtime dispatch. Loads and stores go
+/// through memcpy so unaligned rows are well-defined (lowered to unaligned
+/// vector moves).
+struct VecSimd256 {
   typedef double Reg __attribute__((vector_size(kLanes * sizeof(double))));
   Reg reg;
 
-  static VecSimd Zero() { return {Reg{0.0, 0.0, 0.0, 0.0}}; }
-  static VecSimd Splat(double x) { return {Reg{x, x, x, x}}; }
-  static VecSimd Load(const double* p) {
-    VecSimd v;
+  static VecSimd256 Zero() { return {Reg{0.0, 0.0, 0.0, 0.0}}; }
+  static VecSimd256 Splat(double x) { return {Reg{x, x, x, x}}; }
+  static VecSimd256 Load(const double* p) {
+    VecSimd256 v;
     std::memcpy(&v.reg, p, sizeof(v.reg));
     return v;
   }
   void Store(double* p) const { std::memcpy(p, &reg, sizeof(reg)); }
 
-  void FmaAccum(const VecSimd& a, const VecSimd& b) { reg += a.reg * b.reg; }
-  VecSimd Sub(const VecSimd& o) const { return {reg - o.reg}; }
-  VecSimd Add(const VecSimd& o) const { return {reg + o.reg}; }
+  void FmaAccum(const VecSimd256& a, const VecSimd256& b) { reg += a.reg * b.reg; }
+  VecSimd256 Sub(const VecSimd256& o) const { return {reg - o.reg}; }
+  VecSimd256 Add(const VecSimd256& o) const { return {reg + o.reg}; }
   double GetLane(int l) const { return reg[l]; }
   void AddToLane(int l, double x) { reg[l] += x; }
 };
+
+/// The same four lanes as two 16-byte GNU vectors (lanes 0-1 in `lo`, 2-3 in
+/// `hi`), with the same per-lane sub, multiply and add as VecSimd256, so a
+/// kernel on either type computes the same bits. A target without AVX has no
+/// 32-byte register: GCC splits each VecSimd256 operation into two SSE2 ones
+/// but keeps the accumulator in a stack slot, reloading and storing it on every
+/// loop iteration. Two 16-byte halves stay in XMM (or NEON) registers.
+struct VecSimd2x128 {
+  typedef double Half __attribute__((vector_size(2 * sizeof(double))));
+  Half lo, hi;
+
+  static VecSimd2x128 Zero() { return {Half{0.0, 0.0}, Half{0.0, 0.0}}; }
+  static VecSimd2x128 Splat(double x) { return {Half{x, x}, Half{x, x}}; }
+  static VecSimd2x128 Load(const double* p) {
+    VecSimd2x128 v;
+    std::memcpy(&v.lo, p, sizeof(v.lo));
+    std::memcpy(&v.hi, p + 2, sizeof(v.hi));
+    return v;
+  }
+  void Store(double* p) const {
+    std::memcpy(p, &lo, sizeof(lo));
+    std::memcpy(p + 2, &hi, sizeof(hi));
+  }
+
+  void FmaAccum(const VecSimd2x128& a, const VecSimd2x128& b) {
+    lo += a.lo * b.lo;
+    hi += a.hi * b.hi;
+  }
+  VecSimd2x128 Sub(const VecSimd2x128& o) const { return {lo - o.lo, hi - o.hi}; }
+  VecSimd2x128 Add(const VecSimd2x128& o) const { return {lo + o.lo, hi + o.hi}; }
+  double GetLane(int l) const { return l < 2 ? lo[l] : hi[l - 2]; }
+  void AddToLane(int l, double x) {
+    if (l < 2) {
+      lo[l] += x;
+    } else {
+      hi[l - 2] += x;
+    }
+  }
+};
+
+/// The SIMD backend's register, chosen per translation unit from its compile
+/// target: VecSimd256 where AVX is enabled (kernels.cc under TSG_ENABLE_AVX2),
+/// VecSimd2x128 everywhere else. Because the two types have different names, a
+/// kernel template instantiated in kernels.cc (AVX2+FMA) and the same template
+/// instantiated in a TU built for the baseline ISA never share a COMDAT symbol,
+/// so the linker cannot hand one TU the other's contraction.
+#if defined(__AVX__)
+using VecSimd = VecSimd256;
+#else
+using VecSimd = VecSimd2x128;
+#endif
 #endif  // TSG_KERNELS_SIMD
 
 }  // namespace detail

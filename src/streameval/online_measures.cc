@@ -175,30 +175,40 @@ StatusOr<double> OnlineAcd::Snapshot(const Window& window) const {
 }
 
 // ---------------------------------------------------------------------------
-// SD / KD: the batch measure's MomentDifference on the retained raw window,
-// gathered in the same (sample, time) order as Dataset::FeatureValues.
+// SD / KD: the batch measure's MomentDifference against the frozen reference
+// moments, on the retained raw window gathered in the same (sample, time) order
+// as Dataset::FeatureValues.
 // ---------------------------------------------------------------------------
 
+OnlineMomentsDiff::OnlineMomentsDiff(std::shared_ptr<const core::Dataset> reference,
+                                     Kind kind)
+    : seq_len_(reference->seq_len()), kind_(kind) {
+  for (int64_t j = 0; j < reference->num_features(); ++j) {
+    real_moments_.push_back(stats::ComputeMoments(reference->FeatureValues(j)));
+  }
+}
+
 StatusOr<double> OnlineMomentsDiff::Snapshot(const Window& window) const {
-  const int64_t n = reference_->num_features();
-  const int64_t l = reference_->seq_len();
+  const int64_t n = static_cast<int64_t>(real_moments_.size());
   const double total = base::ParallelSum(n, 1, [&](int64_t j) {
     std::vector<double> vals;
-    vals.reserve(window.size() * static_cast<size_t>(l));
+    vals.reserve(window.size() * static_cast<size_t>(seq_len_));
     for (const WindowItem& item : window) {
-      for (int64_t t = 0; t < l; ++t) vals.push_back(item.series(t, j));
+      for (int64_t t = 0; t < seq_len_; ++t) vals.push_back(item.series(t, j));
     }
-    return core::MomentDifference(kind_, reference_->FeatureValues(j), vals);
+    return core::MomentDifference(kind_, real_moments_[static_cast<size_t>(j)], vals);
   });
   return total / static_cast<double>(n);
 }
 
 // ---------------------------------------------------------------------------
-// MMD: windowed-exact recomputation through the batch measure's RbfMmd call.
+// MMD: the batch measure's RbfMmdFromDistances on the frozen reference block
+// and the blocks the window adds.
 // ---------------------------------------------------------------------------
 
 OnlineMmd::OnlineMmd(std::shared_ptr<const core::Dataset> reference)
-    : ref_rows_(core::MmdRows(reference->SampleRefs())) {}
+    : ref_rows_(core::MmdRows(reference->SampleRefs())),
+      ref_dist_(distance::PairwiseSquaredDistances(ref_rows_)) {}
 
 StatusOr<double> OnlineMmd::Snapshot(const Window& window) const {
   std::vector<const Matrix*> series;
@@ -209,7 +219,9 @@ StatusOr<double> OnlineMmd::Snapshot(const Window& window) const {
     return Status::FailedPrecondition(
         "MMD needs at least 2 series on each side");
   }
-  return distance::RbfMmd(ref_rows_, gen_rows, -1.0);
+  const Matrix gen_dist = distance::PairwiseSquaredDistances(gen_rows);
+  const Matrix cross_dist = distance::CrossSquaredDistances(ref_rows_, gen_rows);
+  return distance::RbfMmdFromDistances(ref_dist_, gen_dist, cross_dist, -1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "core/dataset.h"
 #include "core/measures.h"
 #include "linalg/matrix.h"
+#include "stats/descriptive.h"
 #include "stats/histogram.h"
 
 namespace tsg::streameval {
@@ -150,15 +151,15 @@ class OnlineAcd : public OnlineMeasureState {
   std::deque<std::vector<std::vector<double>>> cached_;
 };
 
-/// M6 SD / M7 KD. Snapshot gathers each feature's values from the raw window
-/// (retained by the evaluator) and calls core::MomentDifference, as the batch
-/// measure does on its generated set. O(W*l*n) per snapshot — cheap next to the
-/// cached-distance states' Update cost.
+/// M6 SD / M7 KD. The reference's per-feature stats::Moments are computed once,
+/// at construction; Snapshot gathers each feature's values from the raw window
+/// (retained by the evaluator) and calls core::MomentDifference with them, as
+/// the batch measure does on its generated set. O(W*l*n) per snapshot — cheap
+/// next to the cached-distance states' Update cost.
 class OnlineMomentsDiff : public OnlineMeasureState {
  public:
   using Kind = core::Moment;
-  OnlineMomentsDiff(std::shared_ptr<const core::Dataset> reference, Kind kind)
-      : reference_(std::move(reference)), kind_(kind) {}
+  OnlineMomentsDiff(std::shared_ptr<const core::Dataset> reference, Kind kind);
   std::string name() const override {
     return kind_ == Kind::kSkewness ? "SD" : "KD";
   }
@@ -168,15 +169,20 @@ class OnlineMomentsDiff : public OnlineMeasureState {
   StatusOr<double> Snapshot(const Window& window) const override;
 
  private:
-  std::shared_ptr<const core::Dataset> reference_;
+  int64_t seq_len_;
   Kind kind_;
+  std::vector<stats::Moments> real_moments_;  ///< Per feature, frozen.
 };
 
-/// MMD: Snapshot calls the batch measure's distance::RbfMmd (median-heuristic
-/// gamma) on the reference's core::MmdRows, frozen at construction, and the
-/// window's — but unlike MDD there is no O(1) incremental core; the kernel
-/// sums are recomputed per snapshot. Needs at least 2 series in the window
-/// (the unbiased estimator's minimum).
+/// MMD: the reference's core::MmdRows and their squared-distance block
+/// (distance::PairwiseSquaredDistances, at most 256 x 256) are frozen at
+/// construction. Snapshot computes only what the window adds, the reference x
+/// window cross block and the window's own block, and calls the batch
+/// measure's core, distance::RbfMmdFromDistances (median-heuristic gamma), with
+/// the frozen block: the same doubles in the same order as distance::RbfMmd.
+/// The exp-sums depend on gamma, which moves with every window, so they are
+/// recomputed per snapshot. Needs at least 2 series in the window (the unbiased
+/// estimator's minimum).
 class OnlineMmd : public OnlineMeasureState {
  public:
   explicit OnlineMmd(std::shared_ptr<const core::Dataset> reference);
@@ -188,6 +194,7 @@ class OnlineMmd : public OnlineMeasureState {
 
  private:
   Matrix ref_rows_;  ///< core::MmdRows of the reference, frozen.
+  Matrix ref_dist_;  ///< PairwiseSquaredDistances(ref_rows_), frozen.
 };
 
 /// Streaming mean/covariance over d-dimensional feature vectors: single-point

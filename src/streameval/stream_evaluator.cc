@@ -30,9 +30,7 @@ StreamEvaluator::StreamEvaluator(
       reference_, OnlineMomentsDiff::Kind::kSkewness));
   states_.push_back(std::make_unique<OnlineMomentsDiff>(
       reference_, OnlineMomentsDiff::Kind::kKurtosis));
-  if (options_.include_mmd) {
-    states_.push_back(std::make_unique<OnlineMmd>(reference_));
-  }
+  states_.push_back(std::make_unique<OnlineMmd>(reference_));
   if (options_.include_feature_gaussian) {
     states_.push_back(std::make_unique<OnlineFeatureGaussian>(reference_));
   }
@@ -219,8 +217,7 @@ Status StreamEvaluator::VerifyExactAgainstBatch() const {
   TSG_RETURN_IF_ERROR(check(core::AutocorrelationDifference(), full_ctx));
   TSG_RETURN_IF_ERROR(check(core::SkewnessDifference(), full_ctx));
   TSG_RETURN_IF_ERROR(check(core::KurtosisDifference(), full_ctx));
-  if (options_.include_mmd && window_.size() >= 2 &&
-      reference_->num_samples() >= 2) {
+  if (window_.size() >= 2 && reference_->num_samples() >= 2) {
     TSG_RETURN_IF_ERROR(check(core::MmdMeasure(), full_ctx));
   }
   return Status::Ok();

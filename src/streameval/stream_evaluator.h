@@ -25,9 +25,6 @@ struct StreamEvalOptions {
   /// "<prefix>.windows", "<prefix>.series", "<prefix>.alarms",
   /// "<prefix>.<measure>.alarms", "<prefix>.errors". Empty disables export.
   std::string metric_prefix;
-  /// MMD recomputes O(window^2) kernel sums per snapshot; disable for very
-  /// large windows.
-  bool include_mmd = true;
   /// The sampled-tier FGD state (stream-level Welford/Chan Gaussian).
   bool include_feature_gaussian = true;
 };

@@ -1,9 +1,14 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/thread_pool.h"
 #include "distance/distance.h"
+#include "kernels/kernels.h"
 
 namespace tsg::distance {
 namespace {
@@ -12,6 +17,10 @@ Matrix RandomSeries(int64_t l, int64_t n, Rng& rng) {
   Matrix m(l, n);
   rng.FillNormal(m.data(), m.size());
   return m;
+}
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 TEST(EuclideanTest, IdenticalSeriesIsZero) {
@@ -162,6 +171,151 @@ TEST(MmdTest, ExplicitGammaIsAccepted) {
   const Matrix b = RandomSeries(50, 2, rng);
   const double d = RbfMmd(a, b, 0.5);
   EXPECT_TRUE(std::isfinite(d));
+}
+
+/// The reference model for RbfMmd: the statistic with every squared distance
+/// computed in place where it is used — the cross distances once for the
+/// median and again for the cross sum, both halves of each within-set block.
+double InPlaceRbfMmd(const Matrix& a, const Matrix& b, double gamma) {
+  const int64_t n = a.rows(), m = b.rows(), d = a.cols();
+  auto sq_dist = [d](const double* x, const double* y) {
+    return kernels::SquaredDistance(x, y, d);
+  };
+  if (gamma <= 0.0) {
+    std::vector<double> dists(static_cast<size_t>(n * m));
+    base::ParallelFor(0, n, 8, [&](int64_t row0, int64_t row1) {
+      for (int64_t i = row0; i < row1; ++i) {
+        for (int64_t j = 0; j < m; ++j) {
+          dists[static_cast<size_t>(i * m + j)] =
+              sq_dist(a.data() + i * d, b.data() + j * d);
+        }
+      }
+    });
+    std::nth_element(dists.begin(), dists.begin() + dists.size() / 2, dists.end());
+    gamma = 1.0 / std::max(dists[dists.size() / 2], 1e-12);
+  }
+  auto within_sum = [&](const Matrix& x) {
+    const int64_t k = x.rows();
+    return base::ParallelSum(k, 8, [&](int64_t i) {
+      double s = 0.0;
+      for (int64_t j = 0; j < k; ++j) {
+        if (i != j) s += std::exp(-gamma * sq_dist(x.data() + i * d, x.data() + j * d));
+      }
+      return s;
+    });
+  };
+  const double kaa = within_sum(a);
+  const double kbb = within_sum(b);
+  const double kab = base::ParallelSum(n, 8, [&](int64_t i) {
+    double s = 0.0;
+    for (int64_t j = 0; j < m; ++j) {
+      s += std::exp(-gamma * sq_dist(a.data() + i * d, b.data() + j * d));
+    }
+    return s;
+  });
+  const double dn = static_cast<double>(n), dm = static_cast<double>(m);
+  return kaa / (dn * (dn - 1.0)) + kbb / (dm * (dm - 1.0)) - 2.0 * kab / (dn * dm);
+}
+
+// RbfMmd computes each distance once (one triangle of each within-set block,
+// one cross block shared by the median and the cross sum); the statistic must
+// keep every bit of the in-place computation, at any pool width. 256 is
+// MmdRows' cap, so the largest blocks here are the ones the measure meets.
+TEST(MmdTest, MatchesInPlaceReferenceBitwise) {
+  for (const int width : {1, 4}) {
+    base::ThreadPool::Global().SetMaxParallelism(width);
+    for (const int64_t d : {1, 4, 7, 750}) {
+      for (const int64_t n : {2, 3, 64, 256}) {
+        for (const int64_t m : {2, 3, 64, 256}) {
+          Rng rng(static_cast<uint64_t>(1000 * d + 10 * n + m));
+          const Matrix a = RandomSeries(n, d, rng);
+          const Matrix b = RandomSeries(m, d, rng);
+          for (const double gamma : {1.0 / static_cast<double>(d), -1.0}) {
+            EXPECT_TRUE(BitEqual(RbfMmd(a, b, gamma), InPlaceRbfMmd(a, b, gamma)))
+                << width << " " << d << " " << n << " " << m << " " << gamma;
+          }
+        }
+      }
+    }
+  }
+  base::ThreadPool::Global().SetMaxParallelism(0);
+}
+
+// ---- Golden bits. ----
+// Rng::Uniform is integer arithmetic, so these inputs are the same on every
+// host, and the functions below use no libm call but the correctly rounded
+// sqrt; the values are recorded as hex floats. A kernel edit that moves a bit
+// fails here rather than in a grid comparison. Results that go through
+// std::exp (RbfMmd's) are left to MatchesInPlaceReferenceBitwise, because libm
+// differs between hosts.
+
+std::vector<double> UniformVec(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(static_cast<size_t>(n));
+  for (double& x : v) x = rng.Uniform(-1.0, 1.0);
+  return v;
+}
+
+Matrix UniformMatrix(int64_t rows, int64_t cols, uint64_t seed) {
+  const std::vector<double> v = UniformVec(rows * cols, seed);
+  Matrix m(rows, cols);
+  std::copy(v.begin(), v.end(), m.data());
+  return m;
+}
+
+TEST(GoldenBitsTest, KernelsAndDistancesMatchRecordedValues) {
+  struct KernelGolden {
+    int64_t n;
+    double dot, sq;
+  };
+  const KernelGolden kernel_goldens[] = {
+      {3, 0x1.3ef67799ebdcap-3, 0x1.06932fa574cfap+0},
+      {64, -0x1.34d00a5b59dfcp+2, 0x1.be4db4afa0d2p+5},
+      {750, -0x1.2439f5a834a66p+2, 0x1.f944accad11aap+8},
+      {1003, -0x1.0959bb57861b6p+4, 0x1.5ea706951b369p+9},
+  };
+  for (const KernelGolden& g : kernel_goldens) {
+    const auto a = UniformVec(g.n, static_cast<uint64_t>(100 + g.n));
+    const auto b = UniformVec(g.n, static_cast<uint64_t>(200 + g.n));
+    EXPECT_TRUE(BitEqual(kernels::Dot(a.data(), b.data(), g.n), g.dot)) << g.n;
+    EXPECT_TRUE(BitEqual(kernels::SquaredDistance(a.data(), b.data(), g.n), g.sq)) << g.n;
+  }
+
+  const Matrix ed_a = UniformMatrix(125, 6, 301), ed_b = UniformMatrix(125, 6, 302);
+  EXPECT_TRUE(BitEqual(EuclideanDistance(ed_a, ed_b), 0x1.78a676ca0ca46p+4));
+  const Matrix dtw_a = UniformMatrix(24, 3, 311), dtw_b = UniformMatrix(20, 3, 312);
+  EXPECT_TRUE(BitEqual(DtwDistance(dtw_a, dtw_b), 0x1.6ec926d543249p+2));
+  EXPECT_TRUE(BitEqual(DtwDistance(dtw_a, dtw_b, 2), 0x1.72c3e7ec6536cp+2));
+
+  const Matrix cross_a = UniformMatrix(2, 750, 321), cross_b = UniformMatrix(3, 750, 322);
+  const Matrix cross = CrossSquaredDistances(cross_a, cross_b);
+  ASSERT_EQ(cross.rows(), 2);
+  ASSERT_EQ(cross.cols(), 3);
+  const double cross_want[2][3] = {
+      {0x1.05e2a4af20a42p+9, 0x1.072ff1d3756b9p+9, 0x1.0a274fc65e27ep+9},
+      {0x1.df6828b69541p+8, 0x1.f0a8b06bbfa76p+8, 0x1.e34c0873d8c8ep+8},
+  };
+  for (int64_t i = 0; i < 2; ++i) {
+    for (int64_t j = 0; j < 3; ++j) {
+      EXPECT_TRUE(BitEqual(cross(i, j), cross_want[i][j])) << i << "," << j;
+    }
+  }
+
+  // Upper triangle recorded; the block must mirror it and keep a zero diagonal.
+  const Matrix pair = PairwiseSquaredDistances(UniformMatrix(3, 750, 323));
+  ASSERT_EQ(pair.rows(), 3);
+  ASSERT_EQ(pair.cols(), 3);
+  const double upper_want[3][3] = {
+      {0.0, 0x1.f7aa5fa6b9238p+8, 0x1.e6b771f885c76p+8},
+      {0.0, 0.0, 0x1.efcac55a7304fp+8},
+      {0.0, 0.0, 0.0},
+  };
+  for (int64_t i = 0; i < 3; ++i) {
+    for (int64_t j = i; j < 3; ++j) {
+      EXPECT_TRUE(BitEqual(pair(i, j), upper_want[i][j])) << i << "," << j;
+      EXPECT_TRUE(BitEqual(pair(j, i), upper_want[i][j])) << j << "," << i;
+    }
+  }
 }
 
 }  // namespace

@@ -167,23 +167,27 @@ TEST(KernelsGemmTest, BitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(BitEqual(serial, wide));
 }
 
+/// The active and scalar backends' Dot and SquaredDistance agree bit for bit
+/// on (a, b), and SquaredDistance is symmetric bit for bit on both backends,
+/// so a distance matrix may fill one triangle and mirror it.
+void ExpectBackendsAgree(const std::vector<double>& a, const std::vector<double>& b) {
+  const int64_t n = static_cast<int64_t>(a.size());
+  const double* x = a.data();
+  const double* y = b.data();
+  EXPECT_TRUE(BitEqual({kernels::Dot(x, y, n)}, {kernels::scalar::Dot(x, y, n)})) << n;
+  const double sq = kernels::SquaredDistance(x, y, n);
+  const double scalar_sq = kernels::scalar::SquaredDistance(x, y, n);
+  EXPECT_TRUE(BitEqual({sq}, {scalar_sq})) << n;
+  EXPECT_TRUE(BitEqual({kernels::SquaredDistance(y, x, n)}, {sq})) << n;
+  EXPECT_TRUE(BitEqual({kernels::scalar::SquaredDistance(y, x, n)}, {scalar_sq})) << n;
+}
+
 TEST(KernelsPrimitivesTest, DotAndSquaredDistanceTailsMatchScalarBitwise) {
+  // Every tail length, after at most two main-loop iterations.
   for (int64_t n = 0; n <= 9; ++n) {
     const auto a = RandomVec(n, 14);
     const auto b = RandomVec(n, 15);
-    EXPECT_EQ(kernels::Dot(a.data(), b.data(), n),
-              kernels::scalar::Dot(a.data(), b.data(), n));
-    EXPECT_EQ(kernels::SquaredDistance(a.data(), b.data(), n),
-              kernels::scalar::SquaredDistance(a.data(), b.data(), n));
-    // Symmetric bit for bit on both backends, so a distance matrix may fill
-    // one triangle and mirror it.
-    EXPECT_TRUE(BitEqual({kernels::SquaredDistance(b.data(), a.data(), n)},
-                         {kernels::SquaredDistance(a.data(), b.data(), n)}))
-        << n;
-    EXPECT_TRUE(
-        BitEqual({kernels::scalar::SquaredDistance(b.data(), a.data(), n)},
-                 {kernels::scalar::SquaredDistance(a.data(), b.data(), n)}))
-        << n;
+    ExpectBackendsAgree(a, b);
     // Tolerance sanity against the plain left-to-right reference.
     double dot = 0.0, sq = 0.0;
     for (int64_t i = 0; i < n; ++i) {
@@ -193,6 +197,11 @@ TEST(KernelsPrimitivesTest, DotAndSquaredDistanceTailsMatchScalarBitwise) {
     }
     EXPECT_NEAR(kernels::Dot(a.data(), b.data(), n), dot, 1e-12);
     EXPECT_NEAR(kernels::SquaredDistance(a.data(), b.data(), n), sq, 1e-12);
+  }
+  // Many main-loop iterations before the tail: 750 is one flattened StockLong
+  // series (l = 125, N = 6), the length MMD's distances run at.
+  for (int64_t n : {64, 750, 1003}) {
+    ExpectBackendsAgree(RandomVec(n, 14), RandomVec(n, 15));
   }
 }
 

@@ -80,8 +80,9 @@ std::map<std::string, double> RunStream(const Dataset& reference,
 // streaming snapshot is byte-identical to running the real batch measures on
 // the window (VerifyExactAgainstBatch routes through src/core/measures.cc).
 // Window sizes are chosen to exercise partial windows, windows smaller than
-// the reference (pairing wraps), and windows larger than the ACD/MMD 256 caps'
-// relevant branches.
+// the reference (pairing wraps), windows larger than the reference, and a
+// reference and window both past the 256-series caps of MmdRows and MeanAcf
+// (short, univariate series keep the batch rescans cheap).
 TEST(StreamExactTest, MatchesBatchAcrossWindowSizes) {
   const Dataset reference = SineDataset(7, /*seed=*/3);
   const std::vector<Matrix> stream = StreamSeries(40, /*seed=*/91);
@@ -89,6 +90,9 @@ TEST(StreamExactTest, MatchesBatchAcrossWindowSizes) {
     RunStream(reference, stream, window, /*chunk=*/5,
               /*verify_each_batch=*/true);
   }
+  RunStream(SineDataset(300, /*seed=*/5, /*l=*/4, /*n=*/1),
+            StreamSeries(330, /*seed=*/93, /*l=*/4, /*n=*/1), /*window=*/300,
+            /*chunk=*/110, /*verify_each_batch=*/true);
 }
 
 // Snapshots are a pure function of the window contents — how the stream was
