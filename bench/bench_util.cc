@@ -10,12 +10,12 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "base/stopwatch.h"
 #include "base/thread_pool.h"
 #include "io/atomic_file.h"
-#include "io/csv.h"
-#include "io/json.h"
+#include "io/json_parse.h"
 #include "io/lease.h"
 #include "methods/factory.h"
 #include "obs/metrics.h"
@@ -146,14 +146,6 @@ core::Preprocessed PrepareDataset(data::DatasetId id, const BenchConfig& config)
 
 namespace {
 
-/// %.17g: doubles survive a write -> parse -> write cycle bit-for-bit, which the
-/// kill/resume byte-identical guarantee depends on.
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string ConfigKey(const BenchConfig& config) {
   std::ostringstream os;
   os << "s" << config.scale << "_r" << config.seed;
@@ -171,107 +163,97 @@ std::string SanitizeFileName(const std::string& s) {
   return out;
 }
 
-/// One row per measure for a completed cell, or a single error row for a failed
-/// one: the per-cell checkpoint file layout.
-const std::vector<std::string>& CellCsvHeader() {
-  static const auto* kHeader = new std::vector<std::string>{
-      "status", "method", "dataset", "measure",
-      "mean",   "stddev", "fit_seconds", "error"};
-  return *kHeader;
-}
-
+/// One grid cell as the sweep holds it. `result.method` is the grid's registry
+/// name, which a wrapper method's name() need not equal; when the cell failed,
+/// `result` carries only the two names and `error` the status string.
 struct CellOutcome {
+  core::MethodRunResult result;
   bool failed = false;
-  std::vector<GridRow> rows;   ///< Populated when !failed.
-  CellError error;             ///< Populated when failed.
+  std::string error;
 };
 
-/// Parses checkpoint body rows (header already stripped). Returns false on any
-/// malformed row so a corrupt file falls back to recomputation.
-bool ParseCellCsvRows(const std::vector<std::vector<std::string>>& lines,
-                      std::vector<GridRow>* rows,
-                      std::vector<CellError>* failures) {
-  for (const auto& cells : lines) {
-    if (cells.size() != CellCsvHeader().size()) return false;
-    if (cells[0] == "ok") {
-      GridRow row;
-      row.method = cells[1];
-      row.dataset = cells[2];
-      row.measure = cells[3];
-      if (!io::ParseDoubleCell(cells[4], &row.mean) ||
-          !io::ParseDoubleCell(cells[5], &row.stddev) ||
-          !io::ParseDoubleCell(cells[6], &row.fit_seconds)) {
-        return false;
-      }
-      rows->push_back(std::move(row));
-    } else if (cells[0] == "error") {
-      failures->push_back({cells[1], cells[2], cells[7]});
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string CheckpointPath(const BenchConfig& config, const std::string& method,
-                           const std::string& dataset) {
-  return CheckpointDir(config) + "/" + SanitizeFileName(method) + "__" +
-         SanitizeFileName(dataset) + ".csv";
-}
-
 /// Ownership marker for one in-flight cell of a sharded run. Lives next to the
-/// checkpoint; the `.lease` suffix keeps it out of the `*.csv` checkpoint glob.
+/// checkpoint; the `.lease` suffix keeps it out of the `*.json` checkpoint glob.
 std::string CellLeasePath(const BenchConfig& config, const std::string& method,
                           const std::string& dataset) {
   return CheckpointPath(config, method, dataset) + ".lease";
 }
 
-Status WriteCellCheckpoint(const BenchConfig& config, const CellOutcome& cell) {
-  const std::string& method =
-      cell.failed ? cell.error.method : cell.rows.front().method;
-  const std::string& dataset =
-      cell.failed ? cell.error.dataset : cell.rows.front().dataset;
-  std::vector<std::vector<std::string>> lines = {CellCsvHeader()};
-  if (cell.failed) {
-    lines.push_back({"error", method, dataset, "", "", "", "", cell.error.error});
+/// The sweep's cell object: WriteCellJson for a finished cell, or the error
+/// form {"method","dataset","status":"error","error"} that only a grid cell
+/// takes.
+void WriteCellOutcome(const CellOutcome& cell, bool with_fit_seconds,
+                      io::JsonWriter* json) {
+  if (!cell.failed) {
+    WriteCellJson(cell.result, with_fit_seconds, json);
+    return;
   }
-  for (const GridRow& row : cell.rows) {
-    lines.push_back({"ok", method, dataset, row.measure, FormatDouble(row.mean),
-                     FormatDouble(row.stddev), FormatDouble(row.fit_seconds), ""});
-  }
-  return io::WriteCsvRows(CheckpointPath(config, method, dataset), lines);
+  json->BeginObject();
+  json->Key("method").String(cell.result.method);
+  json->Key("dataset").String(cell.result.dataset);
+  json->Key("status").String("error");
+  json->Key("error").String(cell.error);
+  json->EndObject();
 }
 
-/// Loads a completed cell's checkpoint; returns false when absent or invalid (the
-/// cell is then recomputed — never trust a partial or stale file).
+Status WriteCellCheckpoint(const BenchConfig& config, const CellOutcome& cell) {
+  io::JsonWriter json;
+  WriteCellOutcome(cell, /*with_fit_seconds=*/true, &json);
+  return io::WriteFileAtomic(
+      CheckpointPath(config, cell.result.method, cell.result.dataset),
+      json.str() + "\n");
+}
+
+/// `object`'s member `key` into *out when that member is a number.
+bool ReadNumber(const io::JsonValue& object, const std::string& key, double* out) {
+  const io::JsonValue* member = object.Find(key);
+  if (member == nullptr || !member->is_number()) return false;
+  *out = member->number_value();
+  return true;
+}
+
+/// Loads a finished cell's checkpoint. It counts only when it is an object
+/// naming this cell whose status is "ok", with a non-empty "scores" object of
+/// numeric mean/stddev and a numeric "fit_seconds", or "error", with a string
+/// "error". Anything else (absent, unparsable, a null or quoted number, another
+/// cell's, another build's format) returns false, and the cell is recomputed:
+/// never trust a partial or stale file.
 bool LoadCellCheckpoint(const BenchConfig& config, const std::string& method,
                         const std::string& dataset, CellOutcome* cell) {
-  const std::string path = CheckpointPath(config, method, dataset);
-  if (!std::filesystem::exists(path)) return false;
-  auto records = io::ReadCsvRows(path);
-  if (!records.ok() || records.value().size() < 2) return false;
-  if (records.value()[0] != CellCsvHeader()) return false;
-  std::vector<GridRow> rows;
-  std::vector<CellError> failures;
-  const std::vector<std::vector<std::string>> body(records.value().begin() + 1,
-                                                   records.value().end());
-  if (!ParseCellCsvRows(body, &rows, &failures)) return false;
-  // A checkpoint holds exactly one cell: either score rows or one error record.
-  if (!failures.empty()) {
-    if (failures.size() != 1 || !rows.empty()) return false;
-    if (failures[0].method != method || failures[0].dataset != dataset) {
-      return false;
+  const StatusOr<std::string> text =
+      io::ReadFileToString(CheckpointPath(config, method, dataset));
+  if (!text.ok()) return false;
+  const StatusOr<io::JsonValue> parsed = io::JsonValue::Parse(text.value());
+  if (!parsed.ok()) return false;
+  const io::JsonValue& root = parsed.value();
+  if (!root.is_object() || root.GetString("method", "") != method ||
+      root.GetString("dataset", "") != dataset) {
+    return false;
+  }
+  const std::string status = root.GetString("status", "");
+  const io::JsonValue* error = root.Find("error");
+  const io::JsonValue* scores = root.Find("scores");
+  CellOutcome loaded;
+  loaded.result.method = method;
+  loaded.result.dataset = dataset;
+  if (status == "error" && error != nullptr && error->is_string()) {
+    loaded.failed = true;
+    loaded.error = error->string_value();
+  } else if (status == "ok" && scores != nullptr && scores->is_object() &&
+             !scores->object_items().empty() &&
+             ReadNumber(root, "fit_seconds", &loaded.result.fit_seconds)) {
+    for (const auto& [measure, score] : scores->object_items()) {
+      stats::MeanStd summary;
+      if (!ReadNumber(score, "mean", &summary.mean) ||
+          !ReadNumber(score, "stddev", &summary.std)) {
+        return false;
+      }
+      loaded.result.scores.emplace_back(measure, summary);
     }
-    cell->failed = true;
-    cell->error = failures[0];
-    return true;
+  } else {
+    return false;
   }
-  if (rows.empty()) return false;
-  for (const GridRow& row : rows) {
-    if (row.method != method || row.dataset != dataset) return false;
-  }
-  cell->failed = false;
-  cell->rows = std::move(rows);
+  *cell = std::move(loaded);
   return true;
 }
 
@@ -293,26 +275,7 @@ void WriteGridSummary(const BenchConfig& config,
   json.EndArray();
   json.Key("cells").BeginArray();
   for (const CellOutcome& cell : outcomes) {
-    json.BeginObject();
-    if (cell.failed) {
-      json.Key("method").String(cell.error.method);
-      json.Key("dataset").String(cell.error.dataset);
-      json.Key("status").String("error");
-      json.Key("error").String(cell.error.error);
-    } else {
-      json.Key("method").String(cell.rows.front().method);
-      json.Key("dataset").String(cell.rows.front().dataset);
-      json.Key("status").String("ok");
-      json.Key("scores").BeginObject();
-      for (const GridRow& row : cell.rows) {
-        json.Key(row.measure).BeginObject();
-        json.Key("mean").Number(row.mean);
-        json.Key("stddev").Number(row.stddev);
-        json.EndObject();
-      }
-      json.EndObject();
-    }
-    json.EndObject();
+    WriteCellOutcome(cell, /*with_fit_seconds=*/false, &json);
   }
   json.EndArray();
   json.EndObject();
@@ -354,30 +317,29 @@ GridHarness MakeGridHarness(const BenchConfig& config) {
 CellOutcome ComputeCell(core::Harness& harness, const std::string& method_name,
                         const core::Preprocessed& pre) {
   CellOutcome outcome;
+  outcome.result.method = method_name;
+  outcome.result.dataset = pre.train.name();
   const obs::ScopedTimer cell_span("grid.cell");
   obs::MetricRegistry::Global().GetCounter("grid.cells.computed").Add();
   auto method = methods::CreateMethod(method_name);
   if (!method.ok()) {
     outcome.failed = true;
-    outcome.error = {method_name, pre.train.name(), method.status().ToString()};
+    outcome.error = method.status().ToString();
     return outcome;
   }
   auto result = harness.RunMethod(*method.value(), pre.train, pre.test);
   if (!result.ok()) {
     outcome.failed = true;
-    outcome.error = {method_name, pre.train.name(), result.status().ToString()};
+    outcome.error = result.status().ToString();
     std::fprintf(stderr, "[grid]   %-12s / %-10s FAILED: %s\n",
                  method_name.c_str(), pre.train.name().c_str(),
                  result.status().ToString().c_str());
     return outcome;
   }
-  outcome.rows.reserve(result.value().scores.size());
-  for (const auto& [measure, summary] : result.value().scores) {
-    outcome.rows.push_back({method_name, pre.train.name(), measure, summary.mean,
-                            summary.std, result.value().fit_seconds});
-  }
+  outcome.result = std::move(result).value();
+  outcome.result.method = method_name;
   std::fprintf(stderr, "[grid]   %-12s / %-10s fit %.1fs\n", method_name.c_str(),
-               pre.train.name().c_str(), result.value().fit_seconds);
+               pre.train.name().c_str(), outcome.result.fit_seconds);
   return outcome;
 }
 
@@ -398,12 +360,16 @@ GridResult CollectResult(const std::vector<CellOutcome>& outcomes, int64_t loade
   GridResult result;
   result.computed = computed;
   for (const CellOutcome& outcome : outcomes) {
+    const core::MethodRunResult& cell = outcome.result;
     if (outcome.failed) {
       metrics.GetCounter("grid.cells.failed").Add();
-      result.failures.push_back(outcome.error);
-    } else {
-      metrics.GetCounter("grid.cells.ok").Add();
-      result.rows.insert(result.rows.end(), outcome.rows.begin(), outcome.rows.end());
+      result.failures.push_back({cell.method, cell.dataset, outcome.error});
+      continue;
+    }
+    metrics.GetCounter("grid.cells.ok").Add();
+    for (const auto& [measure, summary] : cell.scores) {
+      result.rows.push_back({cell.method, cell.dataset, measure, summary.mean,
+                             summary.std, cell.fit_seconds});
     }
   }
   return result;
@@ -582,6 +548,30 @@ core::HarnessOptions GridHarnessOptions(const BenchConfig& config) {
 
 std::string CheckpointDir(const BenchConfig& config) {
   return config.out_dir + "/grid_ckpt_" + ConfigKey(config);
+}
+
+std::string CheckpointPath(const BenchConfig& config, const std::string& method,
+                           const std::string& dataset) {
+  return CheckpointDir(config) + "/" + SanitizeFileName(method) + "__" +
+         SanitizeFileName(dataset) + ".json";
+}
+
+void WriteCellJson(const core::MethodRunResult& result, bool with_fit_seconds,
+                   io::JsonWriter* json) {
+  json->BeginObject();
+  json->Key("method").String(result.method);
+  json->Key("dataset").String(result.dataset);
+  json->Key("status").String("ok");
+  json->Key("scores").BeginObject();
+  for (const auto& [measure, summary] : result.scores) {
+    json->Key(measure).BeginObject();
+    json->Key("mean").Number(summary.mean);
+    json->Key("stddev").Number(summary.std);
+    json->EndObject();
+  }
+  json->EndObject();
+  if (with_fit_seconds) json->Key("fit_seconds").Number(result.fit_seconds);
+  json->EndObject();
 }
 
 std::string GridSummaryPath(const BenchConfig& config) {

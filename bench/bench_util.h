@@ -14,6 +14,7 @@
 #include "core/preprocess.h"
 #include "core/ranking.h"
 #include "data/simulators.h"
+#include "io/json.h"
 
 namespace tsg::bench {
 
@@ -126,11 +127,24 @@ core::HarnessOptions GridHarnessOptions(const BenchConfig& config);
 
 /// Directory holding one atomically written checkpoint file per completed
 /// (method, dataset) cell, keyed by the config: the only store of grid cells.
-/// A killed or finished grid run resumes from these: completed cells are loaded
+/// A checkpoint is the cell's grid-summary object plus its "fit_seconds". A
+/// killed or finished grid run resumes from these: completed cells are loaded
 /// instead of recomputed, and because every cell seeds its Rng chain from the
 /// config alone, the resumed run's outputs are byte-identical to an
 /// uninterrupted run.
 std::string CheckpointDir(const BenchConfig& config);
+
+/// `CheckpointDir(config)/<method>__<dataset>.json`, each name with characters
+/// outside [A-Za-z0-9._-] replaced by '_'. The cell's lease adds ".lease".
+std::string CheckpointPath(const BenchConfig& config, const std::string& method,
+                           const std::string& dataset);
+
+/// Writes a finished cell as the object the grid summary lists,
+/// {"method","dataset","status":"ok","scores":{<measure>:{"mean","stddev"}}},
+/// plus a trailing "fit_seconds" for a checkpoint or the daemon's evaluate
+/// answer. Doubles print with %.17g, which round-trips them bit for bit.
+void WriteCellJson(const core::MethodRunResult& result, bool with_fit_seconds,
+                   io::JsonWriter* json);
 
 /// Path of the deterministic JSON summary artifact written after every grid run:
 /// per-cell status, scores for completed cells, and error records for failed

@@ -19,6 +19,8 @@
 # archive daemon logs, checkpoints, and metrics snapshots.
 
 set -euo pipefail
+# shellcheck source=scripts/ci_lib.sh
+source "$(dirname "${BASH_SOURCE[0]}")/ci_lib.sh"
 
 BUILD_DIR="${1:-build}"
 TSGD="$BUILD_DIR/tools/tsgd"
@@ -58,28 +60,8 @@ DATASETS=DLG,Stock
 # sockaddr_un caps paths around 107 bytes; mktemp under /tmp stays well short.
 SOCK="$WORK/tsgd.sock"
 
-wait_for_listening() {  # wait_for_listening <log>
-  for _ in $(seq 1 300); do
-    if grep -q "listening on" "$1" 2>/dev/null; then return 0; fi
-    if [[ -n "$DPID" ]] && ! kill -0 "$DPID" 2>/dev/null; then break; fi
-    sleep 0.1
-  done
-  echo "error: daemon never reported readiness; log follows" >&2
-  cat "$1" >&2
-  return 1
-}
-
-ckpt_count() {  # checkpoint csvs under <out_dir>
-  find "$1" -path '*grid_ckpt_*' -name '*.csv' 2>/dev/null | wc -l
-}
-
-json_field() {  # json_field <field> ; reads one response line on stdin
-  python3 -c '
-import json, sys
-line = sys.stdin.readlines()[-1]
-value = json.loads(line).get(sys.argv[1])
-sys.exit(1) if value is None else print(value)
-' "$1"
+ckpt_count() {  # checkpoint files under <out_dir>
+  find "$1" -path '*grid_ckpt_*' -name '*.json' 2>/dev/null | wc -l
 }
 
 echo "== 1. batch reference grid (sharded worker + strict merge)"
@@ -92,7 +74,7 @@ DOUT="$WORK/daemon"
 echo "== 2. start tsgd; three concurrent sessions fit, then warm generate"
 TSGBENCH_OUT="$DOUT" "$TSGD" --socket="$SOCK" >"$WORK/tsgd1.log" 2>&1 &
 DPID="$!"
-wait_for_listening "$WORK/tsgd1.log"
+wait_for_listening "$WORK/tsgd1.log" "$DPID"
 
 # Three sessions at once, distinct tenants, on datasets the later grid does not
 # cover (so grid cells still train from scratch and the kill lands mid-work).
@@ -144,7 +126,7 @@ fi
 echo "== 4. restart; the resumed grid computes only the missing cell"
 TSGBENCH_OUT="$DOUT" "$TSGD" --socket="$SOCK" >"$WORK/tsgd2.log" 2>&1 &
 DPID="$!"
-wait_for_listening "$WORK/tsgd2.log"
+wait_for_listening "$WORK/tsgd2.log" "$DPID"
 "$CLIENT" --socket="$SOCK" grid --methods="$METHODS" --datasets="$DATASETS" \
   --wait >"$WORK/grid2.log" 2>&1
 state=$(json_field state <"$WORK/grid2.log")

@@ -17,6 +17,8 @@
 # summaries and metrics snapshots for debugging.
 
 set -euo pipefail
+# shellcheck source=scripts/ci_lib.sh
+source "$(dirname "${BASH_SOURCE[0]}")/ci_lib.sh"
 
 if [[ $# -ne 2 ]]; then
   echo "usage: $0 <simd_build_dir> <scalar_build_dir>" >&2
@@ -56,17 +58,6 @@ trap cleanup EXIT
 
 export TSGBENCH_SCALE=0.1
 export TSGBENCH_SEED=7
-
-strip_timings() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    snapshot = json.load(f)
-snapshot.pop("timings", None)
-with open(sys.argv[2], "w") as f:
-    json.dump(snapshot, f, sort_keys=True, indent=1)
-EOF
-}
 
 run_cell() {  # run_cell <name> <build_dir> <threads>
   local name="$1" dir="$2" threads="$3"

@@ -74,7 +74,7 @@ if [[ "$rc" -ne 3 ]]; then
   echo "error: kill run exited with $rc, expected the simulated-kill code 3" >&2
   exit 1
 fi
-ckpts=$(find "$OUT" -name '*.csv' -path '*grid_ckpt_*' | wc -l)
+ckpts=$(find "$OUT" -name '*.json' -path '*grid_ckpt_*' | wc -l)
 leases=$(find "$OUT" -name '*.lease' | wc -l)
 expect_eq "checkpoints after kill" "$ckpts" 1
 expect_eq "dangling leases after kill" "$leases" 1
@@ -93,7 +93,7 @@ for i in 1 2 3; do
     exit 1
   fi
 done
-ckpts=$(find "$OUT" -name '*.csv' -path '*grid_ckpt_*' | wc -l)
+ckpts=$(find "$OUT" -name '*.json' -path '*grid_ckpt_*' | wc -l)
 leases=$(find "$OUT" -name '*.lease' | wc -l)
 expect_eq "checkpoints after survivors" "$ckpts" 4
 expect_eq "leases after survivors" "$leases" 0

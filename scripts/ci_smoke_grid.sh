@@ -18,6 +18,8 @@
 # archive the checkpoints and metrics snapshots for debugging.
 
 set -euo pipefail
+# shellcheck source=scripts/ci_lib.sh
+source "$(dirname "${BASH_SOURCE[0]}")/ci_lib.sh"
 
 BUILD_DIR="${1:-build}"
 BIN="$BUILD_DIR/bench/bench_smoke_grid"
@@ -43,17 +45,6 @@ export TSGBENCH_SCALE=0.1
 export TSGBENCH_SEED=7
 export TSG_THREADS=1   # Serial cell sweep: the kill point is deterministic.
 
-strip_timings() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    snapshot = json.load(f)
-snapshot.pop("timings", None)
-with open(sys.argv[2], "w") as f:
-    json.dump(snapshot, f, sort_keys=True, indent=1)
-EOF
-}
-
 echo "== 1. interrupted run (kill after 2 fits)"
 rc=0
 TSGBENCH_OUT="$WORK/resumed" TSG_SMOKE_KILL_AFTER=2 "$BIN" || rc=$?
@@ -61,7 +52,7 @@ if [[ "$rc" -ne 3 ]]; then
   echo "error: kill run exited with $rc, expected the simulated-kill code 3" >&2
   exit 1
 fi
-ckpts=$(find "$WORK/resumed" -name '*.csv' -path '*grid_ckpt_*' | wc -l)
+ckpts=$(find "$WORK/resumed" -name '*.json' -path '*grid_ckpt_*' | wc -l)
 if [[ "$ckpts" -ne 2 ]]; then
   echo "error: expected 2 checkpoints after the kill, found $ckpts" >&2
   exit 1

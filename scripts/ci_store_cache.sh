@@ -13,6 +13,8 @@
 # archive the store, checkpoints, and metrics snapshots for debugging.
 
 set -euo pipefail
+# shellcheck source=scripts/ci_lib.sh
+source "$(dirname "${BASH_SOURCE[0]}")/ci_lib.sh"
 
 BUILD_DIR="${1:-build}"
 BIN="$BUILD_DIR/bench/bench_smoke_grid"
@@ -38,17 +40,6 @@ export TSGBENCH_SCALE=0.1
 export TSGBENCH_SEED=7
 export TSGBENCH_STORE_DIR="$WORK/store"
 export TSG_THREADS=1
-
-strip_timings() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    snapshot = json.load(f)
-snapshot.pop("timings", None)
-with open(sys.argv[2], "w") as f:
-    json.dump(snapshot, f, sort_keys=True, indent=1)
-EOF
-}
 
 counter() {  # counter <metrics.json> <name> -> value (0 when absent)
   python3 - "$1" "$2" <<'EOF'

@@ -19,6 +19,8 @@
 # archive daemon logs and metrics snapshots.
 
 set -euo pipefail
+# shellcheck source=scripts/ci_lib.sh
+source "$(dirname "${BASH_SOURCE[0]}")/ci_lib.sh"
 
 BUILD_DIR="${1:-build}"
 TSGD="$BUILD_DIR/tools/tsgd"
@@ -54,30 +56,10 @@ export TSG_THREADS=1
 SOCK="$WORK/tsgd.sock"
 DOUT="$WORK/daemon"
 
-wait_for_listening() {  # wait_for_listening <log>
-  for _ in $(seq 1 300); do
-    if grep -q "listening on" "$1" 2>/dev/null; then return 0; fi
-    if [[ -n "$DPID" ]] && ! kill -0 "$DPID" 2>/dev/null; then break; fi
-    sleep 0.1
-  done
-  echo "error: daemon never reported readiness; log follows" >&2
-  cat "$1" >&2
-  return 1
-}
-
-json_field() {  # json_field <field> ; reads one response line on stdin
-  python3 -c '
-import json, sys
-line = sys.stdin.readlines()[-1]
-value = json.loads(line).get(sys.argv[1])
-sys.exit(1) if value is None else print(value)
-' "$1"
-}
-
 echo "== 1. start tsgd and run one stream_eval job end to end"
 TSGBENCH_OUT="$DOUT" "$TSGD" --socket="$SOCK" >"$WORK/tsgd.log" 2>&1 &
 DPID="$!"
-wait_for_listening "$WORK/tsgd.log"
+wait_for_listening "$WORK/tsgd.log" "$DPID"
 
 stream_args=(stream_eval --method=TimeVAE --dataset=DLG --count=48
   --gen_seed=11 --window=16 --chunk=8 --tenant=acme)

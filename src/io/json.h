@@ -11,9 +11,8 @@ namespace tsg::io {
 std::string JsonEscape(const std::string& s);
 
 /// Minimal streaming JSON writer for bench artifacts and the daemon line
-/// protocol. Artifacts are write-only — resumable state lives in the CSV
-/// checkpoints — while protocol messages are read back via io::JsonValue
-/// (json_parse.h).
+/// protocol. What is read back — protocol messages and the grid's per-cell
+/// checkpoints — is parsed with io::JsonValue (json_parse.h).
 /// Commas are inserted automatically; doubles are printed with %.17g so the same
 /// double always produces the same bytes (byte-identical artifacts across runs).
 /// Non-finite doubles are emitted as null, since JSON has no NaN/Inf literals.

@@ -13,9 +13,10 @@ namespace tsg::io {
 
 /// Parsed JSON document node. The reader half of the daemon line protocol
 /// (DESIGN.md §11): tsg_serve parses one request object per line and tsg_client
-/// parses one response object per line, both through this class. Artifacts are
-/// still write-only via JsonWriter — resumable state stays in CSV checkpoints —
-/// so the parser optimizes for small protocol messages, not bulk data.
+/// parses one response object per line, both through this class. The grid
+/// reads its per-cell checkpoints (one cell object each, about half a kilobyte)
+/// through it too. The parser optimizes for such small documents, not bulk
+/// data.
 ///
 /// Strictness: the full RFC 8259 value grammar (null/bool/number/string with
 /// escapes incl. \uXXXX surrogate pairs/array/object), a nesting-depth cap, a

@@ -187,22 +187,12 @@ StatusOr<std::string> BenchJobRunner::RunEvaluate(const JobSpec& spec) {
   TSG_ASSIGN_OR_RETURN(const core::Preprocessed* pre, GetDataset(spec.dataset));
   TSG_ASSIGN_OR_RETURN(const std::unique_ptr<core::TsgMethod> method,
                        methods::CreateMethod(spec.method));
-  TSG_ASSIGN_OR_RETURN(const core::MethodRunResult result,
+  TSG_ASSIGN_OR_RETURN(core::MethodRunResult result,
                        harness_->RunMethod(*method, pre->train, pre->test));
+  // The grid cell's record, which names the method by its registry name.
+  result.method = spec.method;
   io::JsonWriter json;
-  json.BeginObject();
-  json.Key("method").String(result.method);
-  json.Key("dataset").String(result.dataset);
-  json.Key("scores").BeginObject();
-  for (const auto& [measure, summary] : result.scores) {
-    json.Key(measure).BeginObject();
-    json.Key("mean").Number(summary.mean);
-    json.Key("stddev").Number(summary.std);
-    json.EndObject();
-  }
-  json.EndObject();
-  json.Key("fit_seconds").Number(result.fit_seconds);
-  json.EndObject();
+  bench::WriteCellJson(result, /*with_fit_seconds=*/true, &json);
   return AsRawMembers(json);
 }
 

@@ -44,8 +44,10 @@ class JobRunner {
 ///              equals the digest of `Generate(count, Rng(gen_seed))` on the
 ///              restored model no matter which process serves it.
 ///   evaluate — one (method, dataset) cell through core::Harness::RunMethod
-///              with the exact grid options; the score members round doubles
-///              through %.17g like the grid summary.
+///              with the exact grid options. The result members are the cell's
+///              checkpoint record (bench::WriteCellJson): method, dataset,
+///              "status":"ok", scores and fit_seconds, so its scores are the
+///              grid summary's bytes for that cell.
 ///   grid     — one bench::RunGridShard sweep over the daemon's BenchConfig:
 ///              cells checkpoint under grid_ckpt_*/, a killed daemon resumes
 ///              from them byte-identically, and `should_stop` stops between

@@ -4,8 +4,14 @@
 #include <cmath>
 
 namespace tsg::streameval {
+namespace {
 
-PageHinkley::PageHinkley(DriftOptions options) : options_(options) {}
+constexpr double kSlack = 0.05;     ///< Drifts smaller than this are ignored.
+constexpr double kThreshold = 0.5;  ///< Alarm level of the cumulative deviation.
+constexpr double kBaselineFloor = 1e-9;  ///< Floor for the baseline normalizer.
+constexpr int64_t kMinSamples = 3;  ///< Observations required before an alarm.
+
+}  // namespace
 
 void PageHinkley::Reset() {
   n_ = 0;
@@ -19,27 +25,23 @@ void PageHinkley::Reset() {
 bool PageHinkley::Observe(double x) {
   ++n_;
   mean_ += (x - mean_) / static_cast<double>(n_);
-  // Rising side: cumulative (x - mean - delta); a sustained upward shift keeps
+  // Rising side: cumulative (x - mean - slack); a sustained upward shift keeps
   // this climbing away from its minimum.
-  m_up_ += x - mean_ - options_.delta;
+  m_up_ += x - mean_ - kSlack;
   min_up_ = std::min(min_up_, m_up_);
-  // Falling side: cumulative (x - mean + delta) against its maximum.
-  m_dn_ += x - mean_ + options_.delta;
+  // Falling side: cumulative (x - mean + slack) against its maximum.
+  m_dn_ += x - mean_ + kSlack;
   max_dn_ = std::max(max_dn_, m_dn_);
 
-  if (n_ < options_.min_samples) return false;
-  const bool alarm = rising() > options_.lambda ||
-                     (options_.two_sided && falling() > options_.lambda);
+  if (n_ < kMinSamples) return false;
+  const bool alarm = rising() > kThreshold || falling() > kThreshold;
   if (alarm) Reset();
   return alarm;
 }
 
-DriftDetector::DriftDetector(DriftOptions options) : options_(options) {}
-
 DriftDetector::Result DriftDetector::Observe(const std::string& measure,
                                              double value) {
-  auto [it, inserted] = entries_.try_emplace(measure, options_);
-  Entry& entry = it->second;
+  Entry& entry = entries_[measure];
   Result result;
   if (!entry.has_baseline) {
     // First window freezes the baseline; the residual below is then zero, so
@@ -49,7 +51,7 @@ DriftDetector::Result DriftDetector::Observe(const std::string& measure,
   }
   result.baseline = entry.baseline;
   result.delta = value - entry.baseline;
-  const double scale = std::max(std::fabs(entry.baseline), options_.eps);
+  const double scale = std::max(std::fabs(entry.baseline), kBaselineFloor);
   result.alarm = entry.ph.Observe(result.delta / scale);
   if (result.alarm) ++alarms_total_;
   return result;

@@ -7,29 +7,16 @@
 
 namespace tsg::streameval {
 
-/// Tuning for the Page–Hinkley drift test (DESIGN.md §12). The detector runs on
-/// *normalized* residuals — (value - baseline) / max(|baseline|, eps) — so the
-/// same delta/lambda work for measures whose raw magnitudes differ by orders of
-/// magnitude (ED in units of the data vs MDD in probability mass).
-struct DriftOptions {
-  double delta = 0.05;       ///< Slack: drifts smaller than this are ignored.
-  double lambda = 0.5;       ///< Alarm threshold on the cumulative deviation.
-  double eps = 1e-9;         ///< Floor for the baseline normalizer.
-  int64_t min_samples = 3;   ///< Observations required before alarms may fire.
-  bool two_sided = true;     ///< Alarm on degradation and improvement alike.
-};
-
-/// Page–Hinkley sequential change-point test. Tracks the cumulative deviation
-/// of observations from their running mean; an alarm fires when the deviation
-/// climbs more than `lambda` above its historical minimum (rising side) or
-/// falls more than `lambda` below its maximum (falling side, two-sided mode).
-/// Deterministic: the alarm sequence is a pure function of the observation
-/// sequence, so drift counters land in the reproducible half of a metrics
-/// snapshot for a deterministic stream.
+/// Page–Hinkley sequential change-point test (DESIGN.md §12). Tracks the
+/// cumulative deviation of observations from their running mean, less a slack
+/// of 0.05 per observation; from the third observation on, an alarm fires when
+/// the deviation climbs more than 0.5 above its historical minimum (rising
+/// side) or falls more than 0.5 below its maximum (falling side). The
+/// constants live in drift.cc. Deterministic: the alarm sequence is a pure
+/// function of the observation sequence, so drift counters land in the
+/// reproducible half of a metrics snapshot for a deterministic stream.
 class PageHinkley {
  public:
-  explicit PageHinkley(DriftOptions options = DriftOptions());
-
   /// Folds one observation in; returns true when this observation triggers the
   /// alarm. The test self-resets after an alarm so subsequent regimes are
   /// judged fresh.
@@ -44,7 +31,6 @@ class PageHinkley {
   double falling() const { return max_dn_ - m_dn_; }
 
  private:
-  DriftOptions options_;
   int64_t n_ = 0;
   double mean_ = 0.0;
   double m_up_ = 0.0;
@@ -55,12 +41,12 @@ class PageHinkley {
 
 /// Per-measure drift tracking for a stream of window snapshots. The first
 /// observation of each measure freezes its baseline; later observations
-/// produce a raw delta (value - baseline) and feed the normalized residual to
-/// that measure's Page–Hinkley test.
+/// produce a raw delta (value - baseline) and feed that measure's Page–Hinkley
+/// test the *normalized* residual, delta / max(|baseline|, 1e-9), so one slack
+/// and threshold serve measures whose raw magnitudes differ by orders of
+/// magnitude (ED in units of the data vs MDD in probability mass).
 class DriftDetector {
  public:
-  explicit DriftDetector(DriftOptions options = DriftOptions());
-
   struct Result {
     double baseline = 0.0;
     double delta = 0.0;  ///< value - baseline (raw measure units).
@@ -74,14 +60,11 @@ class DriftDetector {
 
  private:
   struct Entry {
-    explicit Entry(const DriftOptions& options)
-        : ph(options) {}
     bool has_baseline = false;
     double baseline = 0.0;
     PageHinkley ph;
   };
 
-  DriftOptions options_;
   std::map<std::string, Entry> entries_;
   int64_t alarms_total_ = 0;
 };

@@ -31,9 +31,7 @@ StreamEvaluator::StreamEvaluator(
   states_.push_back(std::make_unique<OnlineMomentsDiff>(
       reference_, OnlineMomentsDiff::Kind::kKurtosis));
   states_.push_back(std::make_unique<OnlineMmd>(reference_));
-  if (options_.include_feature_gaussian) {
-    states_.push_back(std::make_unique<OnlineFeatureGaussian>(reference_));
-  }
+  states_.push_back(std::make_unique<OnlineFeatureGaussian>(reference_));
 }
 
 StatusOr<std::unique_ptr<StreamEvaluator>> StreamEvaluator::Create(

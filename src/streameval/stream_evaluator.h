@@ -25,8 +25,6 @@ struct StreamEvalOptions {
   /// "<prefix>.windows", "<prefix>.series", "<prefix>.alarms",
   /// "<prefix>.<measure>.alarms", "<prefix>.errors". Empty disables export.
   std::string metric_prefix;
-  /// The sampled-tier FGD state (stream-level Welford/Chan Gaussian).
-  bool include_feature_gaussian = true;
 };
 
 /// Windowed incremental evaluation of a generated-series stream against a

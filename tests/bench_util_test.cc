@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,7 +18,7 @@
 #include "ag/ops.h"
 #include "base/thread_pool.h"
 #include "bench_util.h"
-#include "io/csv.h"
+#include "io/atomic_file.h"
 #include "io/lease.h"
 #include "methods/factory.h"
 #include "nn/optimizer.h"
@@ -260,6 +261,13 @@ TEST(GridReplayTest, SecondRunReplaysCheckpointsBitForBit) {
   std::filesystem::remove_all(config.out_dir);
 }
 
+/// `doc` with the first match of `pattern` replaced by `replacement`.
+std::string ReplaceFirst(const std::string& doc, const std::string& pattern,
+                         const std::string& replacement) {
+  return std::regex_replace(doc, std::regex(pattern), replacement,
+                            std::regex_constants::format_first_only);
+}
+
 // A checkpoint with a malformed number is not replayed: exactly that cell is
 // recomputed, and the summary matches the clean run byte for byte.
 TEST(GridReplayTest, MalformedCheckpointNumberRecomputesOnlyThatCell) {
@@ -273,21 +281,28 @@ TEST(GridReplayTest, MalformedCheckpointNumberRecomputesOnlyThatCell) {
                                                  data::DatasetId::kStock};
   ASSERT_TRUE(RunGrid(config, methods, datasets).failures.empty());
   const std::string clean_summary = ReadWholeFile(GridSummaryPath(config));
-  const std::string ckpt = CheckpointDir(config) + "/TimeVAE__DLG.csv";
+  const std::string ckpt = CheckpointPath(config, "TimeVAE", "DLG");
 
-  for (const char* bad_mean : {"0.5x", ""}) {
-    auto lines = io::ReadCsvRows(ckpt);
-    ASSERT_TRUE(lines.ok());
-    ASSERT_GE(lines.value().size(), 2u);
-    lines.value()[1][4] = bad_mean;  // Row 1, "mean" column.
-    ASSERT_TRUE(io::WriteCsvRows(ckpt, lines.value()).ok());
+  // The first measure's mean as a string, as a bare token (a syntax error) and
+  // as null; then a checkpoint without its fit time.
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"\"mean\":[^,]*", "\"mean\":\"0.5x\""},
+      {"\"mean\":[^,]*", "\"mean\":0.5x"},
+      {"\"mean\":[^,]*", "\"mean\":null"},
+      {",\"fit_seconds\":[^}]*", ""},
+  };
+  for (const auto& [pattern, replacement] : edits) {
+    const std::string valid = ReadWholeFile(ckpt);
+    const std::string edited = ReplaceFirst(valid, pattern, replacement);
+    ASSERT_NE(edited, valid) << replacement;
+    ASSERT_TRUE(io::WriteFileAtomic(ckpt, edited).ok());
 
     const int64_t computed_before = CounterValue("grid.cells.computed");
     const int64_t resumed_before = CounterValue("grid.cells.resumed");
     ASSERT_TRUE(RunGrid(config, methods, datasets).failures.empty());
-    EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before + 1) << bad_mean;
-    EXPECT_EQ(CounterValue("grid.cells.resumed"), resumed_before + 1) << bad_mean;
-    EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), clean_summary) << bad_mean;
+    EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before + 1) << edited;
+    EXPECT_EQ(CounterValue("grid.cells.resumed"), resumed_before + 1) << edited;
+    EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), clean_summary) << edited;
   }
   std::filesystem::remove_all(config.out_dir);
 }
@@ -393,7 +408,7 @@ TEST(GridResumeTest, InterruptedGridResumesByteIdentical) {
   ASSERT_EQ(full.rows.size(), clean_grid.rows.size());
 
   // The checkpointed cell was not recomputed: its wall-clock fit time survives
-  // the CSV round trip bit-for-bit (a recompute would give a new timing).
+  // the checkpoint round trip bit-for-bit (a recompute would give a new timing).
   for (const auto& row : full.rows) {
     if (row.dataset == partial.rows.front().dataset) {
       EXPECT_EQ(std::memcmp(&row.fit_seconds, &partial.rows.front().fit_seconds,
@@ -416,11 +431,10 @@ TEST(GridResumeTest, InterruptedGridResumesByteIdentical) {
 // reproduce the single-process grid byte for byte, reclaim cells whose owner
 // died, and surface error cells through the merge. ----
 
-/// The lease path the grid sweep uses for (TimeVAE, DLG) cells — both names
-/// are filesystem-safe, so the mapping is the checkpoint path + ".lease".
+/// The lease path the grid sweep uses for a cell: its checkpoint path + ".lease".
 std::string LeasePathFor(const BenchConfig& config, const std::string& method,
                          const std::string& dataset) {
-  return CheckpointDir(config) + "/" + method + "__" + dataset + ".csv.lease";
+  return CheckpointPath(config, method, dataset) + ".lease";
 }
 
 /// A token whose pid is guaranteed dead on this host: a reaped fork child.
@@ -579,12 +593,11 @@ TEST(ShardedGridTest, WorkerRecomputesMalformedCheckpointForTheStrictMerge) {
   ASSERT_TRUE(RunGrid(config, methods, datasets).failures.empty());
   const std::string clean_summary = ReadWholeFile(GridSummaryPath(config));
   ASSERT_FALSE(clean_summary.empty());
-  const std::string ckpt = CheckpointDir(config) + "/TimeVAE__DLG.csv";
-  auto lines = io::ReadCsvRows(ckpt);
-  ASSERT_TRUE(lines.ok());
-  ASSERT_GE(lines.value().size(), 2u);
-  lines.value()[1][4] = "0.5x";  // Row 1, "mean" column.
-  ASSERT_TRUE(io::WriteCsvRows(ckpt, lines.value()).ok());
+  const std::string ckpt = CheckpointPath(config, "TimeVAE", "DLG");
+  const std::string valid = ReadWholeFile(ckpt);
+  const std::string edited = ReplaceFirst(valid, "\"mean\":[^,]*", "\"mean\":0.5x");
+  ASSERT_NE(edited, valid);
+  ASSERT_TRUE(io::WriteFileAtomic(ckpt, edited).ok());
   std::filesystem::remove(GridSummaryPath(config));
 
   ShardOptions options;
@@ -625,7 +638,7 @@ TEST(ShardedGridTest, StopHookStopsBetweenCellsAndTheRerunResumes) {
   base::ThreadPool::Global().SetMaxParallelism(0);
   ASSERT_FALSE(stopped.ok());
   EXPECT_EQ(stopped.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(std::filesystem::exists(CheckpointDir(config) + "/TimeVAE__DLG.csv"));
+  EXPECT_TRUE(std::filesystem::exists(CheckpointPath(config, "TimeVAE", "DLG")));
   EXPECT_FALSE(std::filesystem::exists(GridSummaryPath(config)));
   EXPECT_FALSE(std::filesystem::exists(LeasePathFor(config, "TimeVAE", "Stock")));
 
@@ -703,10 +716,27 @@ TEST(ShardedGridTest, MergeComputesMissingCellsAndMatchesCleanRun) {
   std::filesystem::remove_all(merged_config.out_dir);
 }
 
+/// An error message that needs escaping in JSON: a comma, double quotes, a
+/// backslash, a newline, a tab and a non-ASCII character.
+constexpr const char* kEscapedError = "loss \"nan\", at C:\\runs\nepoch\t3 (\u00b5)";
+
+/// Fails its fit with kEscapedError. name() stays "FaultyNaN", so the cell is
+/// recorded under its registry name, not under name().
+class EscapedErrorMethod : public FaultyNaNMethod {
+ public:
+  Status Fit(const core::Dataset& train, const core::FitOptions& options) override {
+    (void)train;
+    (void)options;
+    return Status::NumericalError(kEscapedError);
+  }
+};
+
+// The error cell round-trips through its checkpoint: the strict merge, which
+// only replays, reports the worker's CellError and writes the worker's summary.
 TEST(ShardedGridTest, MergeCarriesErrorCellsFromWorkerCheckpoints) {
   static const bool registered = [] {
     methods::RegisterMethod("ShardFaulty",
-                            [] { return std::make_unique<FaultyNaNMethod>(); });
+                            [] { return std::make_unique<EscapedErrorMethod>(); });
     return true;
   }();
   (void)registered;
@@ -724,18 +754,24 @@ TEST(ShardedGridTest, MergeCarriesErrorCellsFromWorkerCheckpoints) {
   const auto completed = RunGridShard(config, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
   EXPECT_EQ(completed.value().computed, 2);  // The failing cell still checkpoints.
+  ASSERT_EQ(completed.value().failures.size(), 1u);
+  const CellError& computed = completed.value().failures[0];
+  EXPECT_NE(computed.error.find(kEscapedError), std::string::npos) << computed.error;
+  const std::string summary = ReadWholeFile(GridSummaryPath(config));
+  EXPECT_NE(summary.find("\"status\":\"error\""), std::string::npos) << summary;
+  EXPECT_NE(summary.find("\"status\":\"ok\""), std::string::npos) << summary;
 
+  std::filesystem::remove(GridSummaryPath(config));
   MergeOptions merge_options;
   merge_options.compute_missing = false;
   const auto merged = MergeGridShards(config, methods, datasets, merge_options);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ASSERT_EQ(merged.value().failures.size(), 1u);
   EXPECT_EQ(merged.value().failures[0].method, "ShardFaulty");
+  EXPECT_EQ(merged.value().failures[0].dataset, computed.dataset);
+  EXPECT_EQ(merged.value().failures[0].error, computed.error);
   ASSERT_FALSE(merged.value().rows.empty());
-
-  const std::string summary = ReadWholeFile(GridSummaryPath(config));
-  EXPECT_NE(summary.find("\"status\":\"error\""), std::string::npos) << summary;
-  EXPECT_NE(summary.find("\"status\":\"ok\""), std::string::npos) << summary;
+  EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), summary);
 
   std::filesystem::remove_all(config.out_dir);
 }

@@ -1168,9 +1168,10 @@ TEST(BenchJobRunnerTest, GridJobRecomputesAMalformedCheckpoint) {
   std::filesystem::create_directories(config.out_dir);
   std::filesystem::copy(bench::CheckpointDir(reference),
                         bench::CheckpointDir(config));
-  ASSERT_TRUE(io::WriteFileAtomic(bench::CheckpointDir(config) +
-                                      "/TimeVAE__Stock.csv",
-                                  "status,method\nok,TimeVAE\n")
+  // Names the cell and says "ok", but holds no scores.
+  ASSERT_TRUE(io::WriteFileAtomic(
+                  bench::CheckpointPath(config, "TimeVAE", "Stock"),
+                  "{\"method\":\"TimeVAE\",\"dataset\":\"Stock\",\"status\":\"ok\"}\n")
                   .ok());
 
   BenchJobRunner runner(config);
@@ -1186,6 +1187,41 @@ TEST(BenchJobRunnerTest, GridJobRecomputesAMalformedCheckpoint) {
   EXPECT_EQ(result.value().GetInt("computed", -1), 1);
   EXPECT_EQ(result.value().GetInt("failed", -1), 0);
   EXPECT_EQ(result.value().GetString("digest", ""), digest);
+  std::filesystem::remove_all(root);
+}
+
+// An evaluate job answers with the grid cell's record: apart from its trailing
+// fit_seconds, the answer's members are the bytes of that cell's object in a
+// RunGrid summary under the same config.
+TEST(BenchJobRunnerTest, EvaluateAnswersWithTheGridCellsRecord) {
+  const std::string root = ::testing::TempDir() + "tsg_bench_job_runner_evaluate";
+  std::filesystem::remove_all(root);
+  bench::BenchConfig config;
+  config.scale = 0.05;
+  config.out_dir = root + "/out";
+  std::filesystem::create_directories(config.out_dir);
+  ASSERT_TRUE(bench::RunGrid(config, {"TimeVAE"}, {data::DatasetId::kDlg})
+                  .failures.empty());
+  const StatusOr<std::string> summary =
+      io::ReadFileToString(bench::GridSummaryPath(config));
+  ASSERT_TRUE(summary.ok());
+
+  // A store of its own, so the job trains the model instead of restoring the
+  // grid's.
+  config.store_dir = root + "/store";
+  BenchJobRunner runner(config);
+  JobSpec spec;
+  spec.kind = JobKind::kEvaluate;
+  spec.method = "TimeVAE";
+  spec.dataset = "DLG";
+  const StatusOr<std::string> members = runner.Run(spec, nullptr);
+  ASSERT_TRUE(members.ok()) << members.status().ToString();
+  const size_t fit = members.value().rfind(",\"fit_seconds\":");
+  ASSERT_NE(fit, std::string::npos) << members.value();
+  const std::string cell = "{" + members.value().substr(1, fit - 1) + "}";
+  EXPECT_NE(cell.find("\"status\":\"ok\",\"scores\":{"), std::string::npos) << cell;
+  EXPECT_NE(summary.value().find(cell), std::string::npos)
+      << cell << "\nnot in\n" << summary.value();
   std::filesystem::remove_all(root);
 }
 

@@ -256,11 +256,14 @@ TEST(PageHinkleyTest, TwoSidedCatchesDownwardShift) {
   EXPECT_TRUE(fired);
 }
 
+// A jump at the second observation is far above the threshold, but alarms
+// wait for the third observation, which repeats the jump.
 TEST(PageHinkleyTest, MinSamplesGatesEarlyAlarms) {
-  DriftOptions options;
-  options.min_samples = 10;
-  PageHinkley ph(options);
-  for (int i = 0; i < 9; ++i) EXPECT_FALSE(ph.Observe(100.0));
+  PageHinkley ph;
+  EXPECT_FALSE(ph.Observe(0.0));
+  EXPECT_FALSE(ph.Observe(100.0));
+  EXPECT_GT(ph.rising(), 0.5);
+  EXPECT_TRUE(ph.Observe(100.0));
 }
 
 TEST(DriftDetectorTest, AlarmsOnRegimeShiftSilentWhenStationary) {

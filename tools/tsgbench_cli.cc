@@ -3,8 +3,11 @@
 // malformed number is a usage error (exit 2). All numeric output is
 // deterministic for a fixed --seed.
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "bench_util.h"
 #include "core/harness.h"
@@ -83,10 +86,7 @@ int CmdRun(const Flags& flags) {
   if (!id.ok()) return Usage(id.status().ToString());
   if (flags.method.empty()) return Usage("--method is required");
   auto method = tsg::methods::CreateMethod(flags.method);
-  if (!method.ok()) {
-    std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
-    return 1;
-  }
+  if (!method.ok()) return Usage(method.status().ToString());
   const auto data = Prepare(id.value(), flags.seed);
 
   tsg::core::HarnessOptions options;
@@ -121,7 +121,7 @@ tsg::StatusOr<Dataset> LoadWindows(const std::string& path, int64_t seq_len,
   auto matrix = tsg::io::ReadCsv(path, /*skip_header=*/false);
   if (!matrix.ok()) return matrix.status();
   const auto& m = matrix.value();
-  if (seq_len <= 0 || m.rows() % seq_len != 0) {
+  if (m.rows() % seq_len != 0) {
     return tsg::Status::InvalidArgument("row count is not a multiple of --seq-len");
   }
   Dataset ds;
@@ -133,6 +133,11 @@ tsg::StatusOr<Dataset> LoadWindows(const std::string& path, int64_t seq_len,
 }
 
 int CmdEvaluate(const Flags& flags) {
+  if (flags.real.empty()) return Usage("--real is required");
+  if (flags.generated.empty()) return Usage("--generated is required");
+  if (flags.seq_len <= 0) {
+    return Usage("--seq-len must be positive, got " + std::to_string(flags.seq_len));
+  }
   auto real = LoadWindows(flags.real, flags.seq_len, "real");
   auto generated = LoadWindows(flags.generated, flags.seq_len, "generated");
   if (!real.ok() || !generated.ok()) {
@@ -159,23 +164,22 @@ int CmdEvaluate(const Flags& flags) {
 }
 
 int CmdRecommend(const Flags& flags) {
+  using tsg::core::ApplicationGoal;
   const auto id = tsg::bench::ParseDatasetName(flags.dataset);
   if (!id.ok()) return Usage(id.status().ToString());
+  constexpr std::pair<const char*, ApplicationGoal> kGoals[] = {
+      {"general", ApplicationGoal::kGeneral},
+      {"classification", ApplicationGoal::kClassification},
+      {"forecasting", ApplicationGoal::kForecasting},
+      {"stats", ApplicationGoal::kStatisticalMatch},
+      {"clustering", ApplicationGoal::kClustering}};
+  const auto* goal = std::find_if(std::begin(kGoals), std::end(kGoals),
+                                  [&](const auto& g) { return flags.goal == g.first; });
+  if (goal == std::end(kGoals)) return Usage("unknown --goal: " + flags.goal);
   const auto data = Prepare(id.value(), 42);
   const auto profile = tsg::core::ProfileDataset(data.train);
 
-  tsg::core::ApplicationGoal goal = tsg::core::ApplicationGoal::kGeneral;
-  if (flags.goal == "classification") {
-    goal = tsg::core::ApplicationGoal::kClassification;
-  } else if (flags.goal == "forecasting") {
-    goal = tsg::core::ApplicationGoal::kForecasting;
-  } else if (flags.goal == "stats") {
-    goal = tsg::core::ApplicationGoal::kStatisticalMatch;
-  } else if (flags.goal == "clustering") {
-    goal = tsg::core::ApplicationGoal::kClustering;
-  }
-
-  const auto rec = tsg::core::Recommend(profile, goal);
+  const auto rec = tsg::core::Recommend(profile, goal->second);
   std::printf("Methods:");
   for (const auto& m : rec.methods) std::printf(" %s", m.c_str());
   std::printf("\nMeasures:");
