@@ -21,12 +21,16 @@ int main(int argc, char** argv) {
   const auto grid =
       tsg::bench::RunGrid(config, methods, tsg::data::AllDatasets());
   tsg::bench::ReportFailures(grid);
-  const auto& rows = grid.rows;
-  const auto measures = tsg::bench::DistinctMeasures(rows);
-  const auto datasets = tsg::bench::DistinctDatasets(rows);
+  const tsg::core::RankingAnalysis analysis(grid.cells, methods);
+  std::printf("%s", analysis.RenderDropped().c_str());
+  if (analysis.datasets().empty()) {
+    std::fprintf(stderr, "no dataset has a finished cell for every method\n");
+    tsg::bench::WriteMetricsSnapshot();
+    return 1;
+  }
 
-  tsg::core::RankingAnalysis analysis(tsg::bench::ToCells(rows, measures), methods,
-                                      datasets, measures);
+  const auto& measures = analysis.measures();
+  const auto& datasets = analysis.datasets();
 
   std::printf("=== Figure 1 (left): average method rank per measure ===\n\n");
   {

@@ -22,22 +22,23 @@ int main(int argc, char** argv) {
 
   const auto grid = tsg::bench::RunGrid(config, methods, datasets);
   tsg::bench::ReportFailures(grid);
-  const auto& rows = grid.rows;
-  const auto measures = tsg::bench::DistinctMeasures(rows);
-  const auto dataset_names = tsg::bench::DistinctDatasets(rows);
+  // One column per dataset with a finished cell (sweep order) and one table per
+  // measure of the suite every cell is scored by; a failed cell prints "-".
+  std::vector<std::string> dataset_names;
+  std::vector<std::string> measures;
+  for (const tsg::core::MethodRunResult& cell : grid.cells) {
+    if (dataset_names.empty() || dataset_names.back() != cell.dataset) {
+      dataset_names.push_back(cell.dataset);
+    }
+  }
+  if (!grid.cells.empty()) {
+    for (const auto& [measure, score] : grid.cells.front().scores) {
+      measures.push_back(measure);
+    }
+  }
 
   std::printf("=== Figure 5: TSG benchmarking (scale=%.2f; lower is better) ===\n",
               config.scale);
-
-  auto find = [&rows](const std::string& method, const std::string& dataset,
-                      const std::string& measure) -> const tsg::bench::GridRow* {
-    for (const auto& row : rows) {
-      if (row.method == method && row.dataset == dataset && row.measure == measure) {
-        return &row;
-      }
-    }
-    return nullptr;
-  };
 
   for (const std::string& measure : measures) {
     std::printf("\n--- %s ---\n", measure.c_str());
@@ -47,8 +48,9 @@ int main(int argc, char** argv) {
     for (const std::string& method : methods) {
       std::vector<std::string> cells = {method};
       for (const auto& dataset : dataset_names) {
-        const auto* row = find(method, dataset, measure);
-        cells.push_back(row != nullptr ? tsg::io::Table::Num(row->mean, 3) : "-");
+        const auto* cell = tsg::core::FindCell(grid.cells, method, dataset);
+        const auto* score = cell != nullptr ? cell->Find(measure) : nullptr;
+        cells.push_back(score != nullptr ? tsg::io::Table::Num(score->mean, 3) : "-");
       }
       table.AddRow(cells);
     }
@@ -63,13 +65,13 @@ int main(int argc, char** argv) {
   for (const std::string& method : methods) {
     std::vector<std::string> cells = {method};
     for (const auto& dataset : dataset_names) {
-      const auto* row = find(method, dataset, measures[0]);
-      if (row == nullptr) {
+      const auto* cell = tsg::core::FindCell(grid.cells, method, dataset);
+      if (cell == nullptr) {
         cells.push_back("-");
         continue;
       }
-      cells.push_back(tsg::io::Table::Num(row->fit_seconds, 1) + "s (" +
-                      tsg::core::Harness::TrainingTimeBucket(row->fit_seconds) + ")");
+      cells.push_back(tsg::io::Table::Num(cell->fit_seconds, 1) + "s (" +
+                      tsg::core::Harness::TrainingTimeBucket(cell->fit_seconds) + ")");
     }
     time_table.AddRow(cells);
   }
@@ -78,9 +80,11 @@ int main(int argc, char** argv) {
   // Long-format CSV for downstream plotting.
   std::vector<std::vector<std::string>> csv;
   csv.push_back({"method", "dataset", "measure", "mean", "stddev", "fit_seconds"});
-  for (const auto& row : rows) {
-    csv.push_back({row.method, row.dataset, row.measure, std::to_string(row.mean),
-                   std::to_string(row.stddev), std::to_string(row.fit_seconds)});
+  for (const tsg::core::MethodRunResult& cell : grid.cells) {
+    for (const auto& [measure, score] : cell.scores) {
+      csv.push_back({cell.method, cell.dataset, measure, std::to_string(score.mean),
+                     std::to_string(score.std), std::to_string(cell.fit_seconds)});
+    }
   }
   const std::string csv_path = config.out_dir + "/fig5_grid.csv";
   if (tsg::io::WriteCsvRows(csv_path, csv).ok()) {

@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const size_t failures = tsg::bench::ReportFailures(merged.value());
-  std::printf("[grid-merge] %zu rows, %zu failed cells; summary at %s\n",
-              merged.value().rows.size(), failures,
+  std::printf("[grid-merge] %zu finished cells, %zu failed cells; summary at %s\n",
+              merged.value().cells.size(), failures,
               tsg::bench::GridSummaryPath(config).c_str());
   tsg::bench::WriteMetricsSnapshot();
   return 0;

@@ -163,16 +163,16 @@ int main(int argc, char** argv) {
       return 1;
     }
     const size_t failures = tsg::bench::ReportFailures(merged.value());
-    std::printf("[smoke] merge complete: %zu rows, %zu failed cells\n",
-                merged.value().rows.size(), failures);
+    std::printf("[smoke] merge complete: %zu finished cells, %zu failed cells\n",
+                merged.value().cells.size(), failures);
     tsg::bench::WriteMetricsSnapshot();
     return failures == 0 ? 0 : 1;
   }
 
   const auto grid = tsg::bench::RunGrid(config, methods, datasets);
   const size_t failures = tsg::bench::ReportFailures(grid);
-  std::printf("[smoke] grid complete: %zu rows, %zu failed cells\n",
-              grid.rows.size(), failures);
+  std::printf("[smoke] grid complete: %zu finished cells, %zu failed cells\n",
+              grid.cells.size(), failures);
   tsg::bench::WriteMetricsSnapshot();
   return failures == 0 ? 0 : 1;
 }

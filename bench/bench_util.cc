@@ -313,7 +313,7 @@ GridHarness MakeGridHarness(const BenchConfig& config) {
 
 /// Fits and evaluates one (method, dataset) cell. Deterministic in
 /// (config, method, dataset): the cell seeds its Rng chain from the harness
-/// options alone, so any process computing it produces identical rows.
+/// options alone, so any process computing it produces an identical cell.
 CellOutcome ComputeCell(core::Harness& harness, const std::string& method_name,
                         const core::Preprocessed& pre) {
   CellOutcome outcome;
@@ -349,27 +349,24 @@ enum class Claim { kLoaded, kComputed, kHeld, kStopped };
 /// Pause between rounds while live owners hold the remaining cells.
 constexpr double kHeldCellRetrySeconds = 0.05;
 
-/// Flattens outcomes into score rows and failure records (sweep order), and
+/// Splits outcomes into finished cells and failure records (sweep order), and
 /// counts the cells: grid.cells.{total,resumed} and, per cell, grid.cells.ok
 /// or grid.cells.failed.
-GridResult CollectResult(const std::vector<CellOutcome>& outcomes, int64_t loaded,
+GridResult CollectResult(std::vector<CellOutcome> outcomes, int64_t loaded,
                          int64_t computed) {
   obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
   metrics.GetCounter("grid.cells.total").Add(static_cast<int64_t>(outcomes.size()));
   metrics.GetCounter("grid.cells.resumed").Add(loaded);
   GridResult result;
   result.computed = computed;
-  for (const CellOutcome& outcome : outcomes) {
-    const core::MethodRunResult& cell = outcome.result;
+  for (CellOutcome& outcome : outcomes) {
     if (outcome.failed) {
       metrics.GetCounter("grid.cells.failed").Add();
-      result.failures.push_back({cell.method, cell.dataset, outcome.error});
-      continue;
-    }
-    metrics.GetCounter("grid.cells.ok").Add();
-    for (const auto& [measure, summary] : cell.scores) {
-      result.rows.push_back({cell.method, cell.dataset, measure, summary.mean,
-                             summary.std, cell.fit_seconds});
+      result.failures.push_back(
+          {outcome.result.method, outcome.result.dataset, outcome.error});
+    } else {
+      metrics.GetCounter("grid.cells.ok").Add();
+      result.cells.push_back(std::move(outcome.result));
     }
   }
   return result;
@@ -530,7 +527,7 @@ StatusOr<GridResult> SweepGrid(const BenchConfig& config,
     }
   }
   WriteGridSummary(config, methods, datasets, outcomes);
-  return CollectResult(outcomes, loaded, computed);
+  return CollectResult(std::move(outcomes), loaded, computed);
 }
 
 }  // namespace
@@ -696,53 +693,6 @@ size_t ReportFailures(const GridResult& grid) {
                  failure.error.c_str());
   }
   return grid.failures.size();
-}
-
-std::vector<core::CellResult> ToCells(const std::vector<GridRow>& rows,
-                                      const std::vector<std::string>& measures) {
-  std::vector<core::CellResult> cells;
-  for (const std::string& measure : measures) {
-    if (measure == "Time") {
-      // Deduplicate by (method, dataset) — fit time repeats on every measure row.
-      std::vector<std::pair<std::string, std::string>> seen;
-      for (const GridRow& row : rows) {
-        const auto key = std::make_pair(row.method, row.dataset);
-        if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-        seen.push_back(key);
-        cells.push_back({row.method, row.dataset, "Time", row.fit_seconds, 0.0});
-      }
-      continue;
-    }
-    for (const GridRow& row : rows) {
-      if (row.measure == measure) {
-        cells.push_back({row.method, row.dataset, row.measure, row.mean, row.stddev});
-      }
-    }
-  }
-  return cells;
-}
-
-namespace {
-
-std::vector<std::string> Distinct(const std::vector<GridRow>& rows,
-                                  std::string GridRow::*field) {
-  std::vector<std::string> out;
-  for (const GridRow& row : rows) {
-    if (std::find(out.begin(), out.end(), row.*field) == out.end()) {
-      out.push_back(row.*field);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::string> DistinctMeasures(const std::vector<GridRow>& rows) {
-  return Distinct(rows, &GridRow::measure);
-}
-
-std::vector<std::string> DistinctDatasets(const std::vector<GridRow>& rows) {
-  return Distinct(rows, &GridRow::dataset);
 }
 
 }  // namespace tsg::bench

@@ -12,7 +12,6 @@
 #include "base/status.h"
 #include "core/harness.h"
 #include "core/preprocess.h"
-#include "core/ranking.h"
 #include "data/simulators.h"
 #include "io/json.h"
 
@@ -88,17 +87,6 @@ std::vector<std::string> SplitCsvList(const std::string& csv);
 /// the snapshot covers the whole run.
 void WriteMetricsSnapshot();
 
-/// One fitted-and-evaluated grid cell (long format, one row per measure) plus the
-/// training time (M8).
-struct GridRow {
-  std::string method;
-  std::string dataset;
-  std::string measure;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double fit_seconds = 0.0;
-};
-
 /// A (method, dataset) cell that failed recoverably — a diverged fit, non-finite
 /// generated data, or a measure error. The grid records it and keeps going.
 struct CellError {
@@ -107,11 +95,13 @@ struct CellError {
   std::string error;  ///< Status string with method/phase/epoch context.
 };
 
-/// The outcome of a grid run: score rows for the cells that succeeded (dataset-
-/// major sweep order) plus an error record per failed cell (same order), and
-/// how many cells the call fitted and evaluated itself rather than loaded.
+/// The outcome of a grid run: the finished cells (dataset-major sweep order),
+/// each the harness's MethodRunResult named by its registry method name, plus
+/// an error record per failed cell (same order), and how many cells the call
+/// fitted and evaluated itself rather than loaded. The cells are what
+/// core::RankingAnalysis ranks.
 struct GridResult {
-  std::vector<GridRow> rows;
+  std::vector<core::MethodRunResult> cells;
   std::vector<CellError> failures;
   int64_t computed = 0;
 };
@@ -179,13 +169,13 @@ struct ShardOptions {
 };
 
 /// Runs the benchmarking grid (methods x datasets x measure suite) and returns
-/// long-format rows plus failures: RunGridShard with the default ShardOptions,
+/// its finished cells plus failures: RunGridShard with the default ShardOptions,
 /// except that it aborts on a sweep error — a lease I/O failure, a failed
 /// checkpoint write, or max_wait_seconds spent waiting on a cell another live
 /// process holds. Every cell with a checkpoint under CheckpointDir() is
 /// replayed from it; the rest are claimed, fitted and evaluated as independent
 /// tasks on the global thread pool (TSG_THREADS-many at once) and checkpointed
-/// as they finish. Rows come back in the serial dataset-major order, and every
+/// as they finish. Cells come back in the serial dataset-major order, and every
 /// cell seeds its own Rng chain from the config, so they are bit-identical to a
 /// single-threaded run. A failing cell (diverged fit, NaN loss, measure error)
 /// becomes a CellError while the rest of the grid completes. The JSON summary
@@ -198,7 +188,7 @@ GridResult RunGrid(const BenchConfig& config,
 
 /// The grid sweep with the caller's ShardOptions: one sharded-grid worker
 /// process (bench_grid_worker, the daemon's grid job). Returns once every cell
-/// has a valid checkpoint, with the rows, failures and the number of cells this
+/// has a valid checkpoint, with the cells, failures and the number of cells this
 /// call computed, after writing the summary like every sweep.
 /// FailedPrecondition when should_stop fires or on a no-progress timeout;
 /// IoError on a lease failure or the first failed checkpoint write.
@@ -256,17 +246,10 @@ StatusOr<std::vector<data::DatasetId>> ParseDatasetList(const std::string& csv);
 StatusOr<std::vector<std::string>> ParseMethodList(const std::string& csv);
 
 /// Prints any failed cells to stderr; returns the number of failures. Bench mains
-/// call this so partial grids are visible without aborting the figure.
+/// call this so partial grids are visible without aborting the figure: Figure 5
+/// prints "-" for a failed cell, and Figures 1 and 8 rank only the datasets
+/// every method finished (core::RankingAnalysis::RenderDropped()).
 size_t ReportFailures(const GridResult& grid);
-
-/// Converts grid rows to the RankingAnalysis cell format for a set of measures
-/// (training time is appended as the synthetic measure "Time" when requested).
-std::vector<core::CellResult> ToCells(const std::vector<GridRow>& rows,
-                                      const std::vector<std::string>& measures);
-
-/// Distinct values preserving first-seen order.
-std::vector<std::string> DistinctMeasures(const std::vector<GridRow>& rows);
-std::vector<std::string> DistinctDatasets(const std::vector<GridRow>& rows);
 
 }  // namespace tsg::bench
 

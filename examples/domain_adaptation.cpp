@@ -56,7 +56,7 @@ int main() {
   tsg::core::Harness harness(harness_options);
 
   tsg::io::Table table({"Method", "Scenario", "Train windows", "C-FID", "MDD", "ED"});
-  for (const std::string& name : {"TimeGAN", "LS4"}) {
+  for (const char* name : {"TimeGAN", "LS4"}) {
     for (auto scenario : {tsg::core::DaScenario::kSingle,
                           tsg::core::DaScenario::kCross,
                           tsg::core::DaScenario::kReference}) {

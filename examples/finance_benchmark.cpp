@@ -13,7 +13,6 @@
 #include "data/simulators.h"
 #include "io/table.h"
 #include "methods/factory.h"
-#include "stats/rank_tests.h"
 
 int main() {
   tsg::data::SimulatorOptions sim;
@@ -34,8 +33,7 @@ int main() {
   harness_options.embedder.epochs = 8;
   tsg::core::Harness harness(harness_options);
 
-  std::vector<std::string> measures;
-  std::vector<std::vector<double>> scores_by_method;
+  std::vector<tsg::core::MethodRunResult> cells;
   tsg::io::Table table({"Method", "Fit(s)", "DS", "PS", "C-FID", "MDD", "ACD", "SD",
                         "KD", "ED", "DTW"});
 
@@ -50,30 +48,25 @@ int main() {
     }
     const auto& result = run.value();
     std::vector<std::string> row = {name, tsg::io::Table::Num(result.fit_seconds, 1)};
-    std::vector<double> values;
-    measures.clear();
     for (const auto& [measure, summary] : result.scores) {
       row.push_back(tsg::io::Table::Num(summary.mean, 3));
-      values.push_back(summary.mean);
-      measures.push_back(measure);
     }
-    scores_by_method.push_back(values);
     table.AddRow(row);
+    cells.push_back(result);
   }
   table.Print();
 
   // Rank per measure (1 = best), then average — the Figure 1 computation in small.
-  std::printf("\nAverage rank across measures (1 = best):\n");
-  std::vector<double> avg_rank(contenders.size(), 0.0);
-  for (size_t m = 0; m < measures.size(); ++m) {
-    std::vector<double> column;
-    for (const auto& values : scores_by_method) column.push_back(values[m]);
-    const auto ranks = tsg::stats::RankWithTies(column);
-    for (size_t i = 0; i < contenders.size(); ++i) avg_rank[i] += ranks[i];
+  const tsg::core::RankingAnalysis analysis(cells, contenders);
+  if (analysis.datasets().empty()) {
+    std::fprintf(stderr, "%s", analysis.RenderDropped().c_str());
+    return 1;
   }
+  const tsg::linalg::Matrix ranks = analysis.RankPerDataset();
+  std::printf("\nAverage rank across measures (1 = best):\n");
   for (size_t i = 0; i < contenders.size(); ++i) {
     std::printf("  %-12s %.2f\n", contenders[i].c_str(),
-                avg_rank[i] / static_cast<double>(measures.size()));
+                ranks(0, static_cast<int64_t>(i)));
   }
   std::printf("\nPer the paper's recommendations: start from the VAE family, reach\n"
               "for FourierFlow when ACD (autocorrelation fidelity) drives the use\n"

@@ -114,6 +114,73 @@ Harness::EvaluateGenerated(const Dataset& real, const Dataset& real_test,
   return out;
 }
 
+const stats::MeanStd* MethodRunResult::Find(const std::string& measure) const {
+  for (const auto& [name, summary] : scores) {
+    if (name == measure) return &summary;
+  }
+  return nullptr;
+}
+
+const MethodRunResult* FindCell(const std::vector<MethodRunResult>& cells,
+                                const std::string& method, const std::string& dataset) {
+  for (const MethodRunResult& cell : cells) {
+    if (cell.method == method && cell.dataset == dataset) return &cell;
+  }
+  return nullptr;
+}
+
+StatusOr<FitOutcome> Harness::FitOrRestore(TsgMethod& method, const Dataset& train) {
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
+  FitOutcome outcome;
+  // Cache consult: a stored snapshot for this exact (method code, data, training
+  // schedule) identity replaces the Fit entirely. Restore failures of any kind
+  // fall through to training — a corrupt or stale artifact is then overwritten
+  // by the fresh fit's Save below, so the store self-heals.
+  ModelKey key;
+  if (options_.store != nullptr) {
+    key = ModelKey::For(method, train, options_.fit);
+    StatusOr<MethodSnapshot> snapshot = options_.store->Load(key);
+    if (snapshot.ok()) {
+      if (method.Restore(snapshot.value()).ok()) {
+        metrics.GetCounter("harness.store.restored").Add();
+        return outcome;
+      }
+      metrics.GetCounter("harness.store.restore_failed").Add();
+    }
+  }
+
+  const std::string cell = method.name() + " / " + train.name();
+  Stopwatch watch;
+  obs::ScopedTimer fit_span("fit");
+  metrics.GetCounter("harness.fit_calls").Add();
+  const Status fit_status = method.Fit(train, options_.fit);
+  outcome.trained = true;
+  outcome.fit_seconds = watch.ElapsedSeconds();
+  metrics.RecordTimer("harness.fit_seconds." + method.name(), outcome.fit_seconds);
+  if (!fit_status.ok()) {
+    metrics.GetCounter("harness.errors.fit").Add();
+    return Status(fit_status.code(), cell + ": fit failed: " + fit_status.message());
+  }
+  if (options_.store == nullptr) return outcome;
+  // Publish the fresh fit. Methods without snapshot support report
+  // kFailedPrecondition — that is "not cacheable", not an error.
+  StatusOr<MethodSnapshot> snapshot = method.Snapshot();
+  if (!snapshot.ok()) {
+    if (snapshot.status().code() != StatusCode::kFailedPrecondition) {
+      metrics.GetCounter("harness.store.snapshot_failed").Add();
+    }
+    outcome.published = snapshot.status();
+    return outcome;
+  }
+  outcome.published = options_.store->Save(key, snapshot.value());
+  if (!outcome.published.ok()) {
+    metrics.GetCounter("harness.store.save_failed").Add();
+    std::fprintf(stderr, "[%s] store save failed: %s\n", cell.c_str(),
+                 outcome.published.ToString().c_str());
+  }
+  return outcome;
+}
+
 StatusOr<MethodRunResult> Harness::RunMethod(TsgMethod& method,
                                              const Dataset& train,
                                              const Dataset& test) {
@@ -124,56 +191,8 @@ StatusOr<MethodRunResult> Harness::RunMethod(TsgMethod& method,
   result.method = method.name();
   result.dataset = train.name();
   const std::string cell = result.method + " / " + result.dataset;
-
-  // Cache consult: a stored snapshot for this exact (method code, data, training
-  // schedule) identity replaces the Fit entirely. Restore failures of any kind
-  // fall through to training — a corrupt or stale artifact is then overwritten
-  // by the fresh fit's Save below, so the store self-heals.
-  ModelKey key;
-  bool restored = false;
-  if (options_.store != nullptr) {
-    key = ModelKey::For(method, train, options_.fit);
-    StatusOr<MethodSnapshot> snapshot = options_.store->Load(key);
-    if (snapshot.ok()) {
-      const Status restore_status = method.Restore(snapshot.value());
-      if (restore_status.ok()) {
-        restored = true;
-        metrics.GetCounter("harness.store.restored").Add();
-      } else {
-        metrics.GetCounter("harness.store.restore_failed").Add();
-      }
-    }
-  }
-
-  if (!restored) {
-    Stopwatch watch;
-    obs::ScopedTimer fit_span("fit");
-    metrics.GetCounter("harness.fit_calls").Add();
-    const Status fit_status = method.Fit(train, options_.fit);
-    result.fit_seconds = watch.ElapsedSeconds();
-    metrics.RecordTimer("harness.fit_seconds." + result.method,
-                        result.fit_seconds);
-    if (!fit_status.ok()) {
-      metrics.GetCounter("harness.errors.fit").Add();
-      return Status(fit_status.code(),
-                    cell + ": fit failed: " + fit_status.message());
-    }
-    if (options_.store != nullptr) {
-      // Publish the fresh fit. Methods without snapshot support report
-      // kFailedPrecondition — that is "not cacheable", not an error.
-      StatusOr<MethodSnapshot> snapshot = method.Snapshot();
-      if (snapshot.ok()) {
-        const Status save_status = options_.store->Save(key, snapshot.value());
-        if (!save_status.ok()) {
-          metrics.GetCounter("harness.store.save_failed").Add();
-          std::fprintf(stderr, "[%s] store save failed: %s\n", cell.c_str(),
-                       save_status.ToString().c_str());
-        }
-      } else if (snapshot.status().code() != StatusCode::kFailedPrecondition) {
-        metrics.GetCounter("harness.store.snapshot_failed").Add();
-      }
-    }
-  }
+  TSG_ASSIGN_OR_RETURN(const FitOutcome fit, FitOrRestore(method, train));
+  result.fit_seconds = fit.fit_seconds;
 
   const int64_t count = std::min(options_.max_eval_samples, train.num_samples());
   Dataset generated;

@@ -39,13 +39,28 @@ struct HarnessOptions {
 };
 
 /// One completed (method, dataset) cell: fit wall time (M8) plus the aggregated
-/// measure scores in suite order.
+/// measure scores in suite order. The one in-memory form of a finished cell, from
+/// the harness through a grid sweep (bench::GridResult) to the ranking.
 struct MethodRunResult {
   std::string method;
   std::string dataset;
   double fit_seconds = 0.0;
   /// Measure name -> (mean, std across repeats; std 0 for deterministic measures).
   std::vector<std::pair<std::string, stats::MeanStd>> scores;
+
+  /// The score of `measure`, or null when the cell has none.
+  const stats::MeanStd* Find(const std::string& measure) const;
+};
+
+/// The cell of (method, dataset) in `cells`, or null.
+const MethodRunResult* FindCell(const std::vector<MethodRunResult>& cells,
+                                const std::string& method, const std::string& dataset);
+
+/// What Harness::FitOrRestore did with a method.
+struct FitOutcome {
+  bool trained = false;      ///< False when a stored snapshot restored the method.
+  double fit_seconds = 0.0;  ///< The fit's wall time; 0 when restored.
+  Status published;          ///< The fresh fit's Snapshot or Save error, else OK.
 };
 
 /// Runs the evaluation protocol. One instance owns the measure suite and an
@@ -67,6 +82,13 @@ class Harness {
   /// instance (Fit mutates the method).
   StatusOr<MethodRunResult> RunMethod(TsgMethod& method, const Dataset& train,
                                       const Dataset& test);
+
+  /// The one fit-or-restore path, behind RunMethod and the tsgd daemon's fit:
+  /// a stored snapshot that the method Restores replaces the fit; otherwise the
+  /// method trains and its snapshot is Saved over any old artifact, so the store
+  /// self-heals. Fails only when the fit does ("<method> / <dataset>: fit
+  /// failed: ...").
+  StatusOr<FitOutcome> FitOrRestore(TsgMethod& method, const Dataset& train);
 
   /// Evaluates an externally produced generated set against a real reference — used
   /// by the Table 4 robustness test and the DA benches. `embedder_key` groups

@@ -1,7 +1,6 @@
 #include "core/ranking.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <sstream>
 
@@ -9,46 +8,58 @@
 
 namespace tsg::core {
 
-RankingAnalysis::RankingAnalysis(std::vector<CellResult> cells,
-                                 std::vector<std::string> methods,
-                                 std::vector<std::string> datasets,
-                                 std::vector<std::string> measures)
-    : cells_(std::move(cells)),
-      methods_(std::move(methods)),
-      datasets_(std::move(datasets)),
-      measures_(std::move(measures)) {}
+RankingAnalysis::RankingAnalysis(std::vector<MethodRunResult> cells,
+                                 std::vector<std::string> methods)
+    : cells_(std::move(cells)), methods_(std::move(methods)) {
+  const auto add_new = [](const std::string& name, std::vector<std::string>* names) {
+    if (std::find(names->begin(), names->end(), name) == names->end()) {
+      names->push_back(name);
+    }
+  };
+  std::vector<std::string> datasets;
+  for (const MethodRunResult& cell : cells_) {
+    add_new(cell.dataset, &datasets);
+    for (const auto& [measure, summary] : cell.scores) add_new(measure, &measures_);
+  }
+  for (const std::string& dataset : datasets) {
+    std::string missing;
+    for (const std::string& method : methods_) {
+      if (FindCell(cells_, method, dataset) == nullptr) missing += " " + method;
+    }
+    if (missing.empty()) {
+      datasets_.push_back(dataset);
+    } else {
+      dropped_ += "Not ranked: " + dataset + " (no finished cell for" + missing + ")\n";
+    }
+  }
+}
 
 double RankingAnalysis::Score(const std::string& method, const std::string& dataset,
                               const std::string& measure) const {
-  for (const CellResult& c : cells_) {
-    if (c.method == method && c.dataset == dataset && c.measure == measure) {
-      return c.mean;
-    }
-  }
-  TSG_CHECK(false) << "missing cell " << method << "/" << dataset << "/" << measure;
-  return 0.0;
+  // A ranked dataset has every method's cell; every cell of one grid scores
+  // the same measure suite.
+  const MethodRunResult* cell = FindCell(cells_, method, dataset);
+  const stats::MeanStd* score = cell != nullptr ? cell->Find(measure) : nullptr;
+  TSG_CHECK(score != nullptr) << "no score " << method << "/" << dataset << "/"
+                              << measure;
+  return score->mean;
 }
 
-namespace {
-
-linalg::Matrix RankPerBlockSet(
-    const RankingAnalysis& analysis,
+linalg::Matrix RankingAnalysis::RankPerBlockSet(
     const std::vector<std::string>& outer,   // One output row per entry.
     const std::vector<std::string>& blocks,  // Averaged (ranked) across these.
-    bool outer_is_measure,
-    const std::function<double(const std::string&, const std::string&,
-                               const std::string&)>& score) {
-  const int64_t k = static_cast<int64_t>(analysis.methods().size());
+    bool outer_is_measure) const {
+  const int64_t k = static_cast<int64_t>(methods_.size());
   linalg::Matrix out(static_cast<int64_t>(outer.size()), k);
   for (size_t oi = 0; oi < outer.size(); ++oi) {
     std::vector<double> avg(static_cast<size_t>(k), 0.0);
     for (const std::string& block : blocks) {
       std::vector<double> scores(static_cast<size_t>(k));
       for (int64_t m = 0; m < k; ++m) {
-        const std::string& method = analysis.methods()[static_cast<size_t>(m)];
+        const std::string& method = methods_[static_cast<size_t>(m)];
         scores[static_cast<size_t>(m)] =
-            outer_is_measure ? score(method, block, outer[oi])
-                             : score(method, outer[oi], block);
+            outer_is_measure ? Score(method, block, outer[oi])
+                             : Score(method, outer[oi], block);
       }
       const std::vector<double> ranks = stats::RankWithTies(scores);
       for (int64_t m = 0; m < k; ++m) avg[static_cast<size_t>(m)] += ranks[m];
@@ -61,20 +72,12 @@ linalg::Matrix RankPerBlockSet(
   return out;
 }
 
-}  // namespace
-
 linalg::Matrix RankingAnalysis::RankPerMeasure() const {
-  auto score = [this](const std::string& m, const std::string& d,
-                      const std::string& meas) { return Score(m, d, meas); };
-  return RankPerBlockSet(*this, measures_, datasets_, /*outer_is_measure=*/true,
-                         score);
+  return RankPerBlockSet(measures_, datasets_, /*outer_is_measure=*/true);
 }
 
 linalg::Matrix RankingAnalysis::RankPerDataset() const {
-  auto score = [this](const std::string& m, const std::string& d,
-                      const std::string& meas) { return Score(m, d, meas); };
-  return RankPerBlockSet(*this, datasets_, measures_, /*outer_is_measure=*/false,
-                         score);
+  return RankPerBlockSet(datasets_, measures_, /*outer_is_measure=*/false);
 }
 
 RankingAnalysis::Overall RankingAnalysis::ComputeOverall(double alpha) const {

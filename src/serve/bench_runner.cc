@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "base/fnv.h"
-#include "base/stopwatch.h"
 #include "base/thread_pool.h"
 #include "io/atomic_file.h"
 #include "io/json.h"
@@ -55,13 +54,6 @@ std::string JoinCsv(const std::vector<std::string>& items) {
     out += item;
   }
   return out;
-}
-
-/// Raw comma-led members from a JsonWriter-rendered object: "{...}" -> ",...".
-std::string AsRawMembers(const io::JsonWriter& json) {
-  const std::string& doc = json.str();
-  if (doc.size() <= 2) return "";  // "{}"
-  return "," + doc.substr(1, doc.size() - 2);
 }
 
 }  // namespace
@@ -122,45 +114,39 @@ StatusOr<std::string> BenchJobRunner::Run(
   return Status::Internal("unhandled job kind");
 }
 
-StatusOr<bool> BenchJobRunner::EnsureFitted(const std::string& method_name,
-                                            const core::Preprocessed& pre,
-                                            const core::ModelKey& key,
-                                            double* fit_seconds) {
+StatusOr<core::FitOutcome> BenchJobRunner::EnsureFitted(const std::string& method_name,
+                                                         const core::Preprocessed& pre,
+                                                         const core::ModelKey& key) {
   // A resident model was verified when the serving cache restored it, so one
   // stat that its artifact is still published stands in for a full Load. A
   // deleted artifact falls through and is retrained and republished.
   std::error_code ec;
   if (cache_->Holds(key) && std::filesystem::exists(store_->PathFor(key), ec)) {
-    return false;
+    return core::FitOutcome{};
   }
-  if (store_->Load(key).ok()) return false;
-  // Exactly the harness fit path: same FitOptions, same Snapshot/Save, so
-  // the published artifact is byte-identical to one a grid cell would write.
+  // Otherwise the harness's own fit-or-restore path: an artifact counts only
+  // once it restores, and a fresh fit is published with the grid's options, so
+  // the artifact is byte-identical to one a grid cell would write.
   TSG_ASSIGN_OR_RETURN(const std::unique_ptr<core::TsgMethod> method,
                        methods::CreateMethod(method_name));
-  Stopwatch watch;
-  TSG_RETURN_IF_ERROR(method->Fit(pre.train, harness_->options().fit));
-  *fit_seconds += watch.ElapsedSeconds();
-  TSG_ASSIGN_OR_RETURN(const core::MethodSnapshot snapshot, method->Snapshot());
-  TSG_RETURN_IF_ERROR(store_->Save(key, snapshot));
-  return true;
+  TSG_ASSIGN_OR_RETURN(core::FitOutcome fit, harness_->FitOrRestore(*method, pre.train));
+  TSG_RETURN_IF_ERROR(fit.published);
+  return fit;
 }
 
 StatusOr<std::string> BenchJobRunner::RunFit(const JobSpec& spec) {
   ServeCounter("serve.jobs.fit").Add();
   TSG_ASSIGN_OR_RETURN(const core::Preprocessed* pre, GetDataset(spec.dataset));
   TSG_ASSIGN_OR_RETURN(const core::ModelKey key, KeyFor(spec.method, spec.dataset, *pre));
-  double fit_seconds = 0.0;
-  TSG_ASSIGN_OR_RETURN(const bool trained,
-                       EnsureFitted(spec.method, *pre, key, &fit_seconds));
+  TSG_ASSIGN_OR_RETURN(const core::FitOutcome fit, EnsureFitted(spec.method, *pre, key));
   io::JsonWriter json;
   json.BeginObject();
   json.Key("model").String(HexU64(store::ArtifactStore::KeyAddress(key)));
   json.Key("path").String(store_->PathFor(key));
-  json.Key("trained").Bool(trained);
-  json.Key("fit_seconds").Number(fit_seconds);
+  json.Key("trained").Bool(fit.trained);
+  json.Key("fit_seconds").Number(fit.fit_seconds);
   json.EndObject();
-  return AsRawMembers(json);
+  return RawMembers(json);
 }
 
 StatusOr<std::string> BenchJobRunner::RunGenerate(const JobSpec& spec) {
@@ -179,7 +165,7 @@ StatusOr<std::string> BenchJobRunner::RunGenerate(const JobSpec& spec) {
   json.Key("count").Int(series);
   json.Key("digest").String(HexU64(DigestGenerated(blocks)));
   json.EndObject();
-  return AsRawMembers(json);
+  return RawMembers(json);
 }
 
 StatusOr<std::string> BenchJobRunner::RunEvaluate(const JobSpec& spec) {
@@ -193,7 +179,7 @@ StatusOr<std::string> BenchJobRunner::RunEvaluate(const JobSpec& spec) {
   result.method = spec.method;
   io::JsonWriter json;
   bench::WriteCellJson(result, /*with_fit_seconds=*/true, &json);
-  return AsRawMembers(json);
+  return RawMembers(json);
 }
 
 StatusOr<std::string> BenchJobRunner::RunGridJob(
@@ -216,11 +202,13 @@ StatusOr<std::string> BenchJobRunner::RunGridJob(
   json.Key("summary").String(summary_path);
   json.Key("digest").String(
       HexU64(base::Fnv64Bytes(summary.data(), summary.size())));
-  json.Key("rows").Int(static_cast<int64_t>(grid.rows.size()));
+  int64_t rows = 0;  // (cell, measure) scores.
+  for (const auto& cell : grid.cells) rows += static_cast<int64_t>(cell.scores.size());
+  json.Key("rows").Int(rows);
   json.Key("failed").Int(static_cast<int64_t>(grid.failures.size()));
   json.Key("computed").Int(grid.computed);
   json.EndObject();
-  return AsRawMembers(json);
+  return RawMembers(json);
 }
 
 StatusOr<std::string> BenchJobRunner::RunStreamEval(
@@ -228,9 +216,7 @@ StatusOr<std::string> BenchJobRunner::RunStreamEval(
   ServeCounter("serve.jobs.stream_eval").Add();
   TSG_ASSIGN_OR_RETURN(const core::Preprocessed* pre, GetDataset(spec.dataset));
   TSG_ASSIGN_OR_RETURN(const core::ModelKey key, KeyFor(spec.method, spec.dataset, *pre));
-  double fit_seconds = 0.0;
-  TSG_ASSIGN_OR_RETURN(const bool trained,
-                       EnsureFitted(spec.method, *pre, key, &fit_seconds));
+  TSG_ASSIGN_OR_RETURN(const core::FitOutcome fit, EnsureFitted(spec.method, *pre, key));
 
   // The streaming reference is the training set — the same set the batch
   // harness hands the measures as ctx.real, so a full window scores series
@@ -283,15 +269,15 @@ StatusOr<std::string> BenchJobRunner::RunStreamEval(
   json.Key("alarms").Int(eval->alarms_total());
   json.Key("drained").Bool(drained);
   json.Key("exact").Bool(true);
-  json.Key("trained").Bool(trained);
-  json.Key("fit_seconds").Number(fit_seconds);
+  json.Key("trained").Bool(fit.trained);
+  json.Key("fit_seconds").Number(fit.fit_seconds);
   json.Key("scores").BeginObject();
   for (const auto& [measure, score] : eval->last_snapshot()) {
     json.Key(measure).Number(score);
   }
   json.EndObject();
   json.EndObject();
-  return AsRawMembers(json);
+  return RawMembers(json);
 }
 
 }  // namespace tsg::serve

@@ -36,9 +36,13 @@ class JobRunner {
 /// The production runner: executes jobs against the same substrate as the batch
 /// binaries, which is what makes daemon answers byte-identical to them.
 ///
-///   fit      — consult the ArtifactStore (hit: zero training), else train via
-///              TsgMethod::Fit under bench::GridHarnessOptions and publish the
-///              snapshot. Result: model key address + whether training ran.
+///   fit      — the harness's one fit-or-restore path
+///              (core::Harness::FitOrRestore under bench::GridHarnessOptions):
+///              an artifact that restores is a hit (zero training); a missing
+///              or unusable one is retrained and republished, so the store
+///              self-heals as a grid's does. A resident model answers after one
+///              stat of its artifact. Result: model key address, path, whether
+///              training ran and its fit_seconds.
 ///   generate — serve from the warm store::ServingCache model; result is the
 ///              series count and an FNV-64 digest of the sampled values, which
 ///              equals the digest of `Generate(count, Rng(gen_seed))` on the
@@ -52,7 +56,8 @@ class JobRunner {
 ///              cells checkpoint under grid_ckpt_*/, a killed daemon resumes
 ///              from them byte-identically, and `should_stop` stops between
 ///              cells for drain/cancel. Result: summary path + FNV-64 digest of
-///              the summary file, rows, failed cells and cells computed.
+///              the summary file, rows (the finished cells' scores), failed
+///              cells and cells computed.
 ///   stream_eval — attach a streameval::StreamEvaluator to the tenant's
 ///              generate stream: chunked ServingCache generation (chunk b uses
 ///              seed gen_seed + b) feeds windowed online measures whose live
@@ -85,14 +90,14 @@ class BenchJobRunner : public JobRunner {
   StatusOr<std::string> RunStreamEval(const JobSpec& spec,
                                       const std::function<bool()>& should_stop);
 
-  /// Trains and publishes the model for `key` unless the store already holds
-  /// it — the shared fit-if-missing path behind fit and stream_eval. A model
-  /// the serving cache holds counts as present while its artifact file exists;
-  /// otherwise the artifact is loaded and verified. Returns whether training
-  /// ran; on training, adds the elapsed time to *fit_seconds.
-  StatusOr<bool> EnsureFitted(const std::string& method,
-                              const core::Preprocessed& pre,
-                              const core::ModelKey& key, double* fit_seconds);
+  /// Makes sure the store holds a usable model for `key` — the shared
+  /// fit-if-missing path behind fit and stream_eval. A model the serving cache
+  /// holds counts as present while its artifact file exists; otherwise
+  /// core::Harness::FitOrRestore restores the artifact or, when it is missing or
+  /// does not restore, trains and republishes it. A failed publish fails the job.
+  StatusOr<core::FitOutcome> EnsureFitted(const std::string& method,
+                                          const core::Preprocessed& pre,
+                                          const core::ModelKey& key);
 
   /// The preprocessed dataset for `name`, simulated on first use.
   StatusOr<const core::Preprocessed*> GetDataset(const std::string& name);

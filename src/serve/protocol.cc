@@ -371,4 +371,13 @@ std::string OkResponse(const std::string& raw_members) {
   return "{\"ok\":true" + raw_members + "}";
 }
 
+std::string RawMembers(const io::JsonWriter& object) {
+  const std::string& doc = object.str();
+  if (doc.size() <= 2) return "";  // "{}"
+  // Drop the closing brace and turn the opening one into the leading comma.
+  std::string members(doc, 0, doc.size() - 1);
+  members[0] = ',';
+  return members;
+}
+
 }  // namespace tsg::serve

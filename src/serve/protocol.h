@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "base/status.h"
+#include "io/json.h"
 
 namespace tsg::serve {
 
@@ -85,8 +86,13 @@ std::string ErrorResponse(const Status& status);
 
 /// `{"ok":true}` with optional extra members supplied by the caller as a
 /// comma-led raw JSON fragment (e.g. `,"job":3`). The fragment must be valid
-/// JSON members — callers build it with io::JsonWriter or literals.
+/// JSON members — callers build it with RawMembers or literals.
 std::string OkResponse(const std::string& raw_members = "");
+
+/// The members of an io::JsonWriter-rendered object as a comma-led raw
+/// fragment, the form OkResponse and JobRunner::Run take: `{...}` -> `,...`,
+/// `{}` -> empty.
+std::string RawMembers(const io::JsonWriter& object);
 
 /// Lower-case wire token for a status code ("invalid_argument", ...).
 const char* StatusCodeToken(StatusCode code);

@@ -242,8 +242,7 @@ void Server::HandleLine(Session& session, const std::string& line) {
       }
       json.EndArray();
       json.EndObject();
-      const std::string& doc = json.str();
-      Respond(session, OkResponse("," + doc.substr(1, doc.size() - 2)));
+      Respond(session, OkResponse(RawMembers(json)));
       return;
     }
     case Request::Cmd::kResult: {

@@ -135,7 +135,7 @@ TEST(StopwatchTest, MeasuresNonNegativeMonotonicTime) {
   Stopwatch sw;
   const double t1 = sw.ElapsedSeconds();
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
   const double t2 = sw.ElapsedSeconds();
   EXPECT_GE(t1, 0.0);
   EXPECT_GE(t2, t1);

@@ -18,6 +18,7 @@
 #include "ag/ops.h"
 #include "base/thread_pool.h"
 #include "bench_util.h"
+#include "core/ranking.h"
 #include "io/atomic_file.h"
 #include "io/lease.h"
 #include "methods/factory.h"
@@ -91,41 +92,6 @@ TEST(PrepareDatasetTest, CapsLongWindowDatasets) {
   EXPECT_LE(boiler.train.num_samples() + boiler.test.num_samples(), 200);
   EXPECT_EQ(boiler.train.seq_len(), 192);
   std::filesystem::remove_all(config.out_dir);
-}
-
-TEST(ToCellsTest, FiltersMeasuresAndDedupesTime) {
-  const std::vector<GridRow> rows = {
-      {"A", "d1", "MDD", 0.1, 0.0, 3.0},
-      {"A", "d1", "ACD", 0.2, 0.0, 3.0},
-      {"B", "d1", "MDD", 0.3, 0.0, 5.0},
-      {"B", "d1", "ACD", 0.4, 0.0, 5.0},
-  };
-  const auto cells = ToCells(rows, {"MDD", "Time"});
-  // 2 MDD cells + 2 deduplicated Time cells.
-  ASSERT_EQ(cells.size(), 4u);
-  int time_cells = 0;
-  for (const auto& c : cells) {
-    if (c.measure == "Time") {
-      ++time_cells;
-      EXPECT_EQ(c.mean, c.method == "A" ? 3.0 : 5.0);
-    }
-  }
-  EXPECT_EQ(time_cells, 2);
-}
-
-TEST(DistinctTest, PreservesFirstSeenOrder) {
-  const std::vector<GridRow> rows = {
-      {"A", "d2", "MDD", 0, 0, 0},
-      {"A", "d1", "ACD", 0, 0, 0},
-      {"A", "d2", "ACD", 0, 0, 0},
-  };
-  const auto measures = DistinctMeasures(rows);
-  ASSERT_EQ(measures.size(), 2u);
-  EXPECT_EQ(measures[0], "MDD");
-  EXPECT_EQ(measures[1], "ACD");
-  const auto datasets = DistinctDatasets(rows);
-  ASSERT_EQ(datasets.size(), 2u);
-  EXPECT_EQ(datasets[0], "d2");
 }
 
 /// A mutable, null-terminated argv the flag parsers can strip in place.
@@ -215,16 +181,23 @@ int64_t CounterValue(const std::string& name) {
   return obs::MetricRegistry::Global().GetCounter(name).value();
 }
 
-/// Bitwise equality of two row lists' names and scores.
-void ExpectScoresBitIdentical(const std::vector<GridRow>& a,
-                              const std::vector<GridRow>& b) {
+/// Bitwise equality of two cell lists' names and scores.
+void ExpectScoresBitIdentical(const std::vector<core::MethodRunResult>& a,
+                              const std::vector<core::MethodRunResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].method, b[i].method);
     EXPECT_EQ(a[i].dataset, b[i].dataset);
-    EXPECT_EQ(a[i].measure, b[i].measure);
-    EXPECT_EQ(std::memcmp(&a[i].mean, &b[i].mean, sizeof(double)), 0) << i;
-    EXPECT_EQ(std::memcmp(&a[i].stddev, &b[i].stddev, sizeof(double)), 0) << i;
+    ASSERT_EQ(a[i].scores.size(), b[i].scores.size()) << i;
+    for (size_t j = 0; j < a[i].scores.size(); ++j) {
+      const auto& [measure, score] = a[i].scores[j];
+      const auto& [other_measure, other_score] = b[i].scores[j];
+      EXPECT_EQ(measure, other_measure);
+      EXPECT_EQ(std::memcmp(&score.mean, &other_score.mean, sizeof(double)), 0)
+          << i << " " << measure;
+      EXPECT_EQ(std::memcmp(&score.std, &other_score.std, sizeof(double)), 0)
+          << i << " " << measure;
+    }
   }
 }
 
@@ -238,7 +211,7 @@ TEST(GridReplayTest, SecondRunReplaysCheckpointsBitForBit) {
   const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg};
 
   const auto grid = RunGrid(config, methods, datasets);
-  ASSERT_FALSE(grid.rows.empty());
+  ASSERT_FALSE(grid.cells.empty());
   EXPECT_TRUE(grid.failures.empty());
   const std::string summary = ReadWholeFile(GridSummaryPath(config));
 
@@ -250,9 +223,9 @@ TEST(GridReplayTest, SecondRunReplaysCheckpointsBitForBit) {
   EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before);
   EXPECT_EQ(CounterValue("grid.cells.resumed"), resumed_before + 1);
   EXPECT_TRUE(replayed.failures.empty());
-  ExpectScoresBitIdentical(replayed.rows, grid.rows);
-  for (size_t i = 0; i < grid.rows.size() && i < replayed.rows.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&replayed.rows[i].fit_seconds, &grid.rows[i].fit_seconds,
+  ExpectScoresBitIdentical(replayed.cells, grid.cells);
+  for (size_t i = 0; i < grid.cells.size() && i < replayed.cells.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&replayed.cells[i].fit_seconds, &grid.cells[i].fit_seconds,
                           sizeof(double)),
               0)
         << i;
@@ -345,7 +318,7 @@ TEST(GridFaultToleranceTest, NanLossBecomesCellErrorAndOtherCellsMatchCleanRun) 
   std::filesystem::create_directories(clean.out_dir);
   const auto clean_grid = RunGrid(clean, {"TimeVAE"}, datasets);
   ASSERT_TRUE(clean_grid.failures.empty());
-  ASSERT_FALSE(clean_grid.rows.empty());
+  ASSERT_FALSE(clean_grid.cells.empty());
 
   BenchConfig faulty = clean;
   faulty.out_dir = "/tmp/tsg_bench_fault_injected";
@@ -364,7 +337,14 @@ TEST(GridFaultToleranceTest, NanLossBecomesCellErrorAndOtherCellsMatchCleanRun) 
       << grid.failures[0].error;
 
   // Every healthy cell is bit-identical to the clean run.
-  ExpectScoresBitIdentical(grid.rows, clean_grid.rows);
+  ExpectScoresBitIdentical(grid.cells, clean_grid.cells);
+
+  // The figures rank the partial grid instead of aborting: no dataset has
+  // both methods' cells, and the ranking names DLG.
+  const core::RankingAnalysis analysis(grid.cells, {"TimeVAE", "FaultyNaN"});
+  EXPECT_TRUE(analysis.datasets().empty());
+  EXPECT_EQ(analysis.RenderDropped(),
+            "Not ranked: DLG (no finished cell for FaultyNaN)\n");
 
   // The summary artifact records both cells.
   const std::string summary = ReadWholeFile(GridSummaryPath(faulty));
@@ -400,18 +380,18 @@ TEST(GridResumeTest, InterruptedGridResumesByteIdentical) {
   std::filesystem::create_directories(resumed.out_dir);
   const auto partial = RunGrid(resumed, methods, {data::DatasetId::kDlg});
   ASSERT_TRUE(partial.failures.empty());
-  ASSERT_FALSE(partial.rows.empty());
+  ASSERT_FALSE(partial.cells.empty());
 
   // Restart with the full grid: the completed cell loads from its checkpoint.
   const auto full = RunGrid(resumed, methods, datasets);
   ASSERT_TRUE(full.failures.empty());
-  ASSERT_EQ(full.rows.size(), clean_grid.rows.size());
+  ExpectScoresBitIdentical(full.cells, clean_grid.cells);
 
   // The checkpointed cell was not recomputed: its wall-clock fit time survives
   // the checkpoint round trip bit-for-bit (a recompute would give a new timing).
-  for (const auto& row : full.rows) {
-    if (row.dataset == partial.rows.front().dataset) {
-      EXPECT_EQ(std::memcmp(&row.fit_seconds, &partial.rows.front().fit_seconds,
+  for (const auto& cell : full.cells) {
+    if (cell.dataset == partial.cells.front().dataset) {
+      EXPECT_EQ(std::memcmp(&cell.fit_seconds, &partial.cells.front().fit_seconds,
                             sizeof(double)),
                 0);
     }
@@ -470,7 +450,7 @@ TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
   const auto completed = RunGridShard(sharded, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
   EXPECT_EQ(completed.value().computed, 2);
-  ExpectScoresBitIdentical(completed.value().rows, clean_grid.rows);
+  ExpectScoresBitIdentical(completed.value().cells, clean_grid.cells);
   const std::string clean_summary = ReadWholeFile(GridSummaryPath(clean));
   ASSERT_FALSE(clean_summary.empty());
   EXPECT_EQ(ReadWholeFile(GridSummaryPath(sharded)), clean_summary);
@@ -481,7 +461,7 @@ TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
   merge_options.compute_missing = false;
   const auto merged = MergeGridShards(sharded, methods, datasets, merge_options);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ASSERT_EQ(merged.value().rows.size(), clean_grid.rows.size());
+  ExpectScoresBitIdentical(merged.value().cells, clean_grid.cells);
   EXPECT_EQ(merged.value().computed, 0);
   EXPECT_EQ(ReadWholeFile(GridSummaryPath(sharded)), clean_summary);
 
@@ -706,7 +686,7 @@ TEST(ShardedGridTest, MergeComputesMissingCellsAndMatchesCleanRun) {
       LeasePathFor(merged_config, "TimeVAE", "DLG")));
 
   // Scores are bitwise RunGrid's; only the wall-clock fit times differ.
-  ExpectScoresBitIdentical(merged.value().rows, clean_grid.rows);
+  ExpectScoresBitIdentical(merged.value().cells, clean_grid.cells);
   const std::string clean_summary = ReadWholeFile(GridSummaryPath(clean));
   const std::string merged_summary = ReadWholeFile(GridSummaryPath(merged_config));
   ASSERT_FALSE(clean_summary.empty());
@@ -770,7 +750,7 @@ TEST(ShardedGridTest, MergeCarriesErrorCellsFromWorkerCheckpoints) {
   EXPECT_EQ(merged.value().failures[0].method, "ShardFaulty");
   EXPECT_EQ(merged.value().failures[0].dataset, computed.dataset);
   EXPECT_EQ(merged.value().failures[0].error, computed.error);
-  ASSERT_FALSE(merged.value().rows.empty());
+  ASSERT_FALSE(merged.value().cells.empty());
   EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), summary);
 
   std::filesystem::remove_all(config.out_dir);

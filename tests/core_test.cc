@@ -307,18 +307,31 @@ TEST(DaTest, ScenarioTrainingSets) {
 
 // ---- Ranking analysis. ----
 
+/// A finished cell scoring each of `measures` at `mean`.
+MethodRunResult ScoredCell(const std::string& method, const std::string& dataset,
+                           const std::vector<std::string>& measures, double mean) {
+  MethodRunResult cell;
+  cell.method = method;
+  cell.dataset = dataset;
+  for (const std::string& measure : measures) {
+    cell.scores.push_back({measure, {mean, 0.0}});
+  }
+  return cell;
+}
+
 TEST(RankingTest, PerMeasureAndPerDatasetShapes) {
-  std::vector<CellResult> cells;
+  std::vector<MethodRunResult> cells;
   const std::vector<std::string> methods = {"A", "B"};
   const std::vector<std::string> datasets = {"d1", "d2", "d3"};
   const std::vector<std::string> measures = {"m1", "m2"};
   for (const auto& d : datasets) {
-    for (const auto& m : measures) {
-      cells.push_back({"A", d, m, 0.1, 0.0});  // A always better.
-      cells.push_back({"B", d, m, 0.9, 0.0});
-    }
+    cells.push_back(ScoredCell("A", d, measures, 0.1));  // A always better.
+    cells.push_back(ScoredCell("B", d, measures, 0.9));
   }
-  RankingAnalysis analysis(cells, methods, datasets, measures);
+  RankingAnalysis analysis(cells, methods);
+  EXPECT_EQ(analysis.datasets(), datasets);
+  EXPECT_EQ(analysis.measures(), measures);
+  EXPECT_EQ(analysis.RenderDropped(), "");
   const linalg::Matrix per_measure = analysis.RankPerMeasure();
   EXPECT_EQ(per_measure.rows(), 2);
   EXPECT_EQ(per_measure.cols(), 2);
@@ -330,24 +343,76 @@ TEST(RankingTest, PerMeasureAndPerDatasetShapes) {
 }
 
 TEST(RankingTest, OverallTiersSeparateClearWinner) {
-  std::vector<CellResult> cells;
+  std::vector<MethodRunResult> cells;
   const std::vector<std::string> methods = {"good", "bad"};
   const std::vector<std::string> datasets = {"d1", "d2", "d3", "d4"};
   const std::vector<std::string> measures = {"m1", "m2", "m3"};
   Rng rng(2);
   for (const auto& d : datasets) {
+    MethodRunResult good = ScoredCell("good", d, {}, 0.0);
+    MethodRunResult bad = ScoredCell("bad", d, {}, 0.0);
     for (const auto& m : measures) {
-      cells.push_back({"good", d, m, rng.Uniform(), 0.0});
-      cells.push_back({"bad", d, m, 5.0 + rng.Uniform(), 0.0});
+      good.scores.push_back({m, {rng.Uniform(), 0.0}});
+      bad.scores.push_back({m, {5.0 + rng.Uniform(), 0.0}});
     }
+    cells.push_back(good);
+    cells.push_back(bad);
   }
-  RankingAnalysis analysis(cells, methods, datasets, measures);
+  RankingAnalysis analysis(cells, methods);
   const auto overall = analysis.ComputeOverall();
   EXPECT_LT(overall.friedman.p_value, 0.01);
   EXPECT_LT(overall.tiers[0], overall.tiers[1]);
   const std::string diagram = analysis.RenderCriticalDifference(overall);
   EXPECT_NE(diagram.find("good"), std::string::npos);
   EXPECT_NE(diagram.find("Tier 1"), std::string::npos);
+}
+
+TEST(RankingTest, MeasuresInSuiteOrderAndDatasetsInSweepOrder) {
+  const std::vector<std::string> suite = {"MDD", "ACD"};
+  const std::vector<MethodRunResult> cells = {
+      ScoredCell("A", "d2", suite, 0.1), ScoredCell("B", "d2", suite, 0.2),
+      ScoredCell("A", "d1", suite, 0.3), ScoredCell("B", "d1", suite, 0.4)};
+  RankingAnalysis analysis(cells, {"A", "B"});
+  EXPECT_EQ(analysis.measures(), suite);
+  EXPECT_EQ(analysis.datasets(), (std::vector<std::string>{"d2", "d1"}));
+}
+
+// A method without a cell on one dataset (a failed grid cell) drops that
+// dataset from every ranking, which then equals the complete datasets' alone.
+TEST(RankingTest, PartialGridRanksOnlyTheCompleteDatasets) {
+  const std::vector<std::string> methods = {"A", "B", "C"};
+  const std::vector<std::string> datasets = {"d1", "d2", "d3"};
+  std::vector<MethodRunResult> complete;
+  std::vector<MethodRunResult> partial;
+  Rng rng(9);
+  for (const auto& d : datasets) {
+    for (const auto& method : methods) {
+      MethodRunResult cell = ScoredCell(method, d, {}, 0.0);
+      for (const char* measure : {"m1", "m2", "m3"}) {
+        cell.scores.push_back({measure, {rng.Uniform(), 0.0}});
+      }
+      if (d != "d3") complete.push_back(cell);
+      if (d != "d3" || method != "B") partial.push_back(cell);
+    }
+  }
+  const RankingAnalysis expected(complete, methods);
+  const RankingAnalysis analysis(partial, methods);
+  EXPECT_EQ(analysis.datasets(), (std::vector<std::string>{"d1", "d2"}));
+  EXPECT_EQ(analysis.RenderDropped(), "Not ranked: d3 (no finished cell for B)\n");
+
+  const auto expect_equal = [](const linalg::Matrix& a, const linalg::Matrix& b) {
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    for (int64_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+  };
+  expect_equal(analysis.RankPerMeasure(), expected.RankPerMeasure());
+  expect_equal(analysis.RankPerDataset(), expected.RankPerDataset());
+  const auto overall = analysis.ComputeOverall();
+  const auto expected_overall = expected.ComputeOverall();
+  EXPECT_EQ(overall.friedman.statistic, expected_overall.friedman.statistic);
+  EXPECT_EQ(overall.friedman.average_ranks, expected_overall.friedman.average_ranks);
+  expect_equal(overall.conover_p, expected_overall.conover_p);
+  EXPECT_EQ(overall.tiers, expected_overall.tiers);
 }
 
 // ---- Harness. ----
@@ -377,7 +442,9 @@ TEST(HarnessTest, EvaluateGeneratedProducesAllMeasures) {
   }
   // Deterministic measures report zero spread.
   for (const auto& [name, summary] : scores) {
-    if (name != "DS" && name != "PS") EXPECT_DOUBLE_EQ(summary.std, 0.0) << name;
+    if (name != "DS" && name != "PS") {
+      EXPECT_DOUBLE_EQ(summary.std, 0.0) << name;
+    }
   }
 }
 
@@ -527,9 +594,13 @@ TEST(HarnessIntegrationTest, RunMethodEndToEnd) {
   // A bootstrap of the real data should score excellently on the deterministic
   // distribution measures (exact-sample resampling).
   for (const auto& [name, summary] : result.scores) {
-    if (name == "MDD") EXPECT_LT(summary.mean, 0.05);
-    if (name == "ACD") EXPECT_LT(summary.mean, 0.1);
-    if (name == "SD") EXPECT_LT(summary.mean, 0.25);
+    if (name == "MDD") {
+      EXPECT_LT(summary.mean, 0.05);
+    } else if (name == "ACD") {
+      EXPECT_LT(summary.mean, 0.1);
+    } else if (name == "SD") {
+      EXPECT_LT(summary.mean, 0.25);
+    }
   }
   // fit, generate and evaluate are sibling spans of the cell: evaluation never
   // nests under generate.

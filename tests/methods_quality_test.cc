@@ -61,13 +61,6 @@ double BudgetFor(const std::string& method) {
   return method == "GT-GAN" ? 2.0 : 0.4;
 }
 
-double Mdd(const Dataset& real, const Dataset& generated) {
-  core::MeasureContext ctx;
-  ctx.real = &real;
-  ctx.generated = &generated;
-  return core::MarginalDistributionDifference().Evaluate(ctx).value();
-}
-
 double Acd(const Dataset& real, const Dataset& generated) {
   core::MeasureContext ctx;
   ctx.real = &real;

@@ -284,13 +284,8 @@ TEST(ProtocolTest, ClientVerbTableCoversEveryKindAndCommand) {
 // ---- JobQueue policy. ----
 
 JobSpec Spec(const std::string& tenant, int64_t priority = 0) {
-  JobSpec spec;
-  spec.kind = JobKind::kFit;
-  spec.method = "M";
-  spec.dataset = "D";
-  spec.tenant = tenant;
-  spec.priority = priority;
-  return spec;
+  return JobSpec{.kind = JobKind::kFit, .tenant = tenant, .priority = priority,
+                 .method = "M", .dataset = "D", .methods = {}, .datasets = {}};
 }
 
 TEST(JobQueueTest, PopPrefersPriorityThenSubmissionOrder) {
@@ -689,10 +684,8 @@ Request SubmitRequest(const std::string& method,
                       const std::string& tenant = "default") {
   Request request;
   request.cmd = Request::Cmd::kSubmit;
-  request.spec.kind = JobKind::kFit;
-  request.spec.method = method;
-  request.spec.dataset = "D";
-  request.spec.tenant = tenant;
+  request.spec = JobSpec{.kind = JobKind::kFit, .tenant = tenant, .method = method,
+                         .dataset = "D", .methods = {}, .datasets = {}};
   return request;
 }
 
@@ -1139,6 +1132,58 @@ TEST(BenchJobRunnerTest, StoreHitFitOnAServedModelSkipsTheLoad) {
   const StatusOr<std::string> republished = io::ReadFileToString(path);
   ASSERT_TRUE(republished.ok()) << path;
   EXPECT_TRUE(republished.value() == artifact.value());
+  std::filesystem::remove_all(root);
+}
+
+// An artifact that loads but does not restore is not a fitted model: the fit
+// job retrains and republishes it, as a grid cell's harness does, and generate
+// then serves it.
+TEST(BenchJobRunnerTest, FitRetrainsAnArtifactThatDoesNotRestore) {
+  const std::string root = ::testing::TempDir() + "tsg_bench_job_runner_heal";
+  std::filesystem::remove_all(root);
+  bench::BenchConfig config;
+  config.scale = 0.05;
+  config.out_dir = root + "/out";
+  config.store_dir = root + "/store";
+  std::string path;
+  {
+    BenchJobRunner runner(config);
+    const io::JsonValue fitted = RunJob(runner, JobKind::kFit, "TimeVAE", "Stock");
+    ASSERT_TRUE(fitted.GetBool("trained", false));
+    path = fitted.GetString("path", "");
+  }
+  const StatusOr<std::string> artifact = io::ReadFileToString(path);
+  ASSERT_TRUE(artifact.ok()) << path;
+
+  // The same snapshot minus its last tensor: Load accepts it, Restore refuses it.
+  store::ArtifactStore store(config.store_dir);
+  const core::Preprocessed pre = bench::PrepareDataset(data::DatasetId::kStock, config);
+  const StatusOr<std::unique_ptr<core::TsgMethod>> method =
+      methods::CreateMethod("TimeVAE");
+  ASSERT_TRUE(method.ok());
+  const core::ModelKey key = core::ModelKey::For(*method.value(), pre.train,
+                                                 bench::GridHarnessOptions(config).fit);
+  StatusOr<core::MethodSnapshot> snapshot = store.Load(key);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  snapshot.value().params.pop_back();
+  ASSERT_TRUE(store.Save(key, snapshot.value()).ok());
+  ASSERT_TRUE(store.Load(key).ok());
+  ASSERT_FALSE(method.value()->Restore(store.Load(key).value()).ok());
+
+  // A fresh runner holds nothing resident, so the fit goes to the store.
+  BenchJobRunner runner(config);
+  const obs::Counter& restore_failed =
+      obs::MetricRegistry::Global().GetCounter("harness.store.restore_failed");
+  const int64_t restore_failed_before = restore_failed.value();
+  EXPECT_TRUE(
+      RunJob(runner, JobKind::kFit, "TimeVAE", "Stock").GetBool("trained", false));
+  EXPECT_EQ(restore_failed.value(), restore_failed_before + 1);
+  const StatusOr<std::string> republished = io::ReadFileToString(path);
+  ASSERT_TRUE(republished.ok()) << path;
+  EXPECT_TRUE(republished.value() == artifact.value());
+  EXPECT_EQ(RunJob(runner, JobKind::kGenerate, "TimeVAE", "Stock", 4, 1)
+                .GetInt("count", -1),
+            4);
   std::filesystem::remove_all(root);
 }
 
