@@ -13,6 +13,10 @@
 #      member byte for byte (chunk b regenerates from gen_seed + b).
 #   4. Drain: SIGTERM with a long stream_eval in flight must stop at a window
 #      boundary and exit 0.
+#   5. Worker path = inline path: a daemon restarted with --max_inflight=1 (the
+#      job holds the pool's only worker, so the job generates every chunk
+#      itself) must answer step 1's spec with step 1's scores, which came from
+#      the default daemon, where an idle worker generates the next chunk ahead.
 #
 # Usage: scripts/ci_streaming_smoke.sh [build_dir]   (default: build)
 # The work dir (under TSG_WORK_ROOT, default /tmp) is kept on failure so CI can
@@ -123,5 +127,28 @@ if [[ "$rc" -ne 0 ]]; then
   exit 1
 fi
 
+echo "== 5. a one-worker daemon (every chunk generated inline) gives step 1's scores"
+TSGBENCH_OUT="$DOUT" "$TSGD" --socket="$SOCK" --max_inflight=1 \
+  >"$WORK/tsgd_inline.log" 2>&1 &
+DPID="$!"
+wait_for_listening "$WORK/tsgd_inline.log" "$DPID"
+"$CLIENT" --socket="$SOCK" "${stream_args[@]}" --wait >"$WORK/stream4.log" 2>&1
+scores4=$(json_field scores <"$WORK/stream4.log")
+if ! cmp <(echo "$scores1") <(echo "$scores4"); then
+  echo "error: inline-generated scores differ from the default daemon's:" >&2
+  echo "  default: $scores1" >&2
+  echo "  inline:  $scores4" >&2
+  exit 1
+fi
+kill -TERM "$DPID"
+rc=0
+wait "$DPID" || rc=$?
+DPID=""
+if [[ "$rc" -ne 0 ]]; then
+  echo "error: one-worker tsgd exited $rc after SIGTERM; log follows" >&2
+  cat "$WORK/tsgd_inline.log" >&2
+  exit 1
+fi
+
 echo "streaming smoke OK: exact windows served, live per-tenant gauges" \
-  "exposed, deterministic rerun, drain clean"
+  "exposed, deterministic rerun, drain clean, inline = worker-generated"

@@ -73,6 +73,11 @@ void ThreadPool::EnsureScheduleWorkers(int count) {
   EnsureWorkersLocked(std::min(count, 256));
 }
 
+int ThreadPool::worker_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(workers_.size());
+}
+
 void ThreadPool::Schedule(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -6,8 +6,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -65,6 +68,10 @@ class ThreadPool {
   /// configured; only the background-task capacity grows. Never shrinks.
   void EnsureScheduleWorkers(int count);
 
+  /// Worker threads the pool holds now. Zero for a 1-wide pool that no caller
+  /// grew: a task Schedule()d there would never run. Never decreases.
+  int worker_count() const;
+
   /// Snapshot of the cumulative utilization counters (relaxed reads).
   ThreadPoolStats stats() const;
 
@@ -83,7 +90,7 @@ class ThreadPool {
 
   const int configured_;
   std::atomic<int> max_parallelism_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
@@ -118,6 +125,105 @@ class ParallelRegionGuard {
 
  private:
   bool saved_;
+};
+
+/// One task offered to an idle pool worker ahead of need; the owner collects
+/// its result with Take(). Exactly one thread runs the task, chosen by one
+/// compare-and-swap: a worker that dequeues it first runs it under a
+/// ParallelRegionGuard (as the daemon's jobs run, so a loop inside it cannot
+/// fan out to a pool whose workers are all busy and deadlock), and otherwise
+/// Take() runs it inline on the calling thread. A pool without workers is
+/// never handed the task, since nothing would dequeue it; Take() runs it. An
+/// exception from the task is rethrown by Take().
+///
+/// Destroying a Lookahead that was not taken cancels a task no worker has
+/// started (a worker that dequeues it later does nothing) and waits for one a
+/// worker is running, so what the task refers to need only outlive the
+/// Lookahead. A result or exception nobody took is dropped.
+template <typename T>
+class Lookahead {
+ public:
+  Lookahead(ThreadPool& pool, std::function<T()> task)
+      : state_(std::make_shared<State>()) {
+    state_->task = std::move(task);
+    if (pool.worker_count() == 0) return;
+    pool.Schedule([state = state_] {
+      if (!state->Claim(kWorker)) return;
+      const ParallelRegionGuard guard;
+      std::optional<T> value;
+      std::exception_ptr error;
+      try {
+        // The task dies with this statement, before the owner can see `done`.
+        value.emplace(std::exchange(state->task, nullptr)());
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->value = std::move(value);
+      state->error = error;
+      state->done = true;
+      state->done_cv.notify_all();
+    });
+  }
+
+  ~Lookahead() {
+    if (taken_) return;
+    if (state_->Claim(kOwner)) {
+      state_->task = nullptr;  // Cancelled: release what it captured now.
+      return;
+    }
+    Wait();
+  }
+
+  Lookahead(const Lookahead&) = delete;
+  Lookahead& operator=(const Lookahead&) = delete;
+
+  /// The task's result: runs the task inline unless a worker claimed it
+  /// first, in which case waits for that worker. Call at most once.
+  T Take() {
+    taken_ = true;
+    if (state_->Claim(kOwner)) {
+      ran_inline_ = true;
+      return std::exchange(state_->task, nullptr)();
+    }
+    Wait();
+    if (state_->error) std::rethrow_exception(state_->error);
+    return std::move(*state_->value);
+  }
+
+  /// True once Take() has run the task on the calling thread; false while it
+  /// has not been taken or when a worker ran it.
+  bool ran_inline() const { return ran_inline_; }
+
+ private:
+  enum Claimant : int { kOffered, kWorker, kOwner };
+
+  /// Shared with the queued entry, which may outlive the Lookahead.
+  struct State {
+    std::function<T()> task;  ///< Read and reset only by the claimant.
+    std::atomic<int> claimant{kOffered};
+    std::mutex mu;
+    std::condition_variable done_cv;
+    bool done = false;  ///< Set by the worker once value/error are final.
+    std::optional<T> value;
+    std::exception_ptr error;
+
+    bool Claim(Claimant who) {
+      int expected = kOffered;
+      return claimant.compare_exchange_strong(expected, who,
+                                              std::memory_order_acq_rel);
+    }
+  };
+
+  /// Blocks until the worker that claimed the task has finished it.
+  void Wait() {
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->done_cv.wait(lock, [this] { return state_->done; });
+  }
+
+  std::shared_ptr<State> state_;
+  bool taken_ = false;
+  bool ran_inline_ = false;
 };
 
 namespace detail {

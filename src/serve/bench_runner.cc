@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "base/fnv.h"
+#include "base/stopwatch.h"
 #include "base/thread_pool.h"
 #include "io/atomic_file.h"
 #include "io/json.h"
@@ -119,9 +121,12 @@ StatusOr<core::FitOutcome> BenchJobRunner::EnsureFitted(const std::string& metho
                                                          const core::ModelKey& key) {
   // A resident model was verified when the serving cache restored it, so one
   // stat that its artifact is still published stands in for a full Load. A
-  // deleted artifact falls through and is retrained and republished.
+  // published model that is not resident is restored into the serving cache,
+  // which keeps it for the job's generation. A deleted artifact falls through
+  // and is retrained and republished.
   std::error_code ec;
-  if (cache_->Holds(key) && std::filesystem::exists(store_->PathFor(key), ec)) {
+  if (std::filesystem::exists(store_->PathFor(key), ec) &&
+      (cache_->Holds(key) || cache_->GetMethod(key).ok())) {
     return core::FitOutcome{};
   }
   // Otherwise the harness's own fit-or-restore path: an artifact counts only
@@ -218,6 +223,31 @@ StatusOr<std::string> BenchJobRunner::RunStreamEval(
   TSG_ASSIGN_OR_RETURN(const core::ModelKey key, KeyFor(spec.method, spec.dataset, *pre));
   TSG_ASSIGN_OR_RETURN(const core::FitOutcome fit, EnsureFitted(spec.method, *pre, key));
 
+  // Chunk b is Generate(count, Rng(gen_seed + b)) on the served model, so a
+  // given (spec, chunk) pair always streams identical series no matter which
+  // daemon serves it or which thread generates it.
+  using Chunk = StatusOr<std::vector<std::vector<linalg::Matrix>>>;
+  const auto generate = [this, &key, &spec](uint64_t b, int64_t count) -> Chunk {
+    std::vector<core::GenRequest> requests(1);
+    requests[0].count = count;
+    requests[0].seed = spec.gen_seed + b;
+    return cache_->Generate(key, requests);
+  };
+  // A lookahead of one chunk: while the evaluator scores chunk b, an idle pool
+  // worker may generate chunk b + 1, which `next` (`next_count` series) holds
+  // until the loop takes it. The depth is fixed at one: while a chunk's
+  // generation outlasts its Update the loop waits on that worker anyway, and
+  // each deeper chunk would hold another of the workers jobs run on.
+  std::optional<base::Lookahead<Chunk>> next;
+  int64_t next_count = 0;
+  const auto offer = [&](uint64_t b, int64_t count) {
+    next_count = count;
+    next.emplace(base::ThreadPool::Global(),
+                 [&generate, b, count] { return generate(b, count); });
+  };
+  int64_t remaining = spec.count;
+  if (remaining > 0) offer(0, std::min<int64_t>(spec.chunk, remaining));
+
   // The streaming reference is the training set — the same set the batch
   // harness hands the measures as ctx.real, so a full window scores series
   // against exactly what an evaluate job would.
@@ -227,13 +257,14 @@ StatusOr<std::string> BenchJobRunner::RunStreamEval(
   TSG_ASSIGN_OR_RETURN(const std::unique_ptr<streameval::StreamEvaluator> eval,
                        streameval::StreamEvaluator::Create(pre->train, options));
 
-  // Chunk b regenerates deterministically from seed gen_seed + b, so a given
-  // (spec, chunk) pair always streams identical series no matter which daemon
-  // serves it. On should_stop we shrink the next chunk to land exactly on a
-  // window boundary, flush that last whole window, and report drained=true.
+  // On should_stop we shrink the next chunk to land exactly on a window
+  // boundary, flush that last whole window, and report drained=true. A
+  // draining job drops a lookahead of another size and offers no more.
   bool drained = false;
-  int64_t remaining = spec.count;
   uint64_t batch_index = 0;
+  double generate_s = 0.0;  // Generation this job ran itself.
+  double wait_s = 0.0;      // Blocked on a chunk a worker was generating.
+  double update_s = 0.0;
   while (remaining > 0) {
     int64_t take = std::min<int64_t>(spec.chunk, remaining);
     if (should_stop != nullptr && should_stop()) {
@@ -241,20 +272,32 @@ StatusOr<std::string> BenchJobRunner::RunStreamEval(
       const int64_t to_boundary = partial == 0 ? 0 : spec.window - partial;
       take = std::min<int64_t>(take, to_boundary);
       drained = true;
+      if (take != next_count) next.reset();
       if (take == 0) break;
     }
-    std::vector<core::GenRequest> requests(1);
-    requests[0].count = take;
-    requests[0].seed = spec.gen_seed + batch_index;
+    const Stopwatch generate_watch;
+    Chunk chunk = next.has_value() ? next->Take() : generate(batch_index, take);
+    const bool worker_generated = next.has_value() && !next->ran_inline();
+    (worker_generated ? wait_s : generate_s) += generate_watch.ElapsedSeconds();
+    next.reset();
     TSG_ASSIGN_OR_RETURN(const std::vector<std::vector<linalg::Matrix>> blocks,
-                         cache_->Generate(key, requests));
+                         std::move(chunk));
+    remaining -= take;
+    ++batch_index;
+    if (!drained && remaining > 0) {
+      offer(batch_index, std::min<int64_t>(spec.chunk, remaining));
+    }
+    const Stopwatch update_watch;
     for (const auto& block : blocks) {
       TSG_RETURN_IF_ERROR(eval->Update(block));
     }
-    remaining -= take;
-    ++batch_index;
+    update_s += update_watch.ElapsedSeconds();
     if (drained && eval->series_seen() % spec.window == 0) break;
   }
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
+  metrics.GetGauge(options.metric_prefix + ".generate_s").Set(generate_s);
+  metrics.GetGauge(options.metric_prefix + ".wait_s").Set(wait_s);
+  metrics.GetGauge(options.metric_prefix + ".update_s").Set(update_s);
 
   // Attest the exactness contract on whatever window the stream ended with
   // before handing scores back — a diverged snapshot fails the job.

@@ -36,13 +36,14 @@ class JobRunner {
 /// The production runner: executes jobs against the same substrate as the batch
 /// binaries, which is what makes daemon answers byte-identical to them.
 ///
-///   fit      — the harness's one fit-or-restore path
-///              (core::Harness::FitOrRestore under bench::GridHarnessOptions):
-///              an artifact that restores is a hit (zero training); a missing
-///              or unusable one is retrained and republished, so the store
-///              self-heals as a grid's does. A resident model answers after one
-///              stat of its artifact. Result: model key address, path, whether
-///              training ran and its fit_seconds.
+///   fit      — an artifact that restores is a hit (zero training): a
+///              resident model answers after one stat of its artifact, and a
+///              published one is restored into the serving cache, which keeps
+///              it. A missing or unusable one goes through the harness's one
+///              fit-or-restore path (core::Harness::FitOrRestore under
+///              bench::GridHarnessOptions), which retrains and republishes it,
+///              so the store self-heals as a grid's does. Result: model key
+///              address, path, whether training ran and its fit_seconds.
 ///   generate — serve from the warm store::ServingCache model; result is the
 ///              series count and an FNV-64 digest of the sampled values, which
 ///              equals the digest of `Generate(count, Rng(gen_seed))` on the
@@ -62,11 +63,15 @@ class JobRunner {
 ///              generate stream: chunked ServingCache generation (chunk b uses
 ///              seed gen_seed + b) feeds windowed online measures whose live
 ///              values land in the "stream.<tenant>.*" gauges METRICS serves.
-///              `should_stop` drains at the next window boundary — the job
-///              finishes the in-progress window so the last exported snapshot
-///              is whole, then stops. Before reporting, the runner re-checks
-///              the final window with VerifyExactAgainstBatch, so every result
-///              carries a machine-checked exactness attestation.
+///              An idle pool worker may generate chunk b + 1 while chunk b is
+///              scored (base::Lookahead); the evaluator sees the same chunks in
+///              the same order either way. The job's generation, wait and
+///              Update seconds land in stream.<tenant>.{generate_s,wait_s,
+///              update_s}. `should_stop` drains at the next window boundary —
+///              the job finishes the in-progress window so the last exported
+///              snapshot is whole, then stops. Before reporting, the runner
+///              re-checks the final window with VerifyExactAgainstBatch, so
+///              every result carries a machine-checked exactness attestation.
 ///
 /// Datasets are simulated + preprocessed once per dataset name and shared
 /// across jobs (mutex-guarded cache); harness and stores are built once.
@@ -91,10 +96,11 @@ class BenchJobRunner : public JobRunner {
                                       const std::function<bool()>& should_stop);
 
   /// Makes sure the store holds a usable model for `key` — the shared
-  /// fit-if-missing path behind fit and stream_eval. A model the serving cache
-  /// holds counts as present while its artifact file exists; otherwise
-  /// core::Harness::FitOrRestore restores the artifact or, when it is missing or
-  /// does not restore, trains and republishes it. A failed publish fails the job.
+  /// fit-if-missing path behind fit and stream_eval. While its artifact file
+  /// exists, a model the serving cache holds counts as present, and one it
+  /// can restore is restored there, so the job's generation reads the
+  /// artifact no second time. Otherwise core::Harness::FitOrRestore trains and
+  /// republishes it. A failed publish fails the job.
   StatusOr<core::FitOutcome> EnsureFitted(const std::string& method,
                                           const core::Preprocessed& pre,
                                           const core::ModelKey& key);

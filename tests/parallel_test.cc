@@ -8,8 +8,12 @@
 #include "base/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -30,6 +34,7 @@
 namespace tsg {
 namespace {
 
+using base::Lookahead;
 using base::ParallelFor;
 using base::ParallelMap;
 using base::ParallelMapReduce;
@@ -57,6 +62,147 @@ TEST(ThreadPoolTest, SetMaxParallelismGrowsAndRestores) {
   EXPECT_EQ(pool.max_parallelism(), 4);
   pool.SetMaxParallelism(0);  // Restores the configured size.
   EXPECT_EQ(pool.max_parallelism(), 1);
+}
+
+/// Polls `done` for up to ten seconds; false on timeout.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Holds one worker of a pool until destroyed, so tasks queued behind it wait.
+class WorkerBlocker {
+ public:
+  explicit WorkerBlocker(ThreadPool& pool) : gate_(std::make_shared<Gate>()) {
+    pool.Schedule([gate = gate_] {
+      std::unique_lock<std::mutex> lock(gate->mu);
+      gate->held = true;
+      gate->cv.notify_all();
+      gate->cv.wait(lock, [&gate] { return gate->released; });
+    });
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    gate_->cv.wait(lock, [this] { return gate_->held; });
+  }
+  ~WorkerBlocker() {
+    std::lock_guard<std::mutex> lock(gate_->mu);
+    gate_->released = true;
+    gate_->cv.notify_all();
+  }
+  WorkerBlocker(const WorkerBlocker&) = delete;
+  WorkerBlocker& operator=(const WorkerBlocker&) = delete;
+
+ private:
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;
+    bool released = false;
+  };
+  std::shared_ptr<Gate> gate_;
+};
+
+TEST(ThreadPoolTest, WorkerCountFollowsWidthAndScheduleWorkers) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.worker_count(), 0);
+  pool.EnsureScheduleWorkers(2);
+  EXPECT_EQ(pool.worker_count(), 2);
+  EXPECT_EQ(ThreadPool(3).worker_count(), 2);
+}
+
+TEST(LookaheadTest, RunsInlineOnAPoolWithoutWorkers) {
+  ThreadPool pool(1);
+  ASSERT_EQ(pool.worker_count(), 0);
+  std::thread::id ran_on;
+  Lookahead<int> next(pool, [&ran_on] {
+    ran_on = std::this_thread::get_id();
+    return 7;
+  });
+  EXPECT_EQ(pool.stats().tasks_scheduled, 0);
+  EXPECT_EQ(next.Take(), 7);
+  EXPECT_TRUE(next.ran_inline());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(pool.stats().tasks_scheduled, 0);
+}
+
+TEST(LookaheadTest, TakeRunsTheTaskWhenNoWorkerHasStartedIt) {
+  ThreadPool pool(2);  // One worker.
+  std::atomic<int> runs{0};
+  {
+    const WorkerBlocker blocker(pool);
+    Lookahead<int> next(pool, [&runs] { return ++runs; });
+    EXPECT_EQ(next.Take(), 1);
+    EXPECT_TRUE(next.ran_inline());
+  }
+  // The freed worker dequeues the claimed entry, which does nothing.
+  EXPECT_TRUE(WaitFor([&pool] { return pool.stats().tasks_executed == 2; }));
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(LookaheadTest, AnIdleWorkerRunsTheTaskInAParallelRegion) {
+  ThreadPool pool(2);
+  std::atomic<bool> started{false};
+  std::thread::id ran_on;
+  bool in_region = false;
+  Lookahead<int> next(pool, [&] {
+    ran_on = std::this_thread::get_id();
+    in_region = base::InParallelRegion();
+    started = true;
+    return 7;
+  });
+  EXPECT_TRUE(WaitFor([&started] { return started.load(); }));
+  EXPECT_EQ(next.Take(), 7);
+  EXPECT_FALSE(next.ran_inline());
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  EXPECT_TRUE(in_region);
+  EXPECT_FALSE(base::InParallelRegion());
+}
+
+TEST(LookaheadTest, TakeRethrowsAWorkersException) {
+  ThreadPool pool(2);
+  std::atomic<bool> started{false};
+  Lookahead<int> next(pool, [&started]() -> int {
+    started = true;
+    throw std::runtime_error("boom");
+  });
+  EXPECT_TRUE(WaitFor([&started] { return started.load(); }));
+  EXPECT_THROW(next.Take(), std::runtime_error);
+  EXPECT_FALSE(next.ran_inline());
+}
+
+TEST(LookaheadTest, DestroyingItUntakenCancelsAnUnstartedTaskAndWaitsOutAStartedOne) {
+  ThreadPool pool(2);
+  std::atomic<int> runs{0};
+  {
+    const WorkerBlocker blocker(pool);
+    const Lookahead<int> next(pool, [&runs] { return ++runs; });
+  }
+  EXPECT_TRUE(WaitFor([&pool] { return pool.stats().tasks_executed == 2; }));
+  EXPECT_EQ(runs.load(), 0);
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> finished{false};
+  std::thread releaser;
+  {
+    const Lookahead<int> next(pool, [&] {
+      started = true;
+      while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      finished = true;
+      return 1;
+    });
+    EXPECT_TRUE(WaitFor([&started] { return started.load(); }));
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release = true;
+    });
+  }
+  EXPECT_TRUE(finished.load());
+  releaser.join();
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

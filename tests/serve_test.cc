@@ -26,8 +26,10 @@
 #include <gtest/gtest.h>
 
 #include "base/fnv.h"
+#include "base/stopwatch.h"
 #include "core/method.h"
 #include "io/atomic_file.h"
+#include "io/json.h"
 #include "io/json_parse.h"
 #include "methods/factory.h"
 #include "obs/metrics.h"
@@ -35,6 +37,7 @@
 #include "serve/job_queue.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "streameval/stream_evaluator.h"
 
 namespace tsg::serve {
 namespace {
@@ -1135,6 +1138,46 @@ TEST(BenchJobRunnerTest, StoreHitFitOnAServedModelSkipsTheLoad) {
   std::filesystem::remove_all(root);
 }
 
+// A fresh runner over a store that holds the model reads and restores it once:
+// the fit job restores it into the serving cache, and generate serves that
+// instance.
+TEST(BenchJobRunnerTest, FreshRunnerReadsAStoredModelOnce) {
+  const std::string root = ::testing::TempDir() + "tsg_bench_job_runner_restore";
+  std::filesystem::remove_all(root);
+  bench::BenchConfig config;
+  config.scale = 0.05;
+  config.out_dir = root + "/out";
+  config.store_dir = root + "/store";
+  std::string path;
+  std::string digest;
+  {
+    BenchJobRunner runner(config);
+    const io::JsonValue fitted = RunJob(runner, JobKind::kFit, "TimeVAE", "Stock");
+    ASSERT_TRUE(fitted.GetBool("trained", false));
+    path = fitted.GetString("path", "");
+    digest = RunJob(runner, JobKind::kGenerate, "TimeVAE", "Stock", 4, 1)
+                 .GetString("digest", "");
+  }
+  std::error_code ec;
+  const int64_t artifact_bytes =
+      static_cast<int64_t>(std::filesystem::file_size(path, ec));
+  ASSERT_FALSE(ec) << path;
+
+  BenchJobRunner runner(config);
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
+  const int64_t hits_before = metrics.GetCounter("store.hits").value();
+  const int64_t bytes_before = metrics.GetCounter("store.bytes_read").value();
+  EXPECT_FALSE(
+      RunJob(runner, JobKind::kFit, "TimeVAE", "Stock").GetBool("trained", true));
+  EXPECT_EQ(RunJob(runner, JobKind::kGenerate, "TimeVAE", "Stock", 4, 1)
+                .GetString("digest", "-"),
+            digest);
+  EXPECT_EQ(metrics.GetCounter("store.hits").value() - hits_before, 1);
+  EXPECT_EQ(metrics.GetCounter("store.bytes_read").value() - bytes_before,
+            artifact_bytes);
+  std::filesystem::remove_all(root);
+}
+
 // An artifact that loads but does not restore is not a fitted model: the fit
 // job retrains and republishes it, as a grid cell's harness does, and generate
 // then serves it.
@@ -1184,6 +1227,123 @@ TEST(BenchJobRunnerTest, FitRetrainsAnArtifactThatDoesNotRestore) {
   EXPECT_EQ(RunJob(runner, JobKind::kGenerate, "TimeVAE", "Stock", 4, 1)
                 .GetInt("count", -1),
             4);
+  std::filesystem::remove_all(root);
+}
+
+/// The "scores" member of a stream_eval answer, as an in-process
+/// StreamEvaluator reports it for the stream whose chunk b is
+/// Generate(takes[b], Rng(gen_seed + b)) on `method`.
+std::string StreamScoresMember(const core::TsgMethod& method,
+                               const core::Dataset& train, int64_t window,
+                               uint64_t gen_seed, const std::vector<int64_t>& takes) {
+  streameval::StreamEvalOptions options;
+  options.window = window;
+  StatusOr<std::unique_ptr<streameval::StreamEvaluator>> eval =
+      streameval::StreamEvaluator::Create(train, options);
+  EXPECT_TRUE(eval.ok()) << eval.status().ToString();
+  if (!eval.ok()) return "-";
+  for (size_t b = 0; b < takes.size(); ++b) {
+    Rng rng(gen_seed + b);
+    EXPECT_TRUE(eval.value()->Update(method.Generate(takes[b], rng)).ok());
+  }
+  io::JsonWriter json;
+  json.BeginObject();
+  json.Key("scores").BeginObject();
+  for (const auto& [measure, score] : eval.value()->last_snapshot()) {
+    json.Key(measure).Number(score);
+  }
+  json.EndObject();
+  json.EndObject();
+  return json.str().substr(1, json.str().size() - 2);
+}
+
+// A stream_eval job scores the stream an in-process evaluator sees when chunk b
+// is Generate(take_b, Rng(gen_seed + b)) on the restored model, whichever
+// thread generated each chunk. A drain stops at a window boundary with the
+// scores of that truncated stream. The window (24) is not a multiple of the
+// chunk (16), so a drain can shrink a chunk below the size generated ahead.
+TEST(BenchJobRunnerTest, StreamEvalScoresTheStreamAnInProcessEvaluatorSees) {
+  const std::string root = ::testing::TempDir() + "tsg_bench_job_runner_stream";
+  std::filesystem::remove_all(root);
+  bench::BenchConfig config;
+  config.scale = 0.05;
+  config.out_dir = root + "/out";
+  config.store_dir = root + "/store";
+  BenchJobRunner runner(config);
+  JobSpec spec;
+  spec.kind = JobKind::kStreamEval;
+  spec.tenant = "lookahead";
+  spec.method = "TimeVAE";
+  spec.dataset = "DLG";
+  spec.count = 100;
+  spec.gen_seed = 9;
+  spec.window = 24;
+  spec.chunk = 16;
+  const Stopwatch wall;
+  const StatusOr<std::string> full = runner.Run(spec, nullptr);
+  const double wall_s = wall.ElapsedSeconds();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  // The job's seconds split into generation it ran, waits on a worker that
+  // generated ahead, and evaluator Updates: all set, and within its wall time.
+  obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
+  const std::string snapshot = metrics.SnapshotJson(/*include_timings=*/true);
+  double parts_s = 0.0;
+  for (const char* part : {"generate_s", "wait_s", "update_s"}) {
+    const std::string gauge = std::string("stream.lookahead.") + part;
+    EXPECT_NE(snapshot.find("\"" + gauge + "\""), std::string::npos) << gauge;
+    parts_s += metrics.GetGauge(gauge).value();
+  }
+  EXPECT_LE(parts_s, wall_s);
+
+  // Reference: a fresh instance restored from the artifact the job wrote.
+  const core::Preprocessed pre = bench::PrepareDataset(data::DatasetId::kDlg, config);
+  StatusOr<std::unique_ptr<core::TsgMethod>> method = methods::CreateMethod("TimeVAE");
+  ASSERT_TRUE(method.ok());
+  const StatusOr<core::MethodSnapshot> stored =
+      store::ArtifactStore(config.store_dir)
+          .Load(core::ModelKey::For(*method.value(), pre.train,
+                                    bench::GridHarnessOptions(config).fit));
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_TRUE(method.value()->Restore(stored.value()).ok());
+
+  EXPECT_NE(full.value().find("\"series\":100,\"windows\":4,"), std::string::npos)
+      << full.value();
+  EXPECT_NE(full.value().find("\"drained\":false"), std::string::npos);
+  EXPECT_NE(full.value().find(StreamScoresMember(*method.value(), pre.train, 24, 9,
+                                                 {16, 16, 16, 16, 16, 16, 4})),
+            std::string::npos)
+      << full.value();
+
+  // should_stop turns true at its polls_before_stop + 1-th poll, one per chunk.
+  struct DrainCase {
+    int polls_before_stop;
+    std::vector<int64_t> takes;  // The truncated stream, chunk by chunk.
+    int64_t windows;
+  };
+  for (const DrainCase& drain : {
+           DrainCase{1, {16, 8}, 1},        // Shrinks the chunk generated ahead.
+           DrainCase{2, {16, 16, 16}, 2},   // Takes the chunk generated ahead.
+           DrainCase{3, {16, 16, 16}, 2}})  // Stops on a boundary; drops it.
+  {
+    SCOPED_TRACE(drain.polls_before_stop);
+    int polls = 0;
+    const StatusOr<std::string> drained = runner.Run(
+        spec, [&polls, &drain] { return ++polls > drain.polls_before_stop; });
+    ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+    int64_t series = 0;
+    for (const int64_t take : drain.takes) series += take;
+    EXPECT_NE(drained.value().find("\"series\":" + std::to_string(series) +
+                                   ",\"windows\":" + std::to_string(drain.windows) +
+                                   ","),
+              std::string::npos)
+        << drained.value();
+    EXPECT_NE(drained.value().find("\"drained\":true"), std::string::npos);
+    EXPECT_NE(drained.value().find(StreamScoresMember(*method.value(), pre.train, 24,
+                                                      9, drain.takes)),
+              std::string::npos)
+        << drained.value();
+  }
   std::filesystem::remove_all(root);
 }
 
