@@ -1,16 +1,15 @@
-// Sharded-grid worker: one process of an N-worker benchmark grid run. Workers
-// share nothing but the checkpoint directory — each runs the grid sweep, which
-// claims pending (method, dataset) cells via atomic lease files (DESIGN.md
-// §10), computes the ones it wins through the store-aware harness, and
-// checkpoints them exactly like the single-process grid. Launch any number
-// against the same TSGBENCH_OUT (and optionally TSGBENCH_STORE_DIR, to share
-// trained models); each writes the grid summary once every cell is done.
-// bench_grid_merge is needed only as a strict coverage check or to finish
-// cells no worker finished.
+// Grid worker: one process of an N-worker benchmark grid run. Workers share
+// nothing but the checkpoint directory — each runs the grid sweep, which loads
+// every checkpointed (method, dataset) cell, claims the pending ones via atomic
+// lease files (DESIGN.md §10), computes the ones it wins through the
+// store-aware harness, and checkpoints them exactly like the single-process
+// grid. Launch any number against the same TSGBENCH_OUT (and optionally
+// TSGBENCH_STORE_DIR, to share trained models); each writes the grid summary
+// once every cell is done. A worker started over a finished grid computes
+// nothing (its --metrics_out shows no grid.cells.computed): the coverage check.
 //
 // Flags: --methods=A,B --datasets=d1,d2 (default: full 10x10 paper grid),
-// --worker_id=<label>, --lease_stale_seconds=<s>, --max_wait_seconds=<s>,
-// --metrics_out=<path>.
+// --lease_stale_seconds=<s>, --max_wait_seconds=<s>, --metrics_out=<path>.
 
 #include <cstdio>
 #include <string>
@@ -25,10 +24,8 @@ int main(int argc, char** argv) {
   std::string methods_csv;
   std::string datasets_csv;
   tsg::bench::ShardOptions options;
-  options.worker_label = "grid-worker";
   tsg::bench::ConsumeFlagValue(&argc, argv, "methods", &methods_csv);
   tsg::bench::ConsumeFlagValue(&argc, argv, "datasets", &datasets_csv);
-  tsg::bench::ConsumeFlagValue(&argc, argv, "worker_id", &options.worker_label);
   tsg::bench::ConsumeNumericFlag(&argc, argv, "lease_stale_seconds",
                                  &options.lease_stale_seconds);
   tsg::bench::ConsumeNumericFlag(&argc, argv, "max_wait_seconds",
@@ -36,8 +33,8 @@ int main(int argc, char** argv) {
   if (!tsg::bench::RequireNoUnknownFlags(
           argc, argv,
           "bench_grid_worker [--methods=A,B] [--datasets=d1,d2] "
-          "[--worker_id=<label>] [--lease_stale_seconds=<s>] "
-          "[--max_wait_seconds=<s>] [--metrics_out=<path>]")) {
+          "[--lease_stale_seconds=<s>] [--max_wait_seconds=<s>] "
+          "[--metrics_out=<path>]")) {
     return 2;
   }
   if (argc > 1) {
@@ -60,14 +57,12 @@ int main(int argc, char** argv) {
   const auto grid = tsg::bench::RunGridShard(config, methods.value(),
                                              datasets.value(), options);
   if (!grid.ok()) {
-    std::fprintf(stderr, "[%s] shard failed: %s\n",
-                 options.worker_label.c_str(),
+    std::fprintf(stderr, "[grid-worker] grid failed: %s\n",
                  grid.status().ToString().c_str());
     tsg::bench::WriteMetricsSnapshot();
     return 1;
   }
-  std::printf("[%s] computed %lld cells; summary at %s\n",
-              options.worker_label.c_str(),
+  std::printf("[grid-worker] computed %lld cells; summary at %s\n",
               static_cast<long long>(grid.value().computed),
               tsg::bench::GridSummaryPath(config).c_str());
   tsg::bench::WriteMetricsSnapshot();

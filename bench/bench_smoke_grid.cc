@@ -4,13 +4,13 @@
 // an interrupted batch job would. scripts/ci_smoke_grid.sh drives the full
 // kill -> resume -> byte-compare protocol and the --metrics_out determinism check.
 //
-// Every mode runs the one grid sweep (lease-claimed cells, DESIGN.md §10):
-// --shard as a sharded-grid worker with a short no-progress timeout and
-// --merge as the strict supervisor, so scripts/ci_sharded_grid.sh can drive a
-// multi-worker kill/reclaim/merge cycle with the identical kill
-// instrumentation. A run killed via TSG_SMOKE_KILL_AFTER dies between claiming
-// a cell's lease and checkpointing it, leaving exactly the dangling-lease
-// state the reclaim path exists for.
+// Each run is one grid worker (RunGridShard, lease-claimed cells, DESIGN.md
+// §10) with a short no-progress timeout, so scripts/ci_sharded_grid.sh can
+// start several against one output directory for a multi-worker
+// kill/reclaim/rerun cycle. A run killed via TSG_SMOKE_KILL_AFTER dies between
+// claiming a cell's lease and checkpointing it, leaving exactly the
+// dangling-lease state the reclaim path exists for. Exit codes: 3 on the
+// simulated kill, 1 on a sweep error or a failed cell, 0 otherwise.
 
 #include <atomic>
 #include <cstdio>
@@ -116,13 +116,8 @@ void RegisterSmokeMethod(const std::string& name, const std::string& inner) {
 
 int main(int argc, char** argv) {
   tsg::bench::ParseBenchFlags(&argc, argv);
-  const bool shard_mode = tsg::bench::ConsumeFlag(&argc, argv, "shard");
-  const bool merge_mode = tsg::bench::ConsumeFlag(&argc, argv, "merge");
-  if (!tsg::bench::RequireNoUnknownFlags(
-          argc, argv,
-          "bench_smoke_grid [--shard | --merge] [--metrics_out=<path>]")) {
-    return 2;
-  }
+  const char* const usage = "bench_smoke_grid [--metrics_out=<path>]";
+  if (!tsg::bench::RequireNoUnknownFlags(argc, argv, usage)) return 2;
   tsg::bench::KillAfter();  // Rejects a malformed kill point before any work.
   tsg::bench::RegisterSmokeMethod("SmokeVAE", "TimeVAE");
   tsg::bench::RegisterSmokeMethod("SmokeLS4", "LS4");
@@ -131,48 +126,17 @@ int main(int argc, char** argv) {
   const std::vector<std::string> methods = {"SmokeVAE", "SmokeLS4"};
   const std::vector<tsg::data::DatasetId> datasets = {tsg::data::DatasetId::kDlg,
                                                       tsg::data::DatasetId::kStock};
-
-  if (shard_mode) {
-    tsg::bench::ShardOptions options;
-    options.worker_label = "smoke-shard";
-    options.max_wait_seconds = 120.0;  // A hung peer fails the CI job fast.
-    const auto grid = tsg::bench::RunGridShard(config, methods, datasets, options);
-    if (!grid.ok()) {
-      std::fprintf(stderr, "[smoke] shard failed: %s\n",
-                   grid.status().ToString().c_str());
-      tsg::bench::WriteMetricsSnapshot();
-      return 1;
-    }
-    std::printf("[smoke] shard complete: computed %lld cells\n",
-                static_cast<long long>(grid.value().computed));
+  tsg::bench::ShardOptions options;
+  options.max_wait_seconds = 120.0;  // A hung peer fails the CI job fast.
+  const auto grid = tsg::bench::RunGridShard(config, methods, datasets, options);
+  if (!grid.ok()) {
+    std::fprintf(stderr, "[smoke] grid failed: %s\n", grid.status().ToString().c_str());
     tsg::bench::WriteMetricsSnapshot();
-    return 0;
+    return 1;
   }
-
-  if (merge_mode) {
-    tsg::bench::MergeOptions options;
-    // Strict: the workers must have covered the whole grid — the supervisor
-    // merging CI artifacts should never silently train cells itself.
-    options.compute_missing = false;
-    const auto merged =
-        tsg::bench::MergeGridShards(config, methods, datasets, options);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "[smoke] merge failed: %s\n",
-                   merged.status().ToString().c_str());
-      tsg::bench::WriteMetricsSnapshot();
-      return 1;
-    }
-    const size_t failures = tsg::bench::ReportFailures(merged.value());
-    std::printf("[smoke] merge complete: %zu finished cells, %zu failed cells\n",
-                merged.value().cells.size(), failures);
-    tsg::bench::WriteMetricsSnapshot();
-    return failures == 0 ? 0 : 1;
-  }
-
-  const auto grid = tsg::bench::RunGrid(config, methods, datasets);
-  const size_t failures = tsg::bench::ReportFailures(grid);
+  const size_t failures = tsg::bench::ReportFailures(grid.value());
   std::printf("[smoke] grid complete: %zu finished cells, %zu failed cells\n",
-              grid.cells.size(), failures);
+              grid.value().cells.size(), failures);
   tsg::bench::WriteMetricsSnapshot();
   return failures == 0 ? 0 : 1;
 }

@@ -287,8 +287,8 @@ void WriteGridSummary(const BenchConfig& config,
 }
 
 /// Harness plus the optional artifact store it serves from, configured
-/// identically for every grid execution mode (in-process RunGrid, sharded
-/// workers, merge stragglers) so each mode computes bit-identical cells.
+/// identically for every grid process (in-process RunGrid, workers) so each
+/// computes bit-identical cells.
 struct GridHarness {
   std::unique_ptr<store::ArtifactStore> store;
   std::unique_ptr<core::Harness> harness;
@@ -373,7 +373,7 @@ GridResult CollectResult(std::vector<CellOutcome> outcomes, int64_t loaded,
 }
 
 /// The grid sweep: the only code that loads, claims or computes a grid cell,
-/// behind RunGrid, RunGridShard and MergeGridShards. Loads each cell's
+/// behind RunGrid and RunGridShard. Loads each cell's
 /// checkpoint; claims the cells without a valid one concurrently on the global
 /// pool (TSG_THREADS-many at once) under their leases, re-loading the
 /// checkpoint a peer may have written in the meantime and otherwise fitting,
@@ -384,12 +384,11 @@ GridResult CollectResult(std::vector<CellOutcome> outcomes, int64_t loaded,
 /// summary. Replaying a checkpoint instead of computing the cell is sound
 /// because each cell seeds its Rng chain from the config alone and the shared
 /// embedder fit is deterministic: no cell's result depends on which process or
-/// thread computed any other cell. With `compute_missing` false, a cell without
-/// a valid checkpoint is NotFound and nothing is claimed or written.
+/// thread computed any other cell.
 StatusOr<GridResult> SweepGrid(const BenchConfig& config,
                                const std::vector<std::string>& methods,
                                const std::vector<data::DatasetId>& datasets,
-                               const ShardOptions& options, bool compute_missing) {
+                               const ShardOptions& options) {
   obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
   std::filesystem::create_directories(CheckpointDir(config));
   const size_t num_methods = methods.size();
@@ -403,9 +402,6 @@ StatusOr<GridResult> SweepGrid(const BenchConfig& config,
     const std::string& method = methods[cell % num_methods];
     if (LoadCellCheckpoint(config, method, dataset, &outcomes[cell])) {
       ++loaded;
-    } else if (!compute_missing) {
-      return Status::NotFound("no checkpoint for cell " + method + " / " + dataset +
-                              " in " + CheckpointDir(config));
     } else {
       pending.push_back(cell);
     }
@@ -470,8 +466,7 @@ StatusOr<GridResult> SweepGrid(const BenchConfig& config,
         // Stolen mid-compute after being (wrongly) declared dead. Harmless:
         // the checkpoint is deterministic, so the thief writes the same bytes.
         metrics.GetCounter("grid.shard.lease_release_failures").Add();
-        std::fprintf(stderr, "[%s] lease release: %s\n", options.worker_label.c_str(),
-                     released.ToString().c_str());
+        std::fprintf(stderr, "[grid] lease release: %s\n", released.ToString().c_str());
       }
       return result;
     };
@@ -509,8 +504,7 @@ StatusOr<GridResult> SweepGrid(const BenchConfig& config,
             break;
           case Claim::kStopped:
             metrics.GetCounter("grid.shard.stopped").Add();
-            return Status::FailedPrecondition(options.worker_label +
-                                              ": stopped before grid completion");
+            return Status::FailedPrecondition("grid: stopped before completion");
         }
       }
       const auto now = std::chrono::steady_clock::now();
@@ -519,7 +513,7 @@ StatusOr<GridResult> SweepGrid(const BenchConfig& config,
       if (pending.empty()) break;
       const double waited = std::chrono::duration<double>(now - last_progress).count();
       if (waited > options.max_wait_seconds) {
-        return Status::FailedPrecondition(options.worker_label + ": no progress for " +
+        return Status::FailedPrecondition("grid: no progress for " +
                                           std::to_string(waited) +
                                           "s waiting on cells held by live workers");
       }
@@ -579,8 +573,7 @@ GridResult RunGrid(const BenchConfig& config,
                    const std::vector<std::string>& methods,
                    const std::vector<data::DatasetId>& datasets) {
   const obs::ScopedTimer grid_span("grid.run");
-  return SweepGrid(config, methods, datasets, ShardOptions{}, /*compute_missing=*/true)
-      .value();
+  return SweepGrid(config, methods, datasets, ShardOptions{}).value();
 }
 
 StatusOr<bool> BreakDeadCellLease(const BenchConfig& config,
@@ -610,48 +603,10 @@ StatusOr<GridResult> RunGridShard(const BenchConfig& config,
                                   const std::vector<data::DatasetId>& datasets,
                                   const ShardOptions& options) {
   const obs::ScopedTimer shard_span("grid.shard.run");
-  TSG_ASSIGN_OR_RETURN(GridResult grid, SweepGrid(config, methods, datasets, options,
-                                                  /*compute_missing=*/true));
-  std::fprintf(stderr, "[%s] grid done: computed %lld cells\n",
-               options.worker_label.c_str(), static_cast<long long>(grid.computed));
+  TSG_ASSIGN_OR_RETURN(GridResult grid, SweepGrid(config, methods, datasets, options));
+  std::fprintf(stderr, "[grid] done: computed %lld cells\n",
+               static_cast<long long>(grid.computed));
   return grid;
-}
-
-StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
-                                     const std::vector<std::string>& methods,
-                                     const std::vector<data::DatasetId>& datasets,
-                                     const MergeOptions& options) {
-  const obs::ScopedTimer merge_span("grid.shard.merge");
-  // Lease pass: no worker may still own a cell, and a lease whose owner died
-  // after checkpointing is cleared. Dead leases on unfinished cells are the
-  // sweep's to reclaim.
-  for (const data::DatasetId id : datasets) {
-    const std::string dataset = data::DatasetName(id);
-    for (const std::string& method : methods) {
-      const std::string lease_path = CellLeasePath(config, method, dataset);
-      if (!std::filesystem::exists(lease_path)) continue;
-      if (std::filesystem::exists(CheckpointPath(config, method, dataset))) {
-        std::remove(lease_path.c_str());
-        obs::MetricRegistry::Global()
-            .GetCounter("grid.shard.merge.leases_cleaned")
-            .Add();
-        continue;
-      }
-      if (io::ProbeLease(lease_path, options.lease_stale_seconds) ==
-          io::LeaseState::kLive) {
-        return Status::FailedPrecondition(
-            "cell " + method + " / " + dataset +
-            " is still held by a live worker; merge after the workers exit");
-      }
-    }
-  }
-
-  // The same sweep as RunGrid, so the merged summary (timing-free, %.17g) is
-  // byte-identical to a single-process run.
-  ShardOptions sweep_options;
-  sweep_options.worker_label = "grid-merge";
-  sweep_options.lease_stale_seconds = options.lease_stale_seconds;
-  return SweepGrid(config, methods, datasets, sweep_options, options.compute_missing);
 }
 
 StatusOr<data::DatasetId> ParseDatasetName(const std::string& name) {

@@ -153,7 +153,6 @@ std::string GridSummaryPath(const BenchConfig& config);
 /// every cell is a pure function of the config, it does not matter which
 /// process computes a cell: the checkpoint bytes are identical either way.
 struct ShardOptions {
-  std::string worker_label = "grid";  ///< Log prefix only.
   /// A held lease at least this old is reclaimable even when its owner cannot
   /// be probed (foreign host). Same-host dead owners are reclaimed immediately.
   double lease_stale_seconds = 300.0;
@@ -186,10 +185,12 @@ GridResult RunGrid(const BenchConfig& config,
                    const std::vector<std::string>& methods,
                    const std::vector<data::DatasetId>& datasets);
 
-/// The grid sweep with the caller's ShardOptions: one sharded-grid worker
-/// process (bench_grid_worker, the daemon's grid job). Returns once every cell
-/// has a valid checkpoint, with the cells, failures and the number of cells this
-/// call computed, after writing the summary like every sweep.
+/// The grid sweep with the caller's ShardOptions: one grid worker process
+/// (bench_grid_worker, bench_smoke_grid, the daemon's grid job). Returns once
+/// every cell has a valid checkpoint, with the cells, failures and the number
+/// of cells this call computed, after writing the summary like every sweep. A
+/// rerun over a finished grid computes 0 cells and rewrites the same summary
+/// bytes, which is how a caller checks that earlier workers covered the grid.
 /// FailedPrecondition when should_stop fires or on a no-progress timeout;
 /// IoError on a lease failure or the first failed checkpoint write.
 StatusOr<GridResult> RunGridShard(const BenchConfig& config,
@@ -210,29 +211,6 @@ StatusOr<bool> BreakDeadCellLease(const BenchConfig& config,
                                   const std::string& method,
                                   const std::string& dataset,
                                   double stale_seconds);
-
-struct MergeOptions {
-  /// When true, the supervisor computes any cell no worker completed (after
-  /// reclaiming its lease). When false a missing checkpoint is an error — the
-  /// strict mode CI uses to prove the workers really covered the grid.
-  bool compute_missing = true;
-  double lease_stale_seconds = 300.0;  ///< Same reclaim TTL as ShardOptions.
-};
-
-/// Supervisor pass, run after the workers exit. Workers already write the
-/// summary, so the merge is needed only as the strict coverage check or to
-/// finish cells no worker finished. A lease pass refuses a cell a live worker
-/// still holds and removes a lease left beside a finished checkpoint (owner
-/// died between checkpoint and release); then the grid sweep loads every cell,
-/// reclaims and computes the missing ones when allowed, and writes the
-/// summary, byte-identical to a single-process RunGrid of the same config —
-/// checkpoints round-trip doubles through %.17g. Fails with NotFound (strict
-/// mode, missing cell), FailedPrecondition (a live worker still holds a lease)
-/// or the first failed checkpoint write.
-StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
-                                     const std::vector<std::string>& methods,
-                                     const std::vector<data::DatasetId>& datasets,
-                                     const MergeOptions& options);
 
 /// The dataset whose data::DatasetName is `name`; InvalidArgument otherwise.
 StatusOr<data::DatasetId> ParseDatasetName(const std::string& name);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the tsgd benchmark daemon (DESIGN.md §11):
 #
-#   1. Reference: the 1x2 grid (TimeVAE x DLG,Stock) via the batch sharded
-#      runner + strict merge — the bytes the daemon must reproduce.
+#   1. Reference: the 1x2 grid (TimeVAE x DLG,Stock) via one batch grid
+#      worker — the bytes the daemon must reproduce.
 #   2. Concurrency: three client sessions submit fit jobs at once (distinct
 #      tenants); all must succeed, and a warm generate must digest-match a
 #      second generate for the same (count, gen_seed).
@@ -26,8 +26,7 @@ BUILD_DIR="${1:-build}"
 TSGD="$BUILD_DIR/tools/tsgd"
 CLIENT="$BUILD_DIR/tools/tsg_client"
 WORKER="$BUILD_DIR/bench/bench_grid_worker"
-MERGE="$BUILD_DIR/bench/bench_grid_merge"
-for bin in "$TSGD" "$CLIENT" "$WORKER" "$MERGE"; do
+for bin in "$TSGD" "$CLIENT" "$WORKER"; do
   if [[ ! -x "$bin" ]]; then
     echo "error: $bin not found or not executable (build first)" >&2
     exit 1
@@ -64,11 +63,9 @@ ckpt_count() {  # checkpoint files under <out_dir>
   find "$1" -path '*grid_ckpt_*' -name '*.json' 2>/dev/null | wc -l
 }
 
-echo "== 1. batch reference grid (sharded worker + strict merge)"
+echo "== 1. batch reference grid (one grid worker)"
 TSGBENCH_OUT="$WORK/ref" "$WORKER" --methods="$METHODS" --datasets="$DATASETS" \
   >"$WORK/ref_worker.log" 2>&1
-TSGBENCH_OUT="$WORK/ref" "$MERGE" --methods="$METHODS" --datasets="$DATASETS" \
-  >"$WORK/ref_merge.log" 2>&1
 
 DOUT="$WORK/daemon"
 echo "== 2. start tsgd; three concurrent sessions fit, then warm generate"

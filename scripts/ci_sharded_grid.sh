@@ -2,7 +2,7 @@
 # CI gate for the multi-process sharded grid runner (DESIGN.md §10):
 #
 #   1. Reference: a single-process run of the tiny 2x2 smoke grid.
-#   2. Kill: one sharded worker dies (hard _exit via TSG_SMOKE_KILL_AFTER=1,
+#   2. Kill: one worker dies (hard _exit via TSG_SMOKE_KILL_AFTER=1,
 #      simulating SIGKILL/OOM) between claiming its second cell's lease and
 #      checkpointing it — exactly one checkpoint and one dangling lease remain.
 #   3. Reclaim: three survivor workers run concurrently against the same
@@ -11,8 +11,9 @@
 #      metrics snapshots, and the survivors together compute exactly the 3
 #      remaining cells: grid.cells.computed = 3), leave no lease behind, and
 #      write a grid summary byte-identical to the reference run's.
-#   4. Merge: the strict supervisor (--merge refuses to train anything itself)
-#      must load all 4 cells and assemble that same summary.
+#   4. Rerun: a fourth worker over the finished grid replays every cell. It
+#      must load all 4 cells from their checkpoints (grid.cells.resumed = 4),
+#      compute none (grid.cells.computed = 0) and write that same summary.
 #
 # Usage: scripts/ci_sharded_grid.sh [build_dir]   (default: build)
 # The work dir (under TSG_WORK_ROOT, default /tmp) is kept on failure so CI can
@@ -67,9 +68,9 @@ TSGBENCH_OUT="$WORK/ref" "$BIN"
 
 OUT="$WORK/sharded"
 
-echo "== 2. sharded worker killed mid-cell (after 1 fit, holding its 2nd lease)"
+echo "== 2. worker killed mid-cell (after 1 fit, holding its 2nd lease)"
 rc=0
-TSGBENCH_OUT="$OUT" TSG_SMOKE_KILL_AFTER=1 "$BIN" --shard || rc=$?
+TSGBENCH_OUT="$OUT" TSG_SMOKE_KILL_AFTER=1 "$BIN" || rc=$?
 if [[ "$rc" -ne 3 ]]; then
   echo "error: kill run exited with $rc, expected the simulated-kill code 3" >&2
   exit 1
@@ -82,7 +83,7 @@ expect_eq "dangling leases after kill" "$leases" 1
 echo "== 3. three survivor workers reclaim the dead cell and finish the grid"
 pids=()
 for i in 1 2 3; do
-  TSGBENCH_OUT="$OUT" "$BIN" --shard \
+  TSGBENCH_OUT="$OUT" "$BIN" \
     --metrics_out="$OUT/metrics_worker$i.json" >"$OUT/worker$i.log" 2>&1 &
   pids+=("$!")
 done
@@ -107,12 +108,12 @@ computed=$(counter_sum "grid.cells.computed" "${snapshots[@]}")
 expect_eq "cells computed by survivors" "$computed" 3
 cmp "$OUT"/grid_summary_*.json "$WORK/ref"/grid_summary_*.json
 
-echo "== 4. strict merge + byte-compare against the single-process summary"
-TSGBENCH_OUT="$OUT" "$BIN" --merge --metrics_out="$OUT/metrics_merge.json"
-expect_eq "merged cells loaded from checkpoints" \
-  "$(counter_sum "grid.cells.resumed" "$OUT/metrics_merge.json")" 4
-expect_eq "cells the merge had to compute itself" \
-  "$(counter_sum "grid.cells.computed" "$OUT/metrics_merge.json")" 0
+echo "== 4. a fourth worker over the finished grid replays every cell"
+TSGBENCH_OUT="$OUT" "$BIN" --metrics_out="$OUT/metrics_rerun.json"
+expect_eq "cells the rerun loaded from checkpoints" \
+  "$(counter_sum "grid.cells.resumed" "$OUT/metrics_rerun.json")" 4
+expect_eq "cells the rerun had to compute itself" \
+  "$(counter_sum "grid.cells.computed" "$OUT/metrics_rerun.json")" 0
 cmp "$OUT"/grid_summary_*.json "$WORK/ref"/grid_summary_*.json
 
-echo "sharded grid OK: kill reclaimed by a survivor, merged summary byte-identical"
+echo "sharded grid OK: kill reclaimed by a survivor, rerun summary byte-identical"

@@ -73,11 +73,6 @@ void ThreadPool::EnsureScheduleWorkers(int count) {
   EnsureWorkersLocked(std::min(count, 256));
 }
 
-int ThreadPool::worker_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(workers_.size());
-}
-
 void ThreadPool::Schedule(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -86,6 +81,18 @@ void ThreadPool::Schedule(std::function<void()> task) {
   }
   tasks_scheduled_.fetch_add(1, std::memory_order_relaxed);
   cv_.notify_one();
+}
+
+bool ThreadPool::TrySchedule(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    TSG_CHECK(!shutdown_) << "Schedule on a shut-down ThreadPool";
+    if (queue_.size() >= workers_.size()) return false;
+    queue_.push_back(std::move(task));
+  }
+  tasks_scheduled_.fetch_add(1, std::memory_order_relaxed);
+  cv_.notify_one();
+  return true;
 }
 
 ThreadPoolStats ThreadPool::stats() const {

@@ -68,9 +68,11 @@ class ThreadPool {
   /// configured; only the background-task capacity grows. Never shrinks.
   void EnsureScheduleWorkers(int count);
 
-  /// Worker threads the pool holds now. Zero for a 1-wide pool that no caller
-  /// grew: a task Schedule()d there would never run. Never decreases.
-  int worker_count() const;
+  /// Schedule() bounded by the workers: enqueues `task` only while fewer tasks
+  /// wait in the queue than the pool has worker threads, and otherwise returns
+  /// false without queuing it. A 1-wide pool that no caller grew has no
+  /// workers, so it refuses every task (one queued there would never run).
+  bool TrySchedule(std::function<void()> task);
 
   /// Snapshot of the cumulative utilization counters (relaxed reads).
   ThreadPoolStats stats() const;
@@ -90,7 +92,7 @@ class ThreadPool {
 
   const int configured_;
   std::atomic<int> max_parallelism_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
@@ -132,9 +134,11 @@ class ParallelRegionGuard {
 /// compare-and-swap: a worker that dequeues it first runs it under a
 /// ParallelRegionGuard (as the daemon's jobs run, so a loop inside it cannot
 /// fan out to a pool whose workers are all busy and deadlock), and otherwise
-/// Take() runs it inline on the calling thread. A pool without workers is
-/// never handed the task, since nothing would dequeue it; Take() runs it. An
-/// exception from the task is rethrown by Take().
+/// Take() runs it inline on the calling thread. The task is offered through
+/// ThreadPool::TrySchedule, so it never queues behind more waiting tasks than
+/// the pool has workers, nor in a pool without workers where nothing would
+/// dequeue it; a refused task runs in Take(). An exception from the task is
+/// rethrown by Take().
 ///
 /// Destroying a Lookahead that was not taken cancels a task no worker has
 /// started (a worker that dequeues it later does nothing) and waits for one a
@@ -146,8 +150,7 @@ class Lookahead {
   Lookahead(ThreadPool& pool, std::function<T()> task)
       : state_(std::make_shared<State>()) {
     state_->task = std::move(task);
-    if (pool.worker_count() == 0) return;
-    pool.Schedule([state = state_] {
+    pool.TrySchedule([state = state_] {
       if (!state->Claim(kWorker)) return;
       const ParallelRegionGuard guard;
       std::optional<T> value;

@@ -195,7 +195,6 @@ StatusOr<std::string> BenchJobRunner::RunGridJob(
   TSG_ASSIGN_OR_RETURN(const std::vector<data::DatasetId> datasets,
                        bench::ParseDatasetList(JoinCsv(spec.datasets)));
   bench::ShardOptions options;
-  options.worker_label = "tsgd-grid";
   options.should_stop = should_stop;
   TSG_ASSIGN_OR_RETURN(const bench::GridResult grid,
                        bench::RunGridShard(config_, methods, datasets, options));

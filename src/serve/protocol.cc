@@ -226,6 +226,9 @@ StatusOr<Request> ParseRequest(const std::string& line) {
   if (cmd == "status") {
     request.cmd = Request::Cmd::kStatus;
     TSG_ASSIGN_OR_RETURN(request.job, OptionalInt(doc, "job", -1));
+    if (doc.Find("job") != nullptr && request.job < 0) {
+      return Status::InvalidArgument("\"job\" must be >= 0");
+    }
     return request;
   }
   if (cmd == "result" || cmd == "cancel") {
@@ -294,7 +297,7 @@ const std::vector<VerbInfo>& ClientVerbs() {
       {"evaluate", "--method=M --dataset=D [--wait]",
        "score one grid cell through the harness", true},
       {"grid", "[--methods=A,B] [--datasets=X,Y] [--wait]",
-       "run a checkpointed grid shard and merge", true},
+       "run the checkpointed grid as one worker", true},
       {"stream_eval",
        "--method=M --dataset=D --count=N [--gen_seed=S] [--window=W] "
        "[--chunk=C] [--wait]",

@@ -1,6 +1,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -407,9 +409,9 @@ TEST(GridResumeTest, InterruptedGridResumesByteIdentical) {
   std::filesystem::remove_all(resumed.out_dir);
 }
 
-// ---- Sharded execution: lease-claimed workers and the supervisor merge must
-// reproduce the single-process grid byte for byte, reclaim cells whose owner
-// died, and surface error cells through the merge. ----
+// ---- Sharded execution: lease-claimed workers must reproduce the
+// single-process grid byte for byte, reclaim cells whose owner died, wait out
+// a live peer, and replay error cells from their checkpoints. ----
 
 /// The lease path the grid sweep uses for a cell: its checkpoint path + ".lease".
 std::string LeasePathFor(const BenchConfig& config, const std::string& method,
@@ -429,7 +431,7 @@ std::string DeadOwnerToken() {
   return std::string(host) + ":" + std::to_string(child) + ":dead";
 }
 
-TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
+TEST(ShardedGridTest, WorkerAndItsRerunMatchSingleProcessByteForByte) {
   const std::vector<std::string> methods = {"TimeVAE"};
   const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg,
                                                  data::DatasetId::kStock};
@@ -445,8 +447,7 @@ TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
   sharded.out_dir = "/tmp/tsg_shard_worker";
   std::filesystem::remove_all(sharded.out_dir);
   std::filesystem::create_directories(sharded.out_dir);
-  ShardOptions options;
-  options.worker_label = "test-shard";
+  const ShardOptions options;
   const auto completed = RunGridShard(sharded, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
   EXPECT_EQ(completed.value().computed, 2);
@@ -455,20 +456,14 @@ TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
   ASSERT_FALSE(clean_summary.empty());
   EXPECT_EQ(ReadWholeFile(GridSummaryPath(sharded)), clean_summary);
 
-  // Strict merge: every cell must come from a worker checkpoint.
+  // A second worker over the finished grid replays every cell from the first
+  // one's checkpoints: zero computed, the same cells and summary bytes.
   std::filesystem::remove(GridSummaryPath(sharded));
-  MergeOptions merge_options;
-  merge_options.compute_missing = false;
-  const auto merged = MergeGridShards(sharded, methods, datasets, merge_options);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ExpectScoresBitIdentical(merged.value().cells, clean_grid.cells);
-  EXPECT_EQ(merged.value().computed, 0);
-  EXPECT_EQ(ReadWholeFile(GridSummaryPath(sharded)), clean_summary);
-
-  // An overlapping second worker finds every cell checkpointed: zero computed.
   const auto again = RunGridShard(sharded, methods, datasets, options);
-  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again.value().computed, 0);
+  ExpectScoresBitIdentical(again.value().cells, clean_grid.cells);
+  EXPECT_EQ(ReadWholeFile(GridSummaryPath(sharded)), clean_summary);
 
   std::filesystem::remove_all(clean.out_dir);
   std::filesystem::remove_all(sharded.out_dir);
@@ -489,9 +484,7 @@ TEST(ShardedGridTest, DeadOwnersLeaseIsStolenAndCellReclaimed) {
 
   const int64_t reclaimed_before = CounterValue("grid.cells.reclaimed");
   const int64_t stolen_before = CounterValue("grid.shard.leases.stolen");
-  ShardOptions options;
-  options.worker_label = "test-reclaim";
-  const auto completed = RunGridShard(config, methods, datasets, options);
+  const auto completed = RunGridShard(config, methods, datasets, ShardOptions{});
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
   EXPECT_EQ(completed.value().computed, 1);
   EXPECT_EQ(CounterValue("grid.cells.reclaimed"), reclaimed_before + 1);
@@ -530,7 +523,7 @@ TEST(ShardedGridTest, ReclaimIsCountedWhenAnotherWorkerWinsTheReacquire) {
   std::filesystem::remove_all(config.out_dir);
 }
 
-TEST(ShardedGridTest, LiveLeaseTimesOutWorkerAndBlocksMerge) {
+TEST(ShardedGridTest, LiveLeaseTimesOutWorker) {
   const std::vector<std::string> methods = {"TimeVAE"};
   const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg};
   BenchConfig config;
@@ -544,24 +537,66 @@ TEST(ShardedGridTest, LiveLeaseTimesOutWorkerAndBlocksMerge) {
   ASSERT_TRUE(io::AcquireLease(lease, io::LeaseOwnerToken()).value());
 
   ShardOptions options;
-  options.worker_label = "test-live";
   options.max_wait_seconds = 0.2;
   const auto completed = RunGridShard(config, methods, datasets, options);
   ASSERT_FALSE(completed.ok());
   EXPECT_EQ(completed.status().code(), StatusCode::kFailedPrecondition);
 
-  MergeOptions merge_options;
-  const auto merged = MergeGridShards(config, methods, datasets, merge_options);
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
+  std::filesystem::remove_all(config.out_dir);
+}
 
+// A worker that finds a cell under a live peer's lease waits; once the peer
+// checkpoints the cell and releases the lease, the worker loads the checkpoint
+// instead of computing the cell.
+TEST(ShardedGridTest, WorkerWaitsOutALivePeerAndLoadsItsCheckpoint) {
+  const std::vector<std::string> methods = {"TimeVAE"};
+  const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg};
+  BenchConfig clean;
+  clean.scale = 0.2;
+  clean.out_dir = "/tmp/tsg_shard_peer_clean";
+  std::filesystem::remove_all(clean.out_dir);
+  std::filesystem::create_directories(clean.out_dir);
+  ASSERT_TRUE(RunGrid(clean, methods, datasets).failures.empty());
+  const std::string clean_summary = ReadWholeFile(GridSummaryPath(clean));
+  ASSERT_FALSE(clean_summary.empty());
+
+  BenchConfig config = clean;
+  config.out_dir = "/tmp/tsg_shard_peer";
+  std::filesystem::remove_all(config.out_dir);
+  std::filesystem::create_directories(CheckpointDir(config));
+  // The peer: same host, live pid, its own nonce.
+  const std::string peer = io::LeaseOwnerToken() + "-peer";
+  const std::string lease = LeasePathFor(config, "TimeVAE", "DLG");
+  ASSERT_TRUE(io::AcquireLease(lease, peer).value());
+
+  const int64_t conflicts_before = CounterValue("grid.shard.lease_conflicts");
+  ShardOptions options;
+  options.max_wait_seconds = 5.0;
+  StatusOr<GridResult> worker = Status::Internal("not run");
+  std::thread sweep([&] { worker = RunGridShard(config, methods, datasets, options); });
+  // Once the worker has found the cell held, the peer finishes it.
+  for (int ms = 0; ms < 2000; ++ms) {
+    if (CounterValue("grid.shard.lease_conflicts") > conflicts_before) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(CounterValue("grid.shard.lease_conflicts"), conflicts_before);
+  const std::string checkpoint = ReadWholeFile(CheckpointPath(clean, "TimeVAE", "DLG"));
+  const std::string path = CheckpointPath(config, "TimeVAE", "DLG");
+  EXPECT_TRUE(io::WriteFileAtomic(path, checkpoint).ok());
+  EXPECT_TRUE(io::ReleaseLease(lease, peer).ok());
+  sweep.join();
+
+  ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+  EXPECT_EQ(worker.value().computed, 0);
+  EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), clean_summary);
+
+  std::filesystem::remove_all(clean.out_dir);
   std::filesystem::remove_all(config.out_dir);
 }
 
 // A malformed checkpoint is not a finished cell: a worker recomputes exactly
-// that cell, so the strict merge then finds every cell and writes RunGrid's
-// summary bytes.
-TEST(ShardedGridTest, WorkerRecomputesMalformedCheckpointForTheStrictMerge) {
+// that cell and writes RunGrid's summary bytes.
+TEST(ShardedGridTest, WorkerRecomputesMalformedCheckpoint) {
   const std::vector<std::string> methods = {"TimeVAE"};
   const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg,
                                                  data::DatasetId::kStock};
@@ -580,19 +615,9 @@ TEST(ShardedGridTest, WorkerRecomputesMalformedCheckpointForTheStrictMerge) {
   ASSERT_TRUE(io::WriteFileAtomic(ckpt, edited).ok());
   std::filesystem::remove(GridSummaryPath(config));
 
-  ShardOptions options;
-  options.worker_label = "test-malformed";
-  const auto worker = RunGridShard(config, methods, datasets, options);
+  const auto worker = RunGridShard(config, methods, datasets, ShardOptions{});
   ASSERT_TRUE(worker.ok()) << worker.status().ToString();
   EXPECT_EQ(worker.value().computed, 1);
-  EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), clean_summary);
-
-  std::filesystem::remove(GridSummaryPath(config));
-  MergeOptions strict;
-  strict.compute_missing = false;
-  const auto merged = MergeGridShards(config, methods, datasets, strict);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged.value().computed, 0);
   EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), clean_summary);
 
   std::filesystem::remove_all(config.out_dir);
@@ -611,7 +636,6 @@ TEST(ShardedGridTest, StopHookStopsBetweenCellsAndTheRerunResumes) {
   // Serial cells: the hook answers "stop" when asked before the second cell.
   int polls = 0;
   ShardOptions options;
-  options.worker_label = "test-stop";
   options.should_stop = [&polls] { return ++polls > 1; };
   base::ThreadPool::Global().SetMaxParallelism(1);
   const auto stopped = RunGridShard(config, methods, datasets, options);
@@ -631,69 +655,48 @@ TEST(ShardedGridTest, StopHookStopsBetweenCellsAndTheRerunResumes) {
   std::filesystem::remove_all(config.out_dir);
 }
 
-TEST(ShardedGridTest, StrictMergeFailsOnMissingCheckpoint) {
-  const std::vector<std::string> methods = {"TimeVAE"};
-  const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg};
-  BenchConfig config;
-  config.scale = 0.2;
-  config.out_dir = "/tmp/tsg_shard_missing";
-  std::filesystem::remove_all(config.out_dir);
-  std::filesystem::create_directories(config.out_dir);
-
-  MergeOptions options;
-  options.compute_missing = false;
-  const auto merged = MergeGridShards(config, methods, datasets, options);
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kNotFound);
-
-  std::filesystem::remove_all(config.out_dir);
-}
-
-TEST(ShardedGridTest, MergeComputesMissingCellsAndMatchesCleanRun) {
+TEST(ShardedGridTest, WorkerOverADeadLeaseComputesMissingCellsAndMatchesCleanRun) {
   const std::vector<std::string> methods = {"TimeVAE"};
   const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg,
                                                  data::DatasetId::kStock};
   BenchConfig clean;
   clean.scale = 0.2;
-  clean.out_dir = "/tmp/tsg_merge_clean";
+  clean.out_dir = "/tmp/tsg_shard_missing_clean";
   std::filesystem::remove_all(clean.out_dir);
   std::filesystem::create_directories(clean.out_dir);
   const auto clean_grid = RunGrid(clean, methods, datasets);
   ASSERT_TRUE(clean_grid.failures.empty());
 
-  // No worker ran at all: the supervisor computes both cells itself, two at
-  // once on a 2-wide pool. A dangling dead lease on one cell must not stop it.
-  BenchConfig merged_config = clean;
-  merged_config.out_dir = "/tmp/tsg_merge_computes";
-  std::filesystem::remove_all(merged_config.out_dir);
-  std::filesystem::create_directories(CheckpointDir(merged_config));
-  ASSERT_TRUE(io::AcquireLease(LeasePathFor(merged_config, "TimeVAE", "DLG"),
+  // No cell is checkpointed and a dead worker left its lease on one: a worker
+  // reclaims that lease and computes both cells, two at once on a 2-wide pool.
+  BenchConfig worker_config = clean;
+  worker_config.out_dir = "/tmp/tsg_shard_missing";
+  std::filesystem::remove_all(worker_config.out_dir);
+  std::filesystem::create_directories(CheckpointDir(worker_config));
+  ASSERT_TRUE(io::AcquireLease(LeasePathFor(worker_config, "TimeVAE", "DLG"),
                                DeadOwnerToken())
                   .value());
 
   const int64_t reclaimed_before = CounterValue("grid.cells.reclaimed");
   const int64_t computed_before = CounterValue("grid.cells.computed");
-  MergeOptions options;
-  options.compute_missing = true;
   base::ThreadPool::Global().SetMaxParallelism(2);
-  const auto merged = MergeGridShards(merged_config, methods, datasets, options);
+  const auto worker = RunGridShard(worker_config, methods, datasets, ShardOptions{});
   base::ThreadPool::Global().SetMaxParallelism(0);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_TRUE(worker.ok()) << worker.status().ToString();
   EXPECT_EQ(CounterValue("grid.cells.reclaimed"), reclaimed_before + 1);
   EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before + 2);
-  EXPECT_EQ(merged.value().computed, 2);
-  EXPECT_FALSE(std::filesystem::exists(
-      LeasePathFor(merged_config, "TimeVAE", "DLG")));
+  EXPECT_EQ(worker.value().computed, 2);
+  EXPECT_FALSE(std::filesystem::exists(LeasePathFor(worker_config, "TimeVAE", "DLG")));
 
   // Scores are bitwise RunGrid's; only the wall-clock fit times differ.
-  ExpectScoresBitIdentical(merged.value().cells, clean_grid.cells);
+  ExpectScoresBitIdentical(worker.value().cells, clean_grid.cells);
   const std::string clean_summary = ReadWholeFile(GridSummaryPath(clean));
-  const std::string merged_summary = ReadWholeFile(GridSummaryPath(merged_config));
+  const std::string worker_summary = ReadWholeFile(GridSummaryPath(worker_config));
   ASSERT_FALSE(clean_summary.empty());
-  EXPECT_EQ(clean_summary, merged_summary);
+  EXPECT_EQ(clean_summary, worker_summary);
 
   std::filesystem::remove_all(clean.out_dir);
-  std::filesystem::remove_all(merged_config.out_dir);
+  std::filesystem::remove_all(worker_config.out_dir);
 }
 
 /// An error message that needs escaping in JSON: a comma, double quotes, a
@@ -711,9 +714,9 @@ class EscapedErrorMethod : public FaultyNaNMethod {
   }
 };
 
-// The error cell round-trips through its checkpoint: the strict merge, which
-// only replays, reports the worker's CellError and writes the worker's summary.
-TEST(ShardedGridTest, MergeCarriesErrorCellsFromWorkerCheckpoints) {
+// The error cell round-trips through its checkpoint: a rerun, which only
+// replays, reports the first worker's CellError and writes its summary.
+TEST(ShardedGridTest, RerunCarriesErrorCellsFromWorkerCheckpoints) {
   static const bool registered = [] {
     methods::RegisterMethod("ShardFaulty",
                             [] { return std::make_unique<EscapedErrorMethod>(); });
@@ -729,8 +732,7 @@ TEST(ShardedGridTest, MergeCarriesErrorCellsFromWorkerCheckpoints) {
   std::filesystem::remove_all(config.out_dir);
   std::filesystem::create_directories(config.out_dir);
 
-  ShardOptions options;
-  options.worker_label = "test-errors";
+  const ShardOptions options;
   const auto completed = RunGridShard(config, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
   EXPECT_EQ(completed.value().computed, 2);  // The failing cell still checkpoints.
@@ -742,15 +744,14 @@ TEST(ShardedGridTest, MergeCarriesErrorCellsFromWorkerCheckpoints) {
   EXPECT_NE(summary.find("\"status\":\"ok\""), std::string::npos) << summary;
 
   std::filesystem::remove(GridSummaryPath(config));
-  MergeOptions merge_options;
-  merge_options.compute_missing = false;
-  const auto merged = MergeGridShards(config, methods, datasets, merge_options);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ASSERT_EQ(merged.value().failures.size(), 1u);
-  EXPECT_EQ(merged.value().failures[0].method, "ShardFaulty");
-  EXPECT_EQ(merged.value().failures[0].dataset, computed.dataset);
-  EXPECT_EQ(merged.value().failures[0].error, computed.error);
-  ASSERT_FALSE(merged.value().cells.empty());
+  const auto rerun = RunGridShard(config, methods, datasets, options);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(rerun.value().computed, 0);
+  ASSERT_EQ(rerun.value().failures.size(), 1u);
+  EXPECT_EQ(rerun.value().failures[0].method, "ShardFaulty");
+  EXPECT_EQ(rerun.value().failures[0].dataset, computed.dataset);
+  EXPECT_EQ(rerun.value().failures[0].error, computed.error);
+  ASSERT_FALSE(rerun.value().cells.empty());
   EXPECT_EQ(ReadWholeFile(GridSummaryPath(config)), summary);
 
   std::filesystem::remove_all(config.out_dir);

@@ -106,17 +106,32 @@ class WorkerBlocker {
   std::shared_ptr<Gate> gate_;
 };
 
+// TrySchedule queues fewer tasks than the pool has workers: none on a 1-wide
+// pool until EnsureScheduleWorkers grows it, and two behind a 3-wide pool's
+// two busy workers.
 TEST(ThreadPoolTest, WorkerCountFollowsWidthAndScheduleWorkers) {
+  std::atomic<int> runs{0};
+  const auto task = [&runs] { ++runs; };
   ThreadPool pool(1);
-  EXPECT_EQ(pool.worker_count(), 0);
+  EXPECT_FALSE(pool.TrySchedule(task));
+  EXPECT_EQ(pool.stats().tasks_scheduled, 0);
   pool.EnsureScheduleWorkers(2);
-  EXPECT_EQ(pool.worker_count(), 2);
-  EXPECT_EQ(ThreadPool(3).worker_count(), 2);
+  EXPECT_TRUE(pool.TrySchedule(task));
+  EXPECT_TRUE(WaitFor([&runs] { return runs.load() == 1; }));
+
+  ThreadPool wide(3);
+  {
+    const WorkerBlocker first(wide);
+    const WorkerBlocker second(wide);
+    EXPECT_TRUE(wide.TrySchedule(task));
+    EXPECT_TRUE(wide.TrySchedule(task));
+    EXPECT_FALSE(wide.TrySchedule(task));
+  }
+  EXPECT_TRUE(WaitFor([&runs] { return runs.load() == 3; }));
 }
 
 TEST(LookaheadTest, RunsInlineOnAPoolWithoutWorkers) {
   ThreadPool pool(1);
-  ASSERT_EQ(pool.worker_count(), 0);
   std::thread::id ran_on;
   Lookahead<int> next(pool, [&ran_on] {
     ran_on = std::this_thread::get_id();
@@ -141,6 +156,21 @@ TEST(LookaheadTest, TakeRunsTheTaskWhenNoWorkerHasStartedIt) {
   // The freed worker dequeues the claimed entry, which does nothing.
   EXPECT_TRUE(WaitFor([&pool] { return pool.stats().tasks_executed == 2; }));
   EXPECT_EQ(runs.load(), 1);
+}
+
+// A job holding a pool's only worker takes every lookahead inline. Only the
+// first is queued, so the queue does not grow with the number of chunks.
+TEST(LookaheadTest, ABlockedWorkerQueuesAtMostOneOfManyLookaheads) {
+  ThreadPool pool(2);  // One worker.
+  const WorkerBlocker blocker(pool);
+  const int64_t scheduled_before = pool.stats().tasks_scheduled;
+  for (int i = 0; i < 1000; ++i) {
+    int runs = 0;
+    Lookahead<int> next(pool, [&runs] { return ++runs; });
+    EXPECT_EQ(next.Take(), 1);
+    EXPECT_TRUE(next.ran_inline());
+  }
+  EXPECT_LE(pool.stats().tasks_scheduled - scheduled_before, 1);
 }
 
 TEST(LookaheadTest, AnIdleWorkerRunsTheTaskInAParallelRegion) {

@@ -197,6 +197,7 @@ TEST(ProtocolTest, MistypedOptionalMembersAreInvalidArgument) {
       {"{\"cmd\":\"result\",\"job\":3,\"wait\":\"true\"}", "wait"},
       {"{\"cmd\":\"status\",\"job\":\"3\"}", "job"},
       {"{\"cmd\":\"status\",\"job\":3.25}", "job"},
+      {"{\"cmd\":\"status\",\"job\":-5}", "job"},
   };
   for (const auto& c : cases) {
     const auto parsed = ParseRequest(c.line);

@@ -1,7 +1,9 @@
 // tsgbench_cli — command-line driver for the benchmark library. kUsage below
 // lists the subcommands and their --key=value flags; an unknown flag or a
-// malformed number is a usage error (exit 2). All numeric output is
-// deterministic for a fixed --seed.
+// malformed number is a usage error (exit 2). Datasets and harness options come
+// from the bench configuration (TSGBENCH_SCALE, TSGBENCH_SEED), so `run` prints
+// the cell the grid computes; all numeric output is deterministic for a fixed
+// TSGBENCH_SEED.
 
 #include <algorithm>
 #include <cstdio>
@@ -11,7 +13,6 @@
 
 #include "bench_util.h"
 #include "core/harness.h"
-#include "core/preprocess.h"
 #include "core/recommend.h"
 #include "data/simulators.h"
 #include "io/csv.h"
@@ -25,16 +26,17 @@ using tsg::core::Dataset;
 constexpr const char* kUsage =
     "tsgbench_cli <command> [flags]\n"
     "  list        methods and datasets\n"
-    "  run         --method=M --dataset=D [--epoch-scale=S] [--repeats=K]\n"
-    "              [--seed=N] [--eval-samples=E]\n"
+    "  run         --method=M --dataset=D\n"
     "              fit one method on one dataset and print the measure suite\n"
-    "              (one Figure 5 cell)\n"
-    "  evaluate    --real=a.csv --generated=b.csv --seq-len=L [--repeats=K]\n"
+    "              (one Figure 5 cell, as the grid computes it)\n"
+    "  evaluate    --real=a.csv --generated=b.csv --seq-len=L\n"
     "              score a generated set against a real one (CSV files of\n"
     "              windows stacked row-wise: L rows per window, N columns)\n"
     "  recommend   --dataset=D [--goal=general|classification|forecasting|\n"
     "              stats|clustering]   the §6.5 recommendation engine\n"
-    "  profile     --dataset=D   a dataset's statistical profile";
+    "  profile     --dataset=D   a dataset's statistical profile\n"
+    "TSGBENCH_SCALE and TSGBENCH_SEED set the budget and seed, as for the bench\n"
+    "binaries.";
 
 /// Every flag any subcommand reads, with its default.
 struct Flags {
@@ -43,10 +45,6 @@ struct Flags {
   std::string real;
   std::string generated;
   std::string goal = "general";
-  double epoch_scale = 0.3;
-  int repeats = 3;
-  uint64_t seed = 42;
-  int64_t eval_samples = 96;
   int64_t seq_len = 0;
 };
 
@@ -55,16 +53,6 @@ int Usage(const std::string& error = "") {
   if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
   std::fprintf(stderr, "usage: %s\n", kUsage);
   return 2;
-}
-
-tsg::core::Preprocessed Prepare(tsg::data::DatasetId id, uint64_t seed) {
-  tsg::data::SimulatorOptions sim;
-  sim.scale = 0.02;
-  sim.seed = seed;
-  const tsg::data::RawSeries raw = tsg::data::Simulate(id, sim);
-  tsg::core::PreprocessOptions pre;
-  pre.shuffle_seed = seed ^ 0x5481;
-  return tsg::core::Preprocess(raw, pre);
 }
 
 int CmdList() {
@@ -81,22 +69,14 @@ int CmdList() {
   return 0;
 }
 
-int CmdRun(const Flags& flags) {
+int CmdRun(const Flags& flags, const tsg::bench::BenchConfig& config) {
   const auto id = tsg::bench::ParseDatasetName(flags.dataset);
   if (!id.ok()) return Usage(id.status().ToString());
   if (flags.method.empty()) return Usage("--method is required");
   auto method = tsg::methods::CreateMethod(flags.method);
   if (!method.ok()) return Usage(method.status().ToString());
-  const auto data = Prepare(id.value(), flags.seed);
-
-  tsg::core::HarnessOptions options;
-  options.fit.epoch_scale = flags.epoch_scale;
-  options.fit.seed = flags.seed;
-  options.stochastic_repeats = flags.repeats;
-  options.max_eval_samples = flags.eval_samples;
-  options.embedder.epochs = 8;
-  options.seed = flags.seed;
-  tsg::core::Harness harness(options);
+  const auto data = tsg::bench::PrepareDataset(id.value(), config);
+  tsg::core::Harness harness(tsg::bench::GridHarnessOptions(config));
 
   const auto run = harness.RunMethod(*method.value(), data.train, data.test);
   if (!run.ok()) {
@@ -132,7 +112,7 @@ tsg::StatusOr<Dataset> LoadWindows(const std::string& path, int64_t seq_len,
   return ds;
 }
 
-int CmdEvaluate(const Flags& flags) {
+int CmdEvaluate(const Flags& flags, const tsg::bench::BenchConfig& config) {
   if (flags.real.empty()) return Usage("--real is required");
   if (flags.generated.empty()) return Usage("--generated is required");
   if (flags.seq_len <= 0) {
@@ -145,10 +125,7 @@ int CmdEvaluate(const Flags& flags) {
                  (!real.ok() ? real.status() : generated.status()).ToString().c_str());
     return 1;
   }
-  tsg::core::HarnessOptions options;
-  options.stochastic_repeats = flags.repeats;
-  options.embedder.epochs = 8;
-  tsg::core::Harness harness(options);
+  tsg::core::Harness harness(tsg::bench::GridHarnessOptions(config));
   const auto scores = harness.EvaluateGenerated(real.value(), real.value(),
                                                 generated.value(), "cli");
   if (!scores.ok()) {
@@ -163,7 +140,7 @@ int CmdEvaluate(const Flags& flags) {
   return 0;
 }
 
-int CmdRecommend(const Flags& flags) {
+int CmdRecommend(const Flags& flags, const tsg::bench::BenchConfig& config) {
   using tsg::core::ApplicationGoal;
   const auto id = tsg::bench::ParseDatasetName(flags.dataset);
   if (!id.ok()) return Usage(id.status().ToString());
@@ -176,7 +153,7 @@ int CmdRecommend(const Flags& flags) {
   const auto* goal = std::find_if(std::begin(kGoals), std::end(kGoals),
                                   [&](const auto& g) { return flags.goal == g.first; });
   if (goal == std::end(kGoals)) return Usage("unknown --goal: " + flags.goal);
-  const auto data = Prepare(id.value(), 42);
+  const auto data = tsg::bench::PrepareDataset(id.value(), config);
   const auto profile = tsg::core::ProfileDataset(data.train);
 
   const auto rec = tsg::core::Recommend(profile, goal->second);
@@ -189,10 +166,10 @@ int CmdRecommend(const Flags& flags) {
   return 0;
 }
 
-int CmdProfile(const Flags& flags) {
+int CmdProfile(const Flags& flags, const tsg::bench::BenchConfig& config) {
   const auto id = tsg::bench::ParseDatasetName(flags.dataset);
   if (!id.ok()) return Usage(id.status().ToString());
-  const auto data = Prepare(id.value(), 42);
+  const auto data = tsg::bench::PrepareDataset(id.value(), config);
   const auto profile = tsg::core::ProfileDataset(data.train);
   std::printf("dataset=%s R=%lld l=%lld N=%lld mean|ACF|=%.3f small_data=%d "
               "high_dimensional=%d long_sequence=%d\n",
@@ -213,18 +190,15 @@ int main(int argc, char** argv) {
   tsg::bench::ConsumeFlagValue(&argc, argv, "real", &flags.real);
   tsg::bench::ConsumeFlagValue(&argc, argv, "generated", &flags.generated);
   tsg::bench::ConsumeFlagValue(&argc, argv, "goal", &flags.goal);
-  tsg::bench::ConsumeNumericFlag(&argc, argv, "epoch-scale", &flags.epoch_scale);
-  tsg::bench::ConsumeNumericFlag(&argc, argv, "repeats", &flags.repeats);
-  tsg::bench::ConsumeNumericFlag(&argc, argv, "seed", &flags.seed);
-  tsg::bench::ConsumeNumericFlag(&argc, argv, "eval-samples", &flags.eval_samples);
   tsg::bench::ConsumeNumericFlag(&argc, argv, "seq-len", &flags.seq_len);
   if (!tsg::bench::RequireNoUnknownFlags(argc, argv, kUsage)) return 2;
   if (argc != 2) return Usage();
+  const tsg::bench::BenchConfig config = tsg::bench::LoadConfig();
   const std::string command = argv[1];
   if (command == "list") return CmdList();
-  if (command == "run") return CmdRun(flags);
-  if (command == "evaluate") return CmdEvaluate(flags);
-  if (command == "recommend") return CmdRecommend(flags);
-  if (command == "profile") return CmdProfile(flags);
+  if (command == "run") return CmdRun(flags, config);
+  if (command == "evaluate") return CmdEvaluate(flags, config);
+  if (command == "recommend") return CmdRecommend(flags, config);
+  if (command == "profile") return CmdProfile(flags, config);
   return Usage();
 }
